@@ -61,8 +61,8 @@ decoded, logp = viterbi(model, obs)
 def score(cells):
     s = np.log(pi[w.state_of(cells[0])])
     for t, y in enumerate(obs):
-        a, b = w.state_of(cells[t]), w.state_of(cells[t + 1])
-        s += np.log(Q[a, int(y)]) + np.log(P.to_dense()[a, b])
+        a, b = cells[t], cells[t + 1]
+        s += np.log(Q[w.state_of(a), int(y)]) + np.log(smap.mapped_set(a)[b])
     return float(s)
 
 

@@ -5,7 +5,7 @@
     driftloc experiment --config CFG --out-dir DIR   -> summary CSV + runs JSON
 
 Every command is deterministic given its inputs and seed.  The log level is
-taken from the DRIFTLOC_LOG_LEVEL environment variable (default WARNING).
+the level name in DRIFTLOC_LOG_LEVEL, in any case (default WARNING).
 """
 
 from __future__ import annotations
@@ -181,12 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("DRIFTLOC_LOG_LEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "pi", None) is not None and args.command == "localize":
         args.pi = {"det": "deterministic", "prob": "probabilistic"}[args.pi]
     try:
+        name = os.environ.get("DRIFTLOC_LOG_LEVEL", "WARNING")
+        level = logging.getLevelName(name.upper())
+        if not isinstance(level, int):
+            raise DriftlocError(f"DRIFTLOC_LOG_LEVEL: unknown log level {name!r}")
+        logging.basicConfig(level=level)
         return args.func(args)
     except ZeroProbabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -154,16 +154,6 @@ class TransitionMatrix:
     def row_sums(self) -> np.ndarray:
         return self.probs.sum(axis=1)
 
-    def to_dense(self) -> np.ndarray:
-        n = self.n_states
-        dense = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), MAX_MAPPED)
-        cols = self.targets.reshape(-1)
-        vals = self.probs.reshape(-1)
-        keep = cols >= 0
-        dense[rows[keep], cols[keep]] = vals[keep]
-        return dense
-
     def adjacency(self) -> list[np.ndarray]:
         """Successor state lists (the support graph), one array per state."""
         return [row[row >= 0] for row in self.targets]

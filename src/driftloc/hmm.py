@@ -10,7 +10,9 @@ T + 1 states and maximizes
     pi[x_0] * prod_t Q[x_{t-1}][y_t] * P[x_{t-1}][x_t]
 
 over all state sequences, with ties broken toward the lexicographically
-smallest sequence.  All scoring happens in log space.
+smallest sequence.  All scoring happens in log space, directly on the chain's
+padded rows of at most nine successors: a decode costs O(T * n * 9) time and
+O(T * n) memory for n states, and no n x n array is ever built.
 """
 
 from __future__ import annotations
@@ -21,28 +23,26 @@ import numpy as np
 
 from .errors import LandCellError, ZeroProbabilityError
 from .gcm import StochasticCellMap, TransitionMatrix, transition_matrix
-from .gridworld import N_DIRECTIONS, Direction, Workspace, direction_between
+from .gridworld import N_DIRECTIONS, Direction, Workspace
 
 
 def emission_matrix(smap: StochasticCellMap) -> np.ndarray:
     """(n_free, 9) row-stochastic matrix of compass-symbol probabilities.
 
-    Q[s, y] sums the mapped-set probability of state s over the targets whose
+    Q[s, y] is the mapped-set probability of state s on the target whose
     displacement from s reads as direction y; each of the nine admissible
     targets has a distinct direction, so this is a relabeling of the rows of P.
     """
     w = smap.workspace
-    n = smap.n_states
-    Q = np.zeros((n, N_DIRECTIONS))
-    for s in range(n):
-        z = int(w.free_cells[s])
-        row = smap.targets[s]
-        for k in range(row.shape[0]):
-            t = int(row[k])
-            if t < 0:
-                break
-            y = direction_between(w, z, int(w.free_cells[t]))
-            Q[s, y] += smap.probs[s, k]
+    direction_of_step = np.empty((3, 3), dtype=np.int64)  # [drow + 1, dcol + 1]
+    for d in Direction:
+        direction_of_step[d.step[0] + 1, d.step[1] + 1] = d
+    s, k = np.nonzero(smap.targets >= 0)
+    src = divmod(w.free_cells[s] - 1, w.cols)
+    dst = divmod(w.free_cells[smap.targets[s, k]] - 1, w.cols)
+    y = direction_of_step[dst[0] - src[0] + 1, dst[1] - src[1] + 1]
+    Q = np.zeros((smap.n_states, N_DIRECTIONS))
+    Q[s, y] = smap.probs[s, k]
     return Q
 
 
@@ -83,9 +83,10 @@ class HmmModel:
             raise ValueError(f"initial distribution shape {self.pi.shape} != ({n},)")
         if abs(self.pi.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution does not sum to 1")
-        # Dense log-space views, shared by every decode against this model.
+        # Log-space views, shared by every decode against this model; _logP
+        # is padded like P.probs, its pad slots holding log 0 = -inf.
         with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_logP", np.log(self.P.to_dense()))
+            object.__setattr__(self, "_logP", np.log(self.P.probs))
             object.__setattr__(self, "_logQ", np.log(self.Q))
             object.__setattr__(self, "_logpi", np.log(self.pi))
 
@@ -100,13 +101,14 @@ def build_model(smap: StochasticCellMap, pi: np.ndarray) -> HmmModel:
 
 def _check_feasible(model: HmmModel, obs: np.ndarray) -> None:
     """Forward sweep of reachable-state sets; raises at the first dead step."""
-    support = np.isfinite(model._logP)
+    live = np.isfinite(model._logP)
     reachable = model.pi > 0.0
     for t, y in enumerate(obs):
         departing = reachable & (model.Q[:, y] > 0.0)
         if not departing.any():
             raise ZeroProbabilityError(t + 1)
-        reachable = support[departing].any(axis=0)
+        reachable = np.zeros_like(reachable)
+        reachable[model.P.targets[departing][live[departing]]] = True
 
 
 def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
@@ -123,17 +125,18 @@ def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
     _check_feasible(model, obs)
 
     logP, logQ, logpi = model._logP, model._logQ, model._logpi
+    targets = model.P.targets
 
     # Backward pass: best[t][s] = best log score of observations t+1..T given
     # the chain sits at s after t of them (best[T] = 0).  Decoding forward
-    # off these suffix scores makes np.argmax's first-maximum rule yield the
-    # lexicographically smallest optimal trajectory; a forward trellis with
-    # backpointers would break ties in reverse order instead.
-    n = model.P.n_states
-    best = np.empty((T + 1, n))
+    # off these suffix scores over slots in ascending target order makes
+    # np.argmax's first-maximum rule yield the lexicographically smallest
+    # optimal trajectory; a forward trellis with backpointers would break ties
+    # in reverse order instead.  Pad slots score -inf and are never chosen.
+    best = np.empty((T + 1, model.P.n_states))
     best[T] = 0.0
     for t in range(T, 0, -1):
-        cont = logP + best[t][None, :]
+        cont = logP + best[t][targets]
         best[t - 1] = logQ[:, obs[t - 1]] + cont.max(axis=1)
 
     start_scores = logpi + best[0]
@@ -144,8 +147,9 @@ def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
     path = [int(np.argmax(start_scores))]
     for t in range(1, T + 1):
         # the emission term of the departing state is fixed by path[-1]
-        scores = logP[path[-1]] + best[t]
-        path.append(int(np.argmax(scores)))
+        row = targets[path[-1]]
+        scores = logP[path[-1]] + best[t][row]
+        path.append(int(row[np.argmax(scores)]))
 
     cells = [int(model.workspace.free_cells[s]) for s in path]
     return cells, total

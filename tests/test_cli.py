@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from driftloc import (
     SyntheticFieldSpec,
 )
 from driftloc.cli import main
-from conftest import CONFIG_DIR, FIXTURE_FIELD, SCHEMA_DIR
+from conftest import CONFIG_DIR, FIXTURE_FIELD, REPO_ROOT, SCHEMA_DIR
 
 
 def run_cli(*argv):
@@ -197,3 +200,29 @@ class TestExperiment:
             cfg = json.loads((CONFIG_DIR / name).read_text())
             resolved = (CONFIG_DIR / cfg["field"]["path"]).resolve()
             assert resolved.exists(), f"{name} points at a missing fixture"
+
+
+class TestLogLevel:
+    # A fresh process: under pytest the root logger already has handlers, so
+    # logging.basicConfig would not apply the level in-process.
+    def _classify(self, tmp_path, level):
+        path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, DRIFTLOC_LOG_LEVEL=level, PYTHONPATH=os.pathsep.join(path))
+        return subprocess.run(
+            [sys.executable, "-m", "driftloc.cli", "classify", "--synthetic", "uniform",
+             "--u", "1.0", "--rows", "4", "--cols", "5", "--out", str(tmp_path / "d.json")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_level_name_in_any_case(self, tmp_path):
+        proc = self._classify(tmp_path, "debug")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "d.json").exists()
+
+    def test_unknown_level_fails_with_diagnostics(self, tmp_path):
+        proc = self._classify(tmp_path, "bogus")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "DRIFTLOC_LOG_LEVEL" in proc.stderr and "'bogus'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "d.json").exists()

@@ -166,7 +166,10 @@ class TestTransitionMatrix:
     def test_identity_map_r1_is_identity_matrix(self):
         w, f = make_field(3, 3)
         P = transition_matrix(build_stochastic_map(build_cell_map(f), 1.0))
-        assert (P.to_dense() == np.eye(9)).all()
+        assert (P.targets[:, 0] == np.arange(9)).all()
+        assert (P.targets[:, 1:] == -1).all()
+        assert (P.probs[:, 0] == 1.0).all()
+        assert (P.probs[:, 1:] == 0.0).all()
 
     def test_two_cell_swap_is_permutation(self):
         mask = np.ones((2, 2), dtype=bool)
@@ -177,7 +180,10 @@ class TestTransitionMatrix:
         u = np.array([[1.0, -1.0], [0.0, 0.0]])
         f = VectorField(workspace=w, u=u, v=np.zeros((2, 2)))
         P = transition_matrix(build_stochastic_map(build_cell_map(f, dt=1.0), 1.0))
-        assert (P.to_dense() == np.array([[0.0, 1.0], [1.0, 0.0]])).all()
+        assert (P.targets[:, 0] == [1, 0]).all()
+        assert (P.targets[:, 1:] == -1).all()
+        assert (P.probs[:, 0] == 1.0).all()
+        assert (P.probs[:, 1:] == 0.0).all()
 
     def test_any_input_rows_sum_to_one(self, gyre):
         sums = gyre["P"].row_sums()

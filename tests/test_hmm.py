@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftloc import (
     Direction,
     HmmModel,
     LandCellError,
+    SyntheticFieldSpec,
     Workspace,
     ZeroProbabilityError,
     build_cell_map,
@@ -14,11 +18,13 @@ from driftloc import (
     emission_matrix,
     initial_distribution,
     sample_trajectory,
+    synthesize_field,
     transition_matrix,
     viterbi,
     viterbi_final_state,
 )
 from conftest import make_field, random_field
+from dense_reference import dense_viterbi, loop_emission_matrix
 
 
 def model_for(field_pair, r, x_init, mode="deterministic", dt=None):
@@ -28,12 +34,23 @@ def model_for(field_pair, r, x_init, mode="deterministic", dt=None):
     return HmmModel(P=P, Q=emission_matrix(smap), pi=initial_distribution(w, x_init, mode))
 
 
+def log_tables(model):
+    """Log tables built from the model's public arrays only.
+
+    Returns ({successor state: log P} per state, log Q, log pi); the
+    successors are the positive-probability slots of P's padded rows.
+    """
+    with np.errstate(divide="ignore"):
+        logP = [
+            {int(t): float(np.log(p)) for t, p in zip(row_t, row_p) if t >= 0 and p > 0}
+            for row_t, row_p in zip(model.P.targets, model.P.probs)
+        ]
+        return logP, np.log(model.Q), np.log(model.pi)
+
+
 def brute_force_best(model, obs):
     """Oracle: exhaustive enumeration of every feasible state sequence."""
-    logP = model._logP
-    logQ = model._logQ
-    logpi = model._logpi
-    succ = [np.flatnonzero(np.isfinite(row)) for row in logP]
+    logP, logQ, logpi = log_tables(model)
     T = len(obs)
     best = -math.inf
 
@@ -45,8 +62,8 @@ def brute_force_best(model, obs):
         e = logQ[s, obs[t]]
         if not np.isfinite(e):
             return
-        for s2 in succ[s]:
-            walk(t + 1, int(s2), acc + e + logP[s, s2])
+        for s2, lp in logP[s].items():
+            walk(t + 1, s2, acc + e + lp)
 
     for s0 in np.flatnonzero(np.isfinite(logpi)):
         walk(0, int(s0), float(logpi[s0]))
@@ -55,11 +72,12 @@ def brute_force_best(model, obs):
 
 def path_logprob(model, cells, obs):
     """Log score of one explicit trajectory under the model."""
+    logP, logQ, logpi = log_tables(model)
     w = model.workspace
     states = [w.state_of(z) for z in cells]
-    total = model._logpi[states[0]]
+    total = logpi[states[0]]
     for t, y in enumerate(obs):
-        total += model._logQ[states[t], int(y)] + model._logP[states[t], states[t + 1]]
+        total += logQ[states[t], int(y)] + logP[states[t]].get(states[t + 1], -math.inf)
     return float(total)
 
 
@@ -201,11 +219,12 @@ class TestViterbi:
         model = model_for((w, f), 0.8, int(w.free_cells[3]), "probabilistic")
         true_path, obs = sample_trajectory(model.P, model.pi, 20, seed=2)
         decoded, _ = viterbi(model, obs)
+        successors, _, _ = log_tables(model)
         for t in range(len(obs)):
             s = model.workspace.state_of(decoded[t])
             s2 = model.workspace.state_of(decoded[t + 1])
             assert model.Q[s, int(obs[t])] > 0.0
-            assert np.isfinite(model._logP[s, s2])
+            assert s2 in successors[s]
 
     def test_relabeling_invariance(self):
         # permuting the direction alphabet consistently in Q and the
@@ -245,3 +264,110 @@ class TestViterbi:
             HmmModel(P=P, Q=Q[:, :5], pi=initial_distribution(w, 1, "deterministic"))
         with pytest.raises(ValueError):
             HmmModel(P=P, Q=Q, pi=np.full(9, 0.2))
+
+
+def decode_outcome(decoder, model, obs):
+    """(path, log prob), or ("infeasible", step) if the decoder raises."""
+    try:
+        return decoder(model, obs)
+    except ZeroProbabilityError as exc:
+        return ("infeasible", exc.step)
+
+
+class TestDenseReferenceBitExact:
+    """The sparse decoder reproduces the dense n x n decoder bit for bit."""
+
+    def test_emission_matches_per_slot_loop(self, gyre):
+        rng = np.random.default_rng(5)
+        smaps = [build_stochastic_map(gyre["cell_map"], r) for r in (0.7, 0.9, 1.0)]
+        for _ in range(10):
+            w, f = random_field(rng, 6, 7, land_prob=0.25, vmax=2.0)
+            smaps.append(build_stochastic_map(build_cell_map(f), float(rng.choice([0.6, 0.9]))))
+        for smap in smaps:
+            assert emission_matrix(smap).tobytes() == loop_emission_matrix(smap).tobytes()
+
+    def test_fixture_runs(self, gyre):
+        w = gyre["workspace"]
+        infeasible = 0
+        for r in (0.7, 0.9, 1.0):
+            smap = build_stochastic_map(gyre["cell_map"], r)
+            P, Q = transition_matrix(smap), emission_matrix(smap)
+            for mode in ("deterministic", "probabilistic"):
+                for T in (20, 50):
+                    for run in range(4):
+                        seq = np.random.SeedSequence((round(10 * r), T, run))
+                        rng = np.random.default_rng(seq)
+                        x0 = int(w.free_cells[rng.integers(w.n_free)])
+                        pi = initial_distribution(w, x0, mode)
+                        # odd runs flip symbols, which makes many histories infeasible
+                        _, obs = sample_trajectory(P, pi, T, rng, obs_noise=0.1 * (run % 2))
+                        model = HmmModel(P=P, Q=Q, pi=pi)
+                        got = decode_outcome(viterbi, model, obs)
+                        assert got == decode_outcome(dense_viterbi, model, obs), (r, mode, T, run)
+                        infeasible += got[0] == "infeasible"
+        assert 0 < infeasible < 24
+
+    def test_random_fields_with_land(self):
+        rng = np.random.default_rng(2024)
+        steps = set()
+        for trial in range(40):
+            rows, cols = (int(v) for v in rng.integers(3, 9, size=2))
+            w, f = random_field(rng, rows, cols, land_prob=0.25, vmax=2.0)
+            r = float(rng.choice([0.6, 0.8, 0.95, 1.0]))
+            mode = "deterministic" if trial % 2 else "probabilistic"
+            model = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
+            T = int(rng.integers(1, 30))
+            if trial % 3:
+                _, obs = sample_trajectory(model.P, model.pi, T, rng)
+            else:
+                obs = [int(y) for y in rng.integers(0, 9, size=T)]
+            got = decode_outcome(viterbi, model, obs)
+            assert got == decode_outcome(dense_viterbi, model, obs), trial
+            if got[0] == "infeasible":
+                steps.add(got[1])
+        assert len(steps) >= 2
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(3, 3), (3, 4), (4, 3), (4, 4)]),
+        land_prob=st.sampled_from([0.0, 0.15, 0.3]),
+        r=st.sampled_from([0.6, 0.9, 1.0]),
+        mode=st.sampled_from(["deterministic", "probabilistic"]),
+        T=st.integers(1, 4),
+        sampled=st.booleans(),
+    )
+    def test_decode_equals_exhaustive_enumeration(self, seed, shape, land_prob, r, mode, T, sampled):
+        rng = np.random.default_rng(seed)
+        w, f = random_field(rng, *shape, land_prob=land_prob, vmax=1.5)
+        model = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
+        if sampled:
+            _, obs = sample_trajectory(model.P, model.pi, T, rng)
+        else:
+            obs = [int(y) for y in rng.integers(0, 9, size=T)]
+        best = brute_force_best(model, obs)
+        if best == -math.inf:
+            with pytest.raises(ZeroProbabilityError):
+                viterbi(model, obs)
+        else:
+            decoded, logp = viterbi(model, obs)
+            assert logp == pytest.approx(best, abs=1e-9)
+            assert path_logprob(model, decoded, obs) == pytest.approx(logp, abs=1e-9)
+
+
+class TestMemory:
+    def test_decode_allocates_no_n_squared_table(self):
+        # 4 800 states: a dense log transition table alone would be 184 MB
+        w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 60, 80)
+        smap = build_stochastic_map(build_cell_map(f), 0.9)
+        P, Q = transition_matrix(smap), emission_matrix(smap)
+        pi = initial_distribution(w, w.index(40, 20), "probabilistic")
+        _, obs = sample_trajectory(P, pi, 50, seed=3)
+        tracemalloc.start()
+        try:
+            cells, _ = viterbi(HmmModel(P=P, Q=Q, pi=pi), obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 51
+        assert peak < 16 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
