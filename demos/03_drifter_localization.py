@@ -36,9 +36,9 @@ Q = emission_matrix(smap)
 x_deploy = w.index(16, 10)
 T = 40
 
-for mode in ("deterministic", "probabilistic"):
+for i, mode in enumerate(("deterministic", "probabilistic")):
     pi = initial_distribution(w, x_deploy, mode)
-    true_path, obs = sample_trajectory(P, pi, T, seed=(2026, hash(mode) % 1000))
+    true_path, obs = sample_trajectory(P, pi, T, seed=(2026, i))
     model = HmmModel(P=P, Q=Q, pi=pi)
     decoded, logp = viterbi(model, obs)
     rep = error_report(true_path, decoded, w)

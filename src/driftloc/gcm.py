@@ -13,7 +13,9 @@ the chain degenerates to the deterministic map.
 
 The chain's support graph is decomposed into persistent groups (attractors:
 closed, mutually communicating cell sets) and transient groups keyed by the
-set of attractors each cell can reach (its domiciles).
+set of attractors each cell can reach (its domiciles).  It costs one Tarjan
+pass plus one reverse breadth-first search per attractor, in O(n * 9) memory;
+no n x n reachability closure is built.
 """
 
 from __future__ import annotations
@@ -154,9 +156,9 @@ class TransitionMatrix:
     def row_sums(self) -> np.ndarray:
         return self.probs.sum(axis=1)
 
-    def adjacency(self) -> list[np.ndarray]:
-        """Successor state lists (the support graph), one array per state."""
-        return [row[row >= 0] for row in self.targets]
+    def adjacency(self) -> list[list[int]]:
+        """Successor state lists (the support graph), one list per state."""
+        return [[u for u in row if u >= 0] for row in self.targets.tolist()]
 
 
 def transition_matrix(smap: StochasticCellMap) -> TransitionMatrix:
@@ -165,13 +167,13 @@ def transition_matrix(smap: StochasticCellMap) -> TransitionMatrix:
     )
 
 
-def _tarjan(succ: list[np.ndarray]) -> list[list[int]]:
+def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     """Iterative Tarjan SCC.  Components are emitted in reverse topological
     order of the condensation (every component before any that reaches it)."""
     n = len(succ)
-    index = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
@@ -179,47 +181,42 @@ def _tarjan(succ: list[np.ndarray]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, None)]
         while work:
-            v, child_i = work[-1]
-            if child_i == 0:
+            v, children = work[-1]
+            if children is None:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            descended = False
-            children = succ[v]
-            for i in range(child_i, len(children)):
-                u = int(children[i])
+                children = iter(succ[v])
+                work[-1] = (v, children)
+            for u in children:  # resumes where the last descent left off
                 if index[u] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    descended = True
+                    work.append((u, None))
                     break
                 if on_stack[u]:
                     low[v] = min(low[v], index[u])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        comp.append(u)
+                        if u == v:
+                            break
+                    comps.append(comp)
     return comps
 
 
 def strongly_connected_components(P: TransitionMatrix) -> list[np.ndarray]:
     """Maximal SCCs of the support graph, ordered by smallest member state."""
-    comps = _tarjan(P.adjacency())
-    comps = [np.array(sorted(c), dtype=np.int64) for c in comps]
+    comps = [np.array(sorted(c), dtype=np.int64) for c in _tarjan(P.adjacency())]
     comps.sort(key=lambda c: int(c[0]))
     return comps
 
@@ -228,7 +225,8 @@ def reachability(P: TransitionMatrix) -> np.ndarray:
     """Boolean matrix C with C[i, j] true iff state i reaches j in >= 1 step.
 
     Computed on the condensation DAG with bitset accumulation; semantically
-    equal to the transitive closure of the support graph.
+    equal to the transitive closure of the support graph.  It allocates n x n,
+    so ``decompose`` never calls it; it is kept for oracles and tests.
     """
     succ = P.adjacency()
     n = len(succ)
@@ -265,50 +263,65 @@ def reachability(P: TransitionMatrix) -> np.ndarray:
 
 
 def find_persistent_groups(
-    sccs: list[np.ndarray], C: np.ndarray
+    P: TransitionMatrix, sccs: list[np.ndarray]
 ) -> list[np.ndarray]:
     """SCCs that are closed under the mapping: the attractors.
 
-    A component is persistent iff nothing outside it is reachable from it
-    (and, for singletons, it actually cycles back to itself).  Returned in
-    the order of ``sccs``, which numbers the groups B_1..B_g.
+    A component is persistent iff it cycles (more than one member, or a
+    self-loop) and no edge of the support graph leaves it.  Both tests run
+    over the padded (n, 9) rows.  Returned in the order of ``sccs``, which
+    numbers the groups B_1..B_g.
     """
-    groups = []
-    for comp in sccs:
-        rep = int(comp[0])
-        if len(comp) == 1 and not C[rep, rep]:
-            continue
-        inside = np.zeros(C.shape[0], dtype=bool)
-        inside[comp] = True
-        if C[rep, ~inside].any():
-            continue
-        groups.append(comp)
-    return groups
+    sizes = np.array([len(c) for c in sccs], dtype=np.int64)
+    comp_of = np.empty(P.n_states, dtype=np.int64)
+    comp_of[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), sizes)
+
+    leaves = ((P.targets >= 0) & (comp_of[P.targets] != comp_of[:, None])).any(axis=1)
+    loops = (P.targets == np.arange(P.n_states)[:, None]).any(axis=1)
+    closed = np.bincount(comp_of, weights=leaves, minlength=len(sccs)) == 0
+    cyclic = (sizes > 1) | (np.bincount(comp_of, weights=loops, minlength=len(sccs)) > 0)
+    return [c for c, keep in zip(sccs, closed & cyclic) if keep]
 
 
 def find_transient_groups(
+    P: TransitionMatrix,
     persistent_groups: list[np.ndarray],
     transient_states: np.ndarray,
-    C: np.ndarray,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Group transient states by their domicile set.
 
     The domicile set of a transient state is the set of attractor numbers
-    (1-based positions in ``persistent_groups``) it can reach.  Keys with one
-    element are single-domicile groups; larger keys are multiple-domicile
-    groups (the paper's boundary regions).  Every transient state must have
-    at least one domicile in a finite chain.
+    (1-based positions in ``persistent_groups``) it can reach, found by one
+    reverse breadth-first search per attractor over predecessor lists.  Keys
+    with one element are single-domicile groups; larger keys are
+    multiple-domicile groups (the paper's boundary regions).  Every transient
+    state must have at least one domicile in a finite chain.
     """
-    reps = [int(g[0]) for g in persistent_groups]
+    n = P.n_states
+    dst = P.targets.reshape(-1)
+    slots = np.flatnonzero(dst >= 0)
+    slots = slots[np.argsort(dst[slots], kind="stable")]  # grouped by target
+    preds = (slots // P.targets.shape[1]).tolist()
+    start = np.concatenate(([0], np.cumsum(np.bincount(dst[slots], minlength=n)))).tolist()
+
+    domiciles: list[list[int]] = [[] for _ in range(n)]
+    seen = [0] * n
+    for g, members in enumerate(persistent_groups, start=1):
+        queue = members.tolist()
+        for v in queue:  # grows while it is walked
+            if seen[v] != g:
+                seen[v] = g
+                domiciles[v].append(g)
+                queue.extend(preds[start[v]:start[v + 1]])
+
     out: dict[tuple[int, ...], list[int]] = {}
-    for s in transient_states:
-        dom = tuple(i + 1 for i, rep in enumerate(reps) if C[int(s), rep])
-        if not dom:
+    for s in transient_states.tolist():
+        if not domiciles[s]:
             raise RuntimeError(
-                f"transient state {int(s)} reaches no persistent group; "
+                f"transient state {s} reaches no persistent group; "
                 "the decomposition is inconsistent"
             )
-        out.setdefault(dom, []).append(int(s))
+        out.setdefault(tuple(domiciles[s]), []).append(s)
     # single-domicile groups first, then by domicile tuple
     ordered = sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return {k: np.array(sorted(v), dtype=np.int64) for k, v in ordered}
@@ -370,14 +383,6 @@ class FlowDecomposition:
                 return _group_label(k)
         raise KeyError(f"cell {z} is not a water cell of this decomposition")
 
-    def group_of_state(self, s: int) -> int:
-        """Attractor number (1-based) containing state s, or 0 if transient."""
-        z = int(self.workspace.free_cells[s])
-        for i, g in enumerate(self.persistent_groups):
-            if z in g:
-                return i + 1
-        return 0
-
     def to_dict(self) -> dict:
         return {
             "rows": self.workspace.rows,
@@ -405,18 +410,12 @@ def decompose(P: TransitionMatrix) -> FlowDecomposition:
     """Full long-term decomposition of the chain's support graph."""
     w = P.workspace
     sccs = strongly_connected_components(P)
-    C = reachability(P)
-    persistent = find_persistent_groups(sccs, C)
+    persistent = find_persistent_groups(P, sccs)
 
-    persistent_states = (
-        np.sort(np.concatenate(persistent))
-        if persistent
-        else np.empty(0, dtype=np.int64)
-    )
-    mask = np.zeros(P.n_states, dtype=bool)
-    mask[persistent_states] = True
-    transient_states = np.flatnonzero(~mask)
-    transient = find_transient_groups(persistent, transient_states, C)
+    is_transient = np.ones(P.n_states, dtype=bool)
+    for g in persistent:
+        is_transient[g] = False
+    transient = find_transient_groups(P, persistent, np.flatnonzero(is_transient))
 
     return FlowDecomposition(
         workspace=w,

@@ -1,0 +1,112 @@
+"""The closure-free decomposition against the frozen closure-based one.
+
+``closure_reference`` builds the n x n reachability closure C and reads the
+attractors and domiciles off it; ``driftloc.decompose`` must give the same
+groups, in the same order, with the same bytes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import closure_reference as ref
+from conftest import make_field, random_field
+from driftloc import (
+    SyntheticFieldSpec,
+    VectorField,
+    Workspace,
+    build_cell_map,
+    build_stochastic_map,
+    decompose,
+    strongly_connected_components,
+    synthesize_field,
+    transition_matrix,
+)
+from test_acceptance import _fixture_suite
+
+# the shipped fixture, uniform, zero, single-gyre, saddle and random masked fields
+SUITE = {name: field for name, (_, field) in _fixture_suite()}
+
+
+def chain(field, r):
+    return transition_matrix(build_stochastic_map(build_cell_map(field), r))
+
+
+def assert_matches_reference(P):
+    got, want = decompose(P), ref.decompose(P)
+    assert got.to_dict() == want.to_dict()
+    assert len(got.persistent_groups) == len(want.persistent_groups)
+    for a, b in zip(got.persistent_groups, want.persistent_groups):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert list(got.transient_groups) == list(want.transient_groups)
+    for k, b in want.transient_groups.items():
+        a = got.transient_groups[k]
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    sccs, ref_sccs = strongly_connected_components(P), ref.strongly_connected_components(P)
+    assert len(sccs) == len(ref_sccs)
+    assert all(np.array_equal(a, b) for a, b in zip(sccs, ref_sccs))
+    return got
+
+
+def gyre_with_land(rows, cols, seed):
+    """Double gyre with a three-row coast and seeded 3x3 islands."""
+    _, gyre = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), rows, cols)
+    rng = np.random.default_rng(seed)
+    land = np.zeros((rows, cols), dtype=bool)
+    land[-3:, :] = True
+    for _ in range(8):
+        r0 = int(rng.integers(0, rows - 6))
+        c0 = int(rng.integers(0, cols - 3))
+        land[r0:r0 + 3, c0:c0 + 3] = True
+    w = Workspace(rows=rows, cols=cols, land_mask=land)
+    return VectorField(workspace=w, u=gyre.u, v=gyre.v)
+
+
+class TestMatchesClosureReference:
+    @pytest.mark.parametrize("name", list(SUITE))
+    def test_fixture_suite(self, name):
+        for r in (0.5, 0.9, 1.0):
+            assert_matches_reference(chain(SUITE[name], r))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gyre_with_coast_and_islands(self, seed):
+        field = gyre_with_land(40, 50, seed)
+        for r in (0.9, 1.0):
+            dec = assert_matches_reference(chain(field, r))
+            assert dec.transient_groups
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(3, 6),
+        cols=st.integers(3, 6),
+        land_prob=st.sampled_from([0.0, 0.15, 0.3]),
+        r=st.sampled_from([0.6, 0.9, 1.0]),
+    )
+    def test_random_fields_with_land(self, seed, rows, cols, land_prob, r):
+        rng = np.random.default_rng(seed)
+        _, field = random_field(rng, rows, cols, land_prob=land_prob, vmax=1.5)
+        assert_matches_reference(chain(field, r))
+
+
+class TestMemory:
+    # 30 000 states: the closure C alone would be 858 MiB, and on the zero
+    # field (one attractor per cell) a g x n domicile table just as much.
+    @pytest.mark.parametrize("kind", ["double_gyre", "zero"])
+    def test_decompose_allocates_no_n_squared_table(self, kind):
+        if kind == "zero":
+            w, field = make_field(150, 200)
+        else:
+            w, field = synthesize_field(SyntheticFieldSpec(kind=kind, decay=2.0), 150, 200)
+        P = chain(field, 0.9)
+        tracemalloc.start()
+        try:
+            dec = decompose(P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dec.persistent_cells) + len(dec.transient_cells) == w.n_free == 30_000
+        assert peak < 32 * 2**20, f"decompose peaked at {peak / 2**20:.1f} MiB"

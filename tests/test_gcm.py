@@ -254,16 +254,25 @@ class TestPersistentGroups:
     def test_single_absorbing_cell(self):
         P = chain_from_edges(3, [(0, 1), (1, 2), (2, 2)])
         sccs = strongly_connected_components(P)
-        groups = find_persistent_groups(sccs, reachability(P))
+        groups = find_persistent_groups(P, sccs)
         assert [list(g) for g in groups] == [[2]]
 
     def test_cycle_plus_transient(self):
         # A <-> B cycle fed by transient c
         P = chain_from_edges(3, [(0, 1), (1, 0), (2, 0)])
-        groups = find_persistent_groups(
-            strongly_connected_components(P), reachability(P)
-        )
+        groups = find_persistent_groups(P, strongly_connected_components(P))
         assert [list(g) for g in groups] == [[0, 1]]
+
+    def test_dead_end_state_is_not_an_attractor(self):
+        # an all-padding row has no edge out, yet never cycles back
+        P = chain_from_edges(3, [(0, 0), (1, 0), (2, 0)])
+        targets, probs = P.targets.copy(), P.probs.copy()
+        targets[2], probs[2] = -1, 0.0
+        P = TransitionMatrix(workspace=P.workspace, targets=targets, probs=probs)
+        groups = find_persistent_groups(P, strongly_connected_components(P))
+        assert [list(g) for g in groups] == [[0]]
+        with pytest.raises(RuntimeError, match="transient state 2"):
+            decompose(P)
 
     def test_double_gyre_two_attractors(self, gyre):
         dec = gyre["decomposition"]
@@ -273,20 +282,16 @@ class TestPersistentGroups:
 class TestTransientGroups:
     def test_chain_single_domicile(self):
         P = chain_from_edges(3, [(0, 1), (1, 2), (2, 2)])
-        sccs = strongly_connected_components(P)
-        C = reachability(P)
-        groups = find_persistent_groups(sccs, C)
-        trans = find_transient_groups(groups, np.array([0, 1]), C)
+        groups = find_persistent_groups(P, strongly_connected_components(P))
+        trans = find_transient_groups(P, groups, np.array([0, 1]))
         assert list(trans) == [(1,)]
         assert list(trans[(1,)]) == [0, 1]
 
     def test_cell_feeding_two_basins(self):
         # 0 and 1 absorbing; 2 feeds both; 3 feeds only 0
         P = chain_from_edges(4, [(0, 0), (1, 1), (2, 0), (2, 1), (3, 0)])
-        sccs = strongly_connected_components(P)
-        C = reachability(P)
-        groups = find_persistent_groups(sccs, C)
-        trans = find_transient_groups(groups, np.array([2, 3]), C)
+        groups = find_persistent_groups(P, strongly_connected_components(P))
+        trans = find_transient_groups(P, groups, np.array([2, 3]))
         assert set(trans) == {(1, 2), (1,)}
         assert list(trans[(1, 2)]) == [2]
         assert list(trans[(1,)]) == [3]
