@@ -15,14 +15,13 @@ from driftloc import (
     build_stochastic_map,
     decompose,
     load_field,
-    transition_matrix,
 )
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "double_gyre_21x29.field"
 
 w, field = load_field(FIXTURE)
 smap = build_stochastic_map(build_cell_map(field), r=0.9)
-dec = decompose(transition_matrix(smap))
+dec = decompose(smap)
 
 print(f"{dec.n_groups} attractors, {len(dec.transient_groups)} transient groups")
 for i, g in enumerate(dec.persistent_groups):
@@ -51,7 +50,7 @@ for row in range(w.rows - 1, -1, -1):
     print("  " + "".join(symbol.get(w.index(row, col), "#") for col in range(w.cols)))
 
 # The same structure is independent of the uncertainty level r (for r < 1):
-dec2 = decompose(transition_matrix(build_stochastic_map(build_cell_map(field), 0.5)))
+dec2 = decompose(build_stochastic_map(build_cell_map(field), 0.5))
 same = all(
     (a == b).all() for a, b in zip(dec.persistent_groups, dec2.persistent_groups)
 )

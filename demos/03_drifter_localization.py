@@ -22,16 +22,14 @@ from driftloc import (
     initial_distribution,
     load_field,
     sample_trajectory,
-    transition_matrix,
     viterbi,
 )
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "double_gyre_21x29.field"
 
 w, field = load_field(FIXTURE)
-smap = build_stochastic_map(build_cell_map(field), r=0.9)
-P = transition_matrix(smap)
-Q = emission_matrix(smap)
+P = build_stochastic_map(build_cell_map(field), r=0.9)
+Q = emission_matrix(P)
 
 x_deploy = w.index(16, 10)
 T = 40
@@ -62,7 +60,7 @@ def score(cells):
     s = np.log(pi[w.state_of(cells[0])])
     for t, y in enumerate(obs):
         a, b = cells[t], cells[t + 1]
-        s += np.log(Q[w.state_of(a), int(y)]) + np.log(smap.mapped_set(a)[b])
+        s += np.log(Q[w.state_of(a), int(y)]) + np.log(P.mapped_set(a)[b])
     return float(s)
 
 

@@ -9,6 +9,7 @@ experiments (sim).  Fields are loaded from text files or synthesized (ingest).
 """
 
 from .errors import (
+    CellIndexError,
     ConfigError,
     DriftlocError,
     FieldParseError,
@@ -22,19 +23,17 @@ from .flowfield import (
     build_cell_map,
     default_dt,
     euler_endpoint,
-    mapped_cell,
 )
 from .gcm import (
+    SLOT_DIRECTIONS,
     FlowDecomposition,
     StochasticCellMap,
-    TransitionMatrix,
     build_stochastic_map,
     decompose,
     find_persistent_groups,
     find_transient_groups,
     reachability,
     strongly_connected_components,
-    transition_matrix,
 )
 from .gridworld import (
     Direction,
@@ -47,11 +46,9 @@ from .gridworld import (
 )
 from .hmm import (
     HmmModel,
-    build_model,
     emission_matrix,
     initial_distribution,
     viterbi,
-    viterbi_final_state,
 )
 from .ingest import (
     SyntheticFieldSpec,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DriftlocError, FieldParseError, ZeroProbabilityError
 from .flowfield import build_cell_map
-from .gcm import build_stochastic_map, decompose, transition_matrix
+from .gcm import build_stochastic_map, decompose
 from .gridworld import parse_directions
 from .hmm import HmmModel, emission_matrix, initial_distribution, viterbi
 from .ingest import SyntheticFieldSpec, load_field, synthesize_field
@@ -79,7 +79,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def cmd_classify(args) -> int:
     w, smap = _build_chain(args)
-    dec = decompose(transition_matrix(smap))
+    dec = decompose(smap)
     payload = dec.to_dict()
     print(
         f"{payload['n_persistent_groups']} persistent group(s), "
@@ -100,9 +100,7 @@ def cmd_localize(args) -> int:
     if not obs:
         raise DriftlocError(f"observation file {args.obs} is empty")
     pi = initial_distribution(w, args.x0, args.pi)
-    model = HmmModel(
-        P=transition_matrix(smap), Q=emission_matrix(smap), pi=pi
-    )
+    model = HmmModel(P=smap, Q=emission_matrix(smap), pi=pi)
     cells, logp = viterbi(model, obs)
     payload = {"path": cells, "final": cells[-1], "log_prob": logp}
     print(f"decoded {len(obs)} observations; final cell {cells[-1]}, "

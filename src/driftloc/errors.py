@@ -5,6 +5,10 @@ class DriftlocError(Exception):
     """Base class for all package-specific errors."""
 
 
+class CellIndexError(DriftlocError, IndexError):
+    """A cell index or (row, col) pair lies outside the grid."""
+
+
 class LandCellError(DriftlocError, ValueError):
     """An operation that requires a water cell was given a land cell."""
 

@@ -78,29 +78,6 @@ def euler_endpoint(field: VectorField, z: int, dt: float) -> tuple[float, float]
     return (col + dt * float(field.u[row, col]), row + dt * float(field.v[row, col]))
 
 
-def _admissible(w: Workspace, z: int) -> list[int]:
-    """{z} union water Moore neighbors, ascending cell index."""
-    return sorted(w.neighbors(z) | {z})
-
-
-def _nearest_admissible(w: Workspace, z: int, endpoint: tuple[float, float]) -> int:
-    """Nearest admissible cell to the endpoint; ties break to smallest index."""
-    ex, ey = endpoint
-    best = None
-    best_d = None
-    for cand in _admissible(w, z):
-        r, c = w.rowcol(cand)
-        d = (c - ex) ** 2 + (r - ey) ** 2
-        if best_d is None or d < best_d:
-            best, best_d = cand, d
-    return best
-
-
-def mapped_cell(field: VectorField, z: int, dt: float) -> int:
-    """Deterministic image of z: nearest admissible cell to the Euler endpoint."""
-    return _nearest_admissible(field.workspace, z, euler_endpoint(field, z, dt))
-
-
 @dataclass(frozen=True, eq=False)
 class CellMap:
     """Deterministic Euler image of every water cell, plus the raw endpoints.
@@ -135,9 +112,18 @@ def build_cell_map(field: VectorField, dt: float | None = None) -> CellMap:
     ey = rows + dt * field.v[rows, cols]
     endpoints = np.column_stack([ex, ey])
 
-    images = np.empty(len(free), dtype=np.int64)
-    for s, z in enumerate(free):
-        images[s] = _nearest_admissible(w, int(z), (ex[s], ey[s]))
+    # Nearest admissible cell: a running minimum over the nine candidates in
+    # ascending cell index; strict < keeps the first, smallest-index minimum.
+    blocked = np.pad(w.land_mask, 1, constant_values=True)  # land or off-grid
+    images = np.zeros(len(free), dtype=np.int64)  # 0: no candidate yet
+    best = np.zeros(len(free))
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            r, c = rows + dr, cols + dc
+            d = (c - ex) ** 2 + (r - ey) ** 2
+            take = ~blocked[r + 1, c + 1] & ((images == 0) | (d < best))
+            best[take] = d[take]
+            images[take] = free[take] + dr * w.cols + dc
 
     images.setflags(write=False)
     endpoints.setflags(write=False)

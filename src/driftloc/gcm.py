@@ -11,6 +11,14 @@ cells: there the drifter stays or moves to any admissible neighbor with
 uniform probability.  At r = 1 motion is perfectly reliable everywhere and
 the chain degenerates to the deterministic map.
 
+A(z) always lies in the 3 x 3 Moore stencil of z, so every row of the chain
+has nine fixed slots: slot k = (drow + 1) * 3 + (dcol + 1) holds the move by
+the Moore offset (drow, dcol), and a slot outside A(z) holds -1 / 0.0.  The
+slots run in ascending cell index, and each one reads as one compass symbol
+(``SLOT_DIRECTIONS``), so the compass emission matrix is a fixed column
+permutation of the probabilities.  This module is the only one that knows
+the layout.
+
 The chain's support graph is decomposed into persistent groups (attractors:
 closed, mutually communicating cell sets) and transient groups keyed by the
 set of attractors each cell can reach (its domiciles).  It costs one Tarjan
@@ -24,59 +32,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import CellMap, _admissible
-from .gridworld import Workspace
+from .flowfield import CellMap
+from .gridworld import Direction, Workspace
 
 MAX_MAPPED = 9  # |A(z)| can never exceed the nine-action neighborhood
+
+# The compass symbol of each slot: Direction.step is (drow, dcol), and the
+# slots are those offsets in ascending order.
+SLOT_DIRECTIONS = tuple(sorted(Direction, key=lambda d: d.step))
 
 
 @dataclass(frozen=True, eq=False)
 class StochasticCellMap:
-    """Mapped sets A(z) with probabilities, in padded row form.
+    """The chain: mapped sets A(z) with probabilities, in fixed Moore slots.
 
-    ``targets[s, k]`` / ``probs[s, k]`` list the mapped cells (as state
-    indices) and probabilities of state s, padded with -1 / 0.0.  Rows are
-    sorted by target cell index.  ``image[s]`` is the perfect-motion target
-    and ``colliding[s]`` flags cells handled by the uniform boundary rule.
+    ``targets[s, k]`` / ``probs[s, k]`` are the state index and probability
+    of the move of state s by the Moore offset of slot k, or -1 / 0.0 when
+    that cell is not in A(z).  ``colliding[s]`` flags cells handled by the
+    uniform boundary rule.
     """
 
     workspace: Workspace
     r: float
     dt: float
-    targets: np.ndarray  # (n_free, MAX_MAPPED) int64 state indices, -1 pad
-    probs: np.ndarray  # (n_free, MAX_MAPPED) float64, 0.0 pad
-    image: np.ndarray  # (n_free,) int64 state index of the Euler image
+    targets: np.ndarray  # (n_free, MAX_MAPPED) int64 state indices, -1 off A(z)
+    probs: np.ndarray  # (n_free, MAX_MAPPED) float64, 0.0 off A(z)
     colliding: np.ndarray  # (n_free,) bool
 
     @property
     def n_states(self) -> int:
-        return len(self.image)
+        return len(self.targets)
 
     def mapped_set(self, z: int) -> dict[int, float]:
         """A(z) as {cell index: probability} for one water cell."""
         s = self.workspace.state_of(z)
-        k = int((self.targets[s] >= 0).sum())
-        cells = self.workspace.free_cells[self.targets[s, :k]]
-        return {int(c): float(p) for c, p in zip(cells, self.probs[s, :k])}
+        live = self.targets[s] >= 0
+        cells = self.workspace.free_cells[self.targets[s, live]]
+        return {int(c): float(p) for c, p in zip(cells, self.probs[s, live])}
 
-
-def _endpoint_stencil(ex: float, ey: float):
-    """Grid cells (row, col) whose center is within one cell of the endpoint.
-
-    These are the bilinear-interpolation cells of the endpoint: four for a
-    generic point, two on a center gridline, one exactly at a cell center.
-    Cells outside the grid are included (as raw coordinates) so the caller
-    can detect collisions with the grid edge.
-    """
-    cells = []
-    for ri in (int(np.floor(ey)), int(np.floor(ey)) + 1):
-        if abs(ey - ri) >= 1.0:
-            continue
-        for ci in (int(np.floor(ex)), int(np.floor(ex)) + 1):
-            if abs(ex - ci) >= 1.0:
-                continue
-            cells.append((ri, ci))
-    return cells
+    def adjacency(self) -> list[list[int]]:
+        """Successor state lists (the support graph), one list per state."""
+        return [[u for u in row if u >= 0] for row in self.targets.tolist()]
 
 
 def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
@@ -90,80 +86,57 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
         raise ValueError(f"perfect-motion probability r must be in (0, 1], got {r}")
     w = cm.workspace
     n = len(cm.images)
-    targets = np.full((n, MAX_MAPPED), -1, dtype=np.int64)
-    probs = np.zeros((n, MAX_MAPPED), dtype=np.float64)
-    image = np.empty(n, dtype=np.int64)
+    states = np.arange(n)
+    rows, cols = np.divmod(w.free_cells - 1, w.cols)
+    image_rows, image_cols = np.divmod(cm.images - 1, w.cols)
+    image_slot = (image_rows - rows + 1) * 3 + (image_cols - cols + 1)
+    ex, ey = cm.endpoints[:, 0], cm.endpoints[:, 1]
+
+    # state index of every cell; -1 on land and on a one-cell frame off-grid
+    state_grid = np.full(w.n_cells, -1, dtype=np.int64)
+    state_grid[w.free_cells - 1] = states
+    state_grid = np.pad(state_grid.reshape(w.rows, w.cols), 1, constant_values=-1)
+
+    # The endpoint stencil: the up-to-four cells whose centers lie within one
+    # cell of the endpoint.  One of them on land or off-grid makes the cell
+    # colliding; otherwise those in the Moore stencil join A(z) beside the
+    # image.  Column MAX_MAPPED of ``member`` takes the corners outside it.
+    member = np.zeros((n, MAX_MAPPED + 1), dtype=bool)
+    member[states, image_slot] = True
     colliding = np.zeros(n, dtype=bool)
+    for ri in (np.floor(ey), np.floor(ey) + 1):
+        for ci in (np.floor(ex), np.floor(ex) + 1):
+            on = (abs(ey - ri) < 1.0) & (abs(ex - ci) < 1.0)
+            frame_r = np.clip(ri, -1, w.rows).astype(np.int64) + 1
+            frame_c = np.clip(ci, -1, w.cols).astype(np.int64) + 1
+            colliding |= on & (state_grid[frame_r, frame_c] < 0)
+            if r < 1.0:
+                dr, dc = ri - rows, ci - cols
+                near = on & (abs(dr) <= 1) & (abs(dc) <= 1)
+                slot = np.where(near, (dr + 1) * 3 + (dc + 1), MAX_MAPPED)
+                member[states, slot.astype(np.int64)] = True
+    uniform = colliding & (r < 1.0)
 
-    for s in range(n):
-        z = int(w.free_cells[s])
-        m = int(cm.images[s])
-        image[s] = w.state_of(m)
-        ex, ey = cm.endpoints[s]
+    targets = np.full((n, MAX_MAPPED), -1, dtype=np.int64)
+    for k, d in enumerate(SLOT_DIRECTIONS):
+        target = state_grid[rows + d.step[0] + 1, cols + d.step[1] + 1]
+        live = (target >= 0) & (uniform | member[:, k])
+        targets[live, k] = target[live]
 
-        stencil = _endpoint_stencil(float(ex), float(ey))
-        hit_obstacle = any(
-            not (0 <= ri < w.rows and 0 <= ci < w.cols) or w.land_mask[ri, ci]
-            for ri, ci in stencil
-        )
-        colliding[s] = hit_obstacle
+    count = (targets >= 0).sum(axis=1)
+    uniform_p = 1.0 / count
+    image_p = np.where(count == 1, 1.0, r)
+    spread = (1.0 - r) / np.maximum(count - 1, 1)
+    probs = np.zeros((n, MAX_MAPPED), dtype=np.float64)
+    for k in range(MAX_MAPPED):
+        p = np.where(uniform, uniform_p, np.where(image_slot == k, image_p, spread))
+        probs[:, k] = np.where(targets[:, k] >= 0, p, 0.0)
 
-        if r == 1.0:
-            cells = [m]
-            p = [1.0]
-        elif hit_obstacle:
-            cells = _admissible(w, z)
-            p = [1.0 / len(cells)] * len(cells)
-        else:
-            admissible = set(_admissible(w, z))
-            cells = {ri * w.cols + ci + 1 for ri, ci in stencil} & admissible
-            cells.add(m)
-            cells = sorted(cells)
-            if len(cells) == 1:
-                p = [1.0]
-            else:
-                spread = (1.0 - r) / (len(cells) - 1)
-                p = [r if c == m else spread for c in cells]
-
-        for k, (c, pc) in enumerate(zip(cells, p)):
-            targets[s, k] = w.state_of(c)
-            probs[s, k] = pc
-
-    for a in (targets, probs, image, colliding):
+    for a in (targets, probs, colliding):
         a.setflags(write=False)
     return StochasticCellMap(
         workspace=w, r=float(r), dt=cm.dt, targets=targets, probs=probs,
-        image=image, colliding=colliding,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """Row-stochastic one-step transition matrix in padded sparse row form.
-
-    Rows are indexed by the free-cell enumeration of the workspace; each row
-    has at most MAX_MAPPED nonzeros.
-    """
-
-    workspace: Workspace
-    targets: np.ndarray  # (n, MAX_MAPPED) int64 state indices, -1 pad
-    probs: np.ndarray  # (n, MAX_MAPPED) float64
-
-    @property
-    def n_states(self) -> int:
-        return len(self.targets)
-
-    def row_sums(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def adjacency(self) -> list[list[int]]:
-        """Successor state lists (the support graph), one list per state."""
-        return [[u for u in row if u >= 0] for row in self.targets.tolist()]
-
-
-def transition_matrix(smap: StochasticCellMap) -> TransitionMatrix:
-    return TransitionMatrix(
-        workspace=smap.workspace, targets=smap.targets, probs=smap.probs
+        colliding=colliding,
     )
 
 
@@ -214,14 +187,14 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def strongly_connected_components(P: TransitionMatrix) -> list[np.ndarray]:
+def strongly_connected_components(P: StochasticCellMap) -> list[np.ndarray]:
     """Maximal SCCs of the support graph, ordered by smallest member state."""
     comps = [np.array(sorted(c), dtype=np.int64) for c in _tarjan(P.adjacency())]
     comps.sort(key=lambda c: int(c[0]))
     return comps
 
 
-def reachability(P: TransitionMatrix) -> np.ndarray:
+def reachability(P: StochasticCellMap) -> np.ndarray:
     """Boolean matrix C with C[i, j] true iff state i reaches j in >= 1 step.
 
     Computed on the condensation DAG with bitset accumulation; semantically
@@ -263,7 +236,7 @@ def reachability(P: TransitionMatrix) -> np.ndarray:
 
 
 def find_persistent_groups(
-    P: TransitionMatrix, sccs: list[np.ndarray]
+    P: StochasticCellMap, sccs: list[np.ndarray]
 ) -> list[np.ndarray]:
     """SCCs that are closed under the mapping: the attractors.
 
@@ -284,7 +257,7 @@ def find_persistent_groups(
 
 
 def find_transient_groups(
-    P: TransitionMatrix,
+    P: StochasticCellMap,
     persistent_groups: list[np.ndarray],
     transient_states: np.ndarray,
 ) -> dict[tuple[int, ...], np.ndarray]:
@@ -406,7 +379,7 @@ class FlowDecomposition:
         }
 
 
-def decompose(P: TransitionMatrix) -> FlowDecomposition:
+def decompose(P: StochasticCellMap) -> FlowDecomposition:
     """Full long-term decomposition of the chain's support graph."""
     w = P.workspace
     sccs = strongly_connected_components(P)

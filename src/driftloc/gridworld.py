@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import NonAdjacentCellsError
+from .errors import CellIndexError, NonAdjacentCellsError
 
 
 class Direction(IntEnum):
@@ -141,13 +141,13 @@ class Workspace:
     def _check(self, z: int) -> int:
         z = int(z)
         if not 1 <= z <= self.n_cells:
-            raise IndexError(f"cell index {z} out of range 1..{self.n_cells}")
+            raise CellIndexError(f"cell index {z} out of range 1..{self.n_cells}")
         return z
 
     def index(self, row: int, col: int) -> int:
         """Cell index of (row, col), 1-based row-major."""
         if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"(row, col) = ({row}, {col}) outside grid")
+            raise CellIndexError(f"(row, col) = ({row}, {col}) outside grid")
         return row * self.cols + col + 1
 
     def rowcol(self, z: int) -> tuple[int, int]:

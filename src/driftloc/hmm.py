@@ -1,18 +1,19 @@
 """Hidden Markov model over the cell chain and Viterbi trajectory decoding.
 
-The model is (P, Q, pi): the chain's transition matrix, a compass emission
-matrix, and an initial state distribution.  The compass reports the heading
-of the move the drifter takes next, so the observation at step t is emitted
-by the departing state: Q[z][y] is the total probability of the mapped cells
-of z that lie in direction y.  A decoded trajectory for T observations has
-T + 1 states and maximizes
+The model is (P, Q, pi): the chain, a compass emission matrix, and an initial
+state distribution.  The compass reports the heading of the move the drifter
+takes next, so the observation at step t is emitted by the departing state:
+Q[z][y] is the probability of the move of z in direction y.  Every slot of a
+chain row is one Moore move, hence one compass symbol, so Q is a fixed column
+permutation of the chain's probabilities.  A decoded trajectory for T
+observations has T + 1 states and maximizes
 
     pi[x_0] * prod_t Q[x_{t-1}][y_t] * P[x_{t-1}][x_t]
 
 over all state sequences, with ties broken toward the lexicographically
 smallest sequence.  All scoring happens in log space, directly on the chain's
-padded rows of at most nine successors: a decode costs O(T * n * 9) time and
-O(T * n) memory for n states, and no n x n array is ever built.
+rows of nine slots: a decode costs O(T * n * 9) time and O(T * n) memory for
+n states, and no n x n array is ever built.
 """
 
 from __future__ import annotations
@@ -22,28 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LandCellError, ZeroProbabilityError
-from .gcm import StochasticCellMap, TransitionMatrix, transition_matrix
+from .gcm import SLOT_DIRECTIONS, StochasticCellMap
 from .gridworld import N_DIRECTIONS, Direction, Workspace
 
 
 def emission_matrix(smap: StochasticCellMap) -> np.ndarray:
     """(n_free, 9) row-stochastic matrix of compass-symbol probabilities.
 
-    Q[s, y] is the mapped-set probability of state s on the target whose
-    displacement from s reads as direction y; each of the nine admissible
-    targets has a distinct direction, so this is a relabeling of the rows of P.
+    Q[s, y] is the probability of the move of state s in direction y: the
+    chain's slot columns reordered from slot order to direction order.
     """
-    w = smap.workspace
-    direction_of_step = np.empty((3, 3), dtype=np.int64)  # [drow + 1, dcol + 1]
-    for d in Direction:
-        direction_of_step[d.step[0] + 1, d.step[1] + 1] = d
-    s, k = np.nonzero(smap.targets >= 0)
-    src = divmod(w.free_cells[s] - 1, w.cols)
-    dst = divmod(w.free_cells[smap.targets[s, k]] - 1, w.cols)
-    y = direction_of_step[dst[0] - src[0] + 1, dst[1] - src[1] + 1]
-    Q = np.zeros((smap.n_states, N_DIRECTIONS))
-    Q[s, y] = smap.probs[s, k]
-    return Q
+    return smap.probs[:, np.argsort(SLOT_DIRECTIONS)]
 
 
 def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
@@ -71,7 +61,7 @@ def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
 class HmmModel:
     """lambda = (P, Q, pi) over the free cells and the 9-symbol alphabet."""
 
-    P: TransitionMatrix
+    P: StochasticCellMap
     Q: np.ndarray  # (n_free, 9)
     pi: np.ndarray  # (n_free,)
 
@@ -84,7 +74,7 @@ class HmmModel:
         if abs(self.pi.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution does not sum to 1")
         # Log-space views, shared by every decode against this model; _logP
-        # is padded like P.probs, its pad slots holding log 0 = -inf.
+        # has P's slots, those off A(z) holding log 0 = -inf.
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "_logP", np.log(self.P.probs))
             object.__setattr__(self, "_logQ", np.log(self.Q))
@@ -93,10 +83,6 @@ class HmmModel:
     @property
     def workspace(self) -> Workspace:
         return self.P.workspace
-
-
-def build_model(smap: StochasticCellMap, pi: np.ndarray) -> HmmModel:
-    return HmmModel(P=transition_matrix(smap), Q=emission_matrix(smap), pi=pi)
 
 
 def _check_feasible(model: HmmModel, obs: np.ndarray) -> None:
@@ -132,7 +118,7 @@ def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
     # off these suffix scores over slots in ascending target order makes
     # np.argmax's first-maximum rule yield the lexicographically smallest
     # optimal trajectory; a forward trellis with backpointers would break ties
-    # in reverse order instead.  Pad slots score -inf and are never chosen.
+    # in reverse order instead.  Slots off A(z) score -inf and are never chosen.
     best = np.empty((T + 1, model.P.n_states))
     best[T] = 0.0
     for t in range(T, 0, -1):
@@ -154,8 +140,3 @@ def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
     cells = [int(model.workspace.free_cells[s]) for s in path]
     return cells, total
 
-
-def viterbi_final_state(model: HmmModel, observations) -> int:
-    """Last cell of the decoded trajectory: the probable final state."""
-    cells, _ = viterbi(model, observations)
-    return cells[-1]

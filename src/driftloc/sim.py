@@ -1,7 +1,7 @@
 """Ground-truth chain simulation and Monte-Carlo localization error studies.
 
-Trajectories are sampled from the transition matrix; the compass history is
-read off the moves (optionally corrupted by symbol-flip noise).  Experiments
+Trajectories are sampled from the chain; the compass history is the symbol
+of each sampled slot (optionally corrupted by symbol-flip noise).  Experiments
 run seeded batches over observation lengths, prior modes and start regions,
 decode each run with Viterbi, and aggregate two error metrics:
 
@@ -24,13 +24,13 @@ import numpy as np
 from .errors import ConfigError
 from .flowfield import build_cell_map
 from .gcm import (
+    SLOT_DIRECTIONS,
     FlowDecomposition,
-    TransitionMatrix,
+    StochasticCellMap,
     build_stochastic_map,
     decompose,
-    transition_matrix,
 )
-from .gridworld import N_DIRECTIONS, Workspace, cell_distance, direction_between, format_directions
+from .gridworld import N_DIRECTIONS, Workspace, cell_distance, format_directions
 from .hmm import HmmModel, emission_matrix, initial_distribution, viterbi
 from .ingest import resolve_field
 
@@ -38,7 +38,7 @@ MODES = ("deterministic", "probabilistic")
 
 
 def sample_trajectory(
-    P: TransitionMatrix,
+    P: StochasticCellMap,
     pi: np.ndarray,
     T: int,
     seed,
@@ -55,19 +55,22 @@ def sample_trajectory(
         raise ValueError("trajectory length T must be >= 1")
     rng = np.random.default_rng(seed)
     w = P.workspace
+    # Slots off A(z) add 0.0, so they never end the search; a draw past the
+    # row's rounded total falls back to its last live slot.
     cum = np.cumsum(P.probs, axis=1)
+    last_live = P.targets.shape[1] - 1 - np.argmax(P.targets[:, ::-1] >= 0, axis=1)
 
     s = int(rng.choice(len(pi), p=pi))
     states = [s]
+    obs = []
     for _ in range(T):
         u = rng.random()
-        k = int(np.searchsorted(cum[s], u, side="right"))
-        k = min(k, int((P.targets[s] >= 0).sum()) - 1)
+        k = min(int(np.searchsorted(cum[s], u, side="right")), int(last_live[s]))
         s = int(P.targets[s, k])
         states.append(s)
+        obs.append(int(SLOT_DIRECTIONS[k]))
 
     cells = [int(w.free_cells[s]) for s in states]
-    obs = [int(direction_between(w, cells[t], cells[t + 1])) for t in range(T)]
     if obs_noise > 0.0:
         for t in range(T):
             if rng.random() < obs_noise:
@@ -235,9 +238,8 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
 
     cm = build_cell_map(vfield, dt=cfg.dt)
     smap = build_stochastic_map(cm, cfg.r)
-    P = transition_matrix(smap)
     Q = emission_matrix(smap)
-    dec = decompose(P)
+    dec = decompose(smap)
 
     if isinstance(cfg.initial, int) and w.is_land(cfg.initial):
         raise ConfigError(f"initial cell {cfg.initial} is land")
@@ -272,9 +274,9 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                 x_init = int(pool[rng.integers(len(pool))])
             pi = initial_distribution(w, x_init, mode)
             true_path, obs = sample_trajectory(
-                P, pi, T, rng, obs_noise=cfg.obs_noise
+                smap, pi, T, rng, obs_noise=cfg.obs_noise
             )
-            model = HmmModel(P=P, Q=Q, pi=pi)
+            model = HmmModel(P=smap, Q=Q, pi=pi)
             decoded, logp = viterbi(model, obs)
             rep = error_report(true_path, decoded, w)
             finals.append(rep.final_error)

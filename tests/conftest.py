@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,13 @@ from driftloc import (
     decompose,
     emission_matrix,
     load_field,
-    transition_matrix,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_FIELD = REPO_ROOT / "fixtures" / "double_gyre_21x29.field"
 CONFIG_DIR = REPO_ROOT / "configs"
 SCHEMA_DIR = REPO_ROOT / "schemas"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"  # reports of the fixture, byte for byte
 
 
 def make_field(rows, cols, u=0.0, v=0.0, land=None):
@@ -40,19 +41,37 @@ def random_field(rng, rows, cols, land_prob=0.0, vmax=1.2):
     return w, VectorField(workspace=w, u=u, v=v)
 
 
+def packed(smap):
+    """The chain with each row's live slots moved to its front, in slot order.
+
+    This is the packed row layout of the earlier chain, which the frozen
+    reference code reads.
+    """
+    order = np.argsort(smap.targets < 0, axis=1, kind="stable")
+    return replace(
+        smap,
+        targets=np.take_along_axis(smap.targets, order, axis=1),
+        probs=np.take_along_axis(smap.probs, order, axis=1),
+    )
+
+
+def last_live_slot(P):
+    """Per row, the last slot that holds a mapped cell."""
+    return P.targets.shape[1] - 1 - np.argmax(P.targets[:, ::-1] >= 0, axis=1)
+
+
 @pytest.fixture(scope="session")
 def gyre():
     """The shipped 21x29 double-gyre fixture with its chain at r = 0.9."""
     w, field = load_field(FIXTURE_FIELD)
     cm = build_cell_map(field)
     smap = build_stochastic_map(cm, 0.9)
-    P = transition_matrix(smap)
     return {
         "workspace": w,
         "field": field,
         "cell_map": cm,
         "smap": smap,
-        "P": P,
+        "P": smap,
         "Q": emission_matrix(smap),
-        "decomposition": decompose(P),
+        "decomposition": decompose(smap),
     }

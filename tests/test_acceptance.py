@@ -23,12 +23,14 @@ from driftloc import (
     sample_trajectory,
     strongly_connected_components,
     synthesize_field,
-    transition_matrix,
     viterbi,
     SyntheticFieldSpec,
 )
 from driftloc.cli import main as cli_main
-from conftest import CONFIG_DIR, FIXTURE_FIELD, SCHEMA_DIR, make_field, random_field
+from conftest import (
+    CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, last_live_slot, make_field,
+    random_field,
+)
 from test_gcm import bool_power_closure
 from test_hmm import brute_force_best, path_logprob
 
@@ -46,9 +48,8 @@ class TestCriterion1ViterbiOracle:
             rows, cols = rng.choice([(3, 3), (3, 4), (4, 4)])
             w, f = random_field(rng, int(rows), int(cols), land_prob=0.12, vmax=1.3)
             r = float(rng.choice([0.7, 0.9]))
-            smap = build_stochastic_map(build_cell_map(f), r)
-            P = transition_matrix(smap)
-            Q = emission_matrix(smap)
+            P = build_stochastic_map(build_cell_map(f), r)
+            Q = emission_matrix(P)
             x0 = int(rng.choice(w.free_cells))
             mode = "deterministic" if rng.random() < 0.5 else "probabilistic"
             model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode))
@@ -75,8 +76,7 @@ class TestCriterion2ReachabilityOracle:
         while n_instances < 100:
             w, f = random_field(rng, 5, 5, land_prob=0.2, vmax=1.5)
             assert w.n_free <= 25
-            smap = build_stochastic_map(build_cell_map(f), 0.85)
-            P = transition_matrix(smap)
+            P = build_stochastic_map(build_cell_map(f), 0.85)
             C = reachability(P)
             n = P.n_states
             adj = np.zeros((n, n), dtype=bool)
@@ -113,10 +113,9 @@ class TestCriterion3StochasticityAndPartition:
         t0 = time.time()
         for name, (w, f) in _fixture_suite():
             for r in (0.9, 0.5):
-                smap = build_stochastic_map(build_cell_map(f), r)
-                P = transition_matrix(smap)
-                Q = emission_matrix(smap)
-                assert np.abs(P.row_sums() - 1.0).max() < 1e-12, name
+                P = build_stochastic_map(build_cell_map(f), r)
+                Q = emission_matrix(P)
+                assert np.abs(P.probs.sum(axis=1) - 1.0).max() < 1e-12, name
                 assert np.abs(Q.sum(axis=1) - 1.0).max() < 1e-12, name
 
                 dec = decompose(P)
@@ -164,9 +163,8 @@ class TestCriterion5NoiselessLimit:
     def test_r1_deterministic_prior_zero_error(self, gyre):
         t0 = time.time()
         w = gyre["workspace"]
-        smap = build_stochastic_map(gyre["cell_map"], 1.0)
-        P = transition_matrix(smap)
-        Q = emission_matrix(smap)
+        P = build_stochastic_map(gyre["cell_map"], 1.0)
+        Q = emission_matrix(P)
         n_runs = 0
         for T in (20, 50, 100):
             for run in range(50):
@@ -234,6 +232,13 @@ class TestCriterion7ProtocolFidelity:
             json1 = (out1 / f"{stem}.runs.json").read_bytes()
             assert csv1 == (out2 / f"{stem}.summary.csv").read_bytes(), stem
             assert json1 == (out2 / f"{stem}.runs.json").read_bytes(), stem
+            # the golden reports name the fixture by its path in the repository
+            portable = json1.replace(
+                json.dumps(str(FIXTURE_FIELD)).encode(),
+                json.dumps("fixtures/double_gyre_21x29.field").encode(),
+            )
+            assert csv1 == (GOLDEN_DIR / f"{stem}.summary.csv").read_bytes(), stem
+            assert portable == (GOLDEN_DIR / f"{stem}.runs.json").read_bytes(), stem
 
             payload = json.loads(json1)
             schemas["validate"](payload, schemas["runs"])
@@ -278,7 +283,7 @@ class TestCriterion8Absorption:
         trials = 1000
         max_steps = 1000
         cum = np.cumsum(P.probs, axis=1)
-        row_len = (P.targets >= 0).sum(axis=1)
+        last = last_live_slot(P)
 
         state = np.repeat(trans_states, trials)
         reached = np.zeros(len(state), dtype=np.int64)
@@ -290,7 +295,7 @@ class TestCriterion8Absorption:
             s = state[active]
             u = rng.random(len(s))
             k = (u[:, None] >= cum[s]).sum(axis=1)
-            k = np.minimum(k, row_len[s] - 1)
+            k = np.minimum(k, last[s])
             nxt = P.targets[s, k]
             state[active] = nxt
             g = group_of[nxt]

@@ -12,15 +12,24 @@ from driftloc import (
     initial_distribution,
     sample_trajectory,
     synthesize_field,
-    transition_matrix,
     SyntheticFieldSpec,
 )
 from driftloc.cli import main
-from conftest import CONFIG_DIR, FIXTURE_FIELD, REPO_ROOT, SCHEMA_DIR
+from conftest import CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, REPO_ROOT, SCHEMA_DIR
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_process(*argv, **env):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "driftloc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 class TestClassify:
@@ -69,6 +78,11 @@ class TestClassify:
         assert code == 1
         assert "line" in capsys.readouterr().err
 
+    def test_fixture_report_matches_golden(self, tmp_path):
+        out = tmp_path / "dec.json"
+        assert run_cli("classify", "--field", str(FIXTURE_FIELD), "--out", str(out)) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "classify_fixture.json").read_bytes()
+
     def test_schema_valid(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         out = tmp_path / "dec.json"
@@ -85,8 +99,7 @@ class TestLocalize:
         from driftloc import save_field
 
         save_field(field_path, f)
-        smap = build_stochastic_map(build_cell_map(f), r)
-        P = transition_matrix(smap)
+        P = build_stochastic_map(build_cell_map(f), r)
         x0 = w.index(15, 8)
         pi = initial_distribution(w, x0, "deterministic")
         path, obs = sample_trajectory(P, pi, T, seed=11)
@@ -202,16 +215,38 @@ class TestExperiment:
             assert resolved.exists(), f"{name} points at a missing fixture"
 
 
+class TestCellIndexOutOfRange:
+    def assert_clean_error(self, proc):
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "out of range 1..609" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_localize_start_cell(self, tmp_path):
+        obs = tmp_path / "obs.txt"
+        obs.write_text("N\n")
+        self.assert_clean_error(run_cli_process(
+            "localize", "--field", str(FIXTURE_FIELD), "--x0", "0", "--obs", str(obs),
+        ))
+
+    def test_experiment_initial_cell(self, tmp_path):
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({
+            "field": {"path": str(FIXTURE_FIELD)}, "T_list": [5], "runs": 1,
+            "initial": 99999,
+        }))
+        self.assert_clean_error(run_cli_process(
+            "experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+        ))
+
+
 class TestLogLevel:
     # A fresh process: under pytest the root logger already has handlers, so
     # logging.basicConfig would not apply the level in-process.
     def _classify(self, tmp_path, level):
-        path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, DRIFTLOC_LOG_LEVEL=level, PYTHONPATH=os.pathsep.join(path))
-        return subprocess.run(
-            [sys.executable, "-m", "driftloc.cli", "classify", "--synthetic", "uniform",
-             "--u", "1.0", "--rows", "4", "--cols", "5", "--out", str(tmp_path / "d.json")],
-            env=env, capture_output=True, text=True, timeout=60,
+        return run_cli_process(
+            "classify", "--synthetic", "uniform", "--u", "1.0", "--rows", "4",
+            "--cols", "5", "--out", str(tmp_path / "d.json"), DRIFTLOC_LOG_LEVEL=level,
         )
 
     def test_level_name_in_any_case(self, tmp_path):

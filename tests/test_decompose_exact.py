@@ -23,7 +23,6 @@ from driftloc import (
     decompose,
     strongly_connected_components,
     synthesize_field,
-    transition_matrix,
 )
 from test_acceptance import _fixture_suite
 
@@ -32,7 +31,7 @@ SUITE = {name: field for name, (_, field) in _fixture_suite()}
 
 
 def chain(field, r):
-    return transition_matrix(build_stochastic_map(build_cell_map(field), r))
+    return build_stochastic_map(build_cell_map(field), r)
 
 
 def assert_matches_reference(P):

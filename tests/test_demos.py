@@ -2,7 +2,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPO_ROOT
+
+DEMOS = sorted(p.name for p in (REPO_ROOT / "demos").glob("*.py"))
 
 
 def run_demo(name, hash_seed):
@@ -21,3 +25,8 @@ def test_localization_demo_output_does_not_depend_on_hash_seed():
     first = run_demo("03_drifter_localization.py", 1)
     assert "whole-trajectory error" in first
     assert run_demo("03_drifter_localization.py", 2) == first
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    assert run_demo(name, 0)

@@ -11,7 +11,6 @@ from driftloc import (
     build_cell_map,
     default_dt,
     euler_endpoint,
-    mapped_cell,
     neighbors,
     synthesize_field,
 )
@@ -51,12 +50,13 @@ class TestEulerEndpoint:
 class TestMappedCell:
     def test_zero_field_idle(self):
         w, f = make_field(3, 3)
+        cm = build_cell_map(f, dt=1.0)
         for z in range(1, 10):
-            assert mapped_cell(f, z, dt=1.0) == z
+            assert cm.image_of(z) == z
 
     def test_strong_east_flow(self):
         w, f = make_field(3, 3, u=0.6)
-        assert mapped_cell(f, 4, dt=1.0) == 5
+        assert build_cell_map(f, dt=1.0).image_of(4) == 5
 
     def test_equidistant_tie_prefers_smaller_index(self):
         # Endpoint exactly halfway between the center cell and its east
@@ -72,7 +72,7 @@ class TestMappedCell:
         best = min(dists.values())
         ties = [cand for cand, d in dists.items() if d == best]
         assert ties == [5, 6]  # exact float tie by construction
-        assert mapped_cell(f, z, 1.0) == 5
+        assert build_cell_map(f, 1.0).image_of(z) == 5
 
     def test_land_image_falls_back_to_nearest_water(self):
         # Strong east flow but the east neighbor is land: nearest water
@@ -82,7 +82,7 @@ class TestMappedCell:
         w = Workspace(rows=3, cols=3, land_mask=mask)
         f = VectorField(workspace=w, u=np.full((3, 3), 0.9), v=np.zeros((3, 3)))
         z = w.index(1, 1)
-        img = mapped_cell(f, z, 1.0)
+        img = build_cell_map(f, 1.0).image_of(z)
         assert img in (neighbors(w, z) | {z})
         assert not w.is_land(img)
         assert img == z  # center at distance 0.9 beats the diagonals (~1.345)

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from driftloc import (
-    TransitionMatrix,
+    StochasticCellMap,
     Workspace,
     build_cell_map,
     build_stochastic_map,
@@ -12,13 +14,16 @@ from driftloc import (
     neighbors,
     reachability,
     strongly_connected_components,
-    transition_matrix,
 )
-from conftest import make_field, random_field
+from conftest import last_live_slot, make_field, random_field
 
 
 def chain_from_edges(n, edges, probs=None):
-    """Hand-built TransitionMatrix over n states (uniform rows by default)."""
+    """Hand-built chain over n states (uniform rows by default).
+
+    The edges need not join Moore neighbors, so each row lists its successors
+    in its first slots; the decomposition reads only the support graph.
+    """
     w = Workspace(rows=2, cols=n, land_mask=np.vstack(
         [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
     ))
@@ -33,7 +38,10 @@ def chain_from_edges(n, edges, probs=None):
         for k, j in enumerate(succ):
             targets[i, k] = j
             pr[i, k] = (probs or {}).get((i, j), 1.0 / len(succ))
-    return TransitionMatrix(workspace=w, targets=targets, probs=pr)
+    return StochasticCellMap(
+        workspace=w, r=1.0, dt=1.0, targets=targets, probs=pr,
+        colliding=np.zeros(n, dtype=bool),
+    )
 
 
 def bool_power_closure(adj):
@@ -143,8 +151,8 @@ class TestBuildStochasticMap:
             SyntheticFieldSpec(kind="double_gyre", decay=2.5), 11, 15
         )
         cm = build_cell_map(f)
-        d1 = decompose(transition_matrix(build_stochastic_map(cm, 0.5)))
-        d2 = decompose(transition_matrix(build_stochastic_map(cm, 0.95)))
+        d1 = decompose(build_stochastic_map(cm, 0.5))
+        d2 = decompose(build_stochastic_map(cm, 0.95))
         assert len(d1.persistent_groups) == len(d2.persistent_groups)
         for a, b in zip(d1.persistent_groups, d2.persistent_groups):
             assert (a == b).all()
@@ -163,13 +171,16 @@ class TestBuildStochasticMap:
 
 
 class TestTransitionMatrix:
+    IDLE_SLOT, W_SLOT, E_SLOT = 4, 3, 5  # Moore slots (0, 0), (0, -1), (0, +1)
+
     def test_identity_map_r1_is_identity_matrix(self):
         w, f = make_field(3, 3)
-        P = transition_matrix(build_stochastic_map(build_cell_map(f), 1.0))
-        assert (P.targets[:, 0] == np.arange(9)).all()
-        assert (P.targets[:, 1:] == -1).all()
-        assert (P.probs[:, 0] == 1.0).all()
-        assert (P.probs[:, 1:] == 0.0).all()
+        P = build_stochastic_map(build_cell_map(f), 1.0)
+        idle = self.IDLE_SLOT
+        assert (P.targets[:, idle] == np.arange(9)).all()
+        assert (np.delete(P.targets, idle, axis=1) == -1).all()
+        assert (P.probs[:, idle] == 1.0).all()
+        assert (np.delete(P.probs, idle, axis=1) == 0.0).all()
 
     def test_two_cell_swap_is_permutation(self):
         mask = np.ones((2, 2), dtype=bool)
@@ -179,21 +190,24 @@ class TestTransitionMatrix:
 
         u = np.array([[1.0, -1.0], [0.0, 0.0]])
         f = VectorField(workspace=w, u=u, v=np.zeros((2, 2)))
-        P = transition_matrix(build_stochastic_map(build_cell_map(f, dt=1.0), 1.0))
-        assert (P.targets[:, 0] == [1, 0]).all()
-        assert (P.targets[:, 1:] == -1).all()
-        assert (P.probs[:, 0] == 1.0).all()
-        assert (P.probs[:, 1:] == 0.0).all()
+        P = build_stochastic_map(build_cell_map(f, dt=1.0), 1.0)
+        slots = [self.E_SLOT, self.W_SLOT]  # state 0 moves east, state 1 west
+        assert (P.targets[[0, 1], slots] == [1, 0]).all()
+        assert (P.probs[[0, 1], slots] == 1.0).all()
+        live = np.zeros_like(P.targets, dtype=bool)
+        live[[0, 1], slots] = True
+        assert (P.targets[~live] == -1).all()
+        assert (P.probs[~live] == 0.0).all()
 
     def test_any_input_rows_sum_to_one(self, gyre):
-        sums = gyre["P"].row_sums()
+        sums = gyre["P"].probs.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-12
 
 
 class TestStronglyConnectedComponents:
     def test_identity_gives_singletons(self):
         w, f = make_field(3, 4)
-        P = transition_matrix(build_stochastic_map(build_cell_map(f), 0.9))
+        P = build_stochastic_map(build_cell_map(f), 0.9)
         sccs = strongly_connected_components(P)
         assert [list(c) for c in sccs] == [[s] for s in range(12)]
 
@@ -224,7 +238,7 @@ class TestStronglyConnectedComponents:
 class TestReachability:
     def test_identity_self_loops_only(self):
         w, f = make_field(3, 3)
-        P = transition_matrix(build_stochastic_map(build_cell_map(f), 0.9))
+        P = build_stochastic_map(build_cell_map(f), 0.9)
         assert (reachability(P) == np.eye(9, dtype=bool)).all()
 
     def test_linear_chain_strict_upper_triangle(self):
@@ -268,7 +282,7 @@ class TestPersistentGroups:
         P = chain_from_edges(3, [(0, 0), (1, 0), (2, 0)])
         targets, probs = P.targets.copy(), P.probs.copy()
         targets[2], probs[2] = -1, 0.0
-        P = TransitionMatrix(workspace=P.workspace, targets=targets, probs=probs)
+        P = replace(P, targets=targets, probs=probs)
         groups = find_persistent_groups(P, strongly_connected_components(P))
         assert [list(g) for g in groups] == [[0]]
         with pytest.raises(RuntimeError, match="transient state 2"):
@@ -307,8 +321,7 @@ class TestDecompositionInvariants:
     def test_partition_closure_communication(self, seed):
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, 6, 7, land_prob=0.1)
-        smap = build_stochastic_map(build_cell_map(f), 0.9)
-        P = transition_matrix(smap)
+        P = build_stochastic_map(build_cell_map(f), 0.9)
         dec = decompose(P)
         C = reachability(P)
 
@@ -338,6 +351,7 @@ class TestDecompositionInvariants:
         rng = np.random.default_rng(99)
         sample = rng.choice(dec.transient_cells, size=20, replace=False)
         cum = np.cumsum(P.probs, axis=1)
+        last = last_live_slot(P)
         absorbed = 0
         trials = 50
         for z in sample:
@@ -346,7 +360,7 @@ class TestDecompositionInvariants:
                 for _ in range(w.n_free * 10):
                     u = rng.random()
                     k = int(np.searchsorted(cum[s], u, side="right"))
-                    k = min(k, int((P.targets[s] >= 0).sum()) - 1)
+                    k = min(k, int(last[s]))
                     s = int(P.targets[s, k])
                     if group_of[s]:
                         absorbed += 1

@@ -11,7 +11,6 @@ from driftloc import (
     resolve_field,
     save_field,
     synthesize_field,
-    transition_matrix,
 )
 from conftest import FIXTURE_FIELD, random_field
 
@@ -148,7 +147,7 @@ class TestSynthesize:
 
     def test_double_gyre_decomposition_structure(self):
         w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 21, 29)
-        dec = decompose(transition_matrix(build_stochastic_map(build_cell_map(f), 0.9)))
+        dec = decompose(build_stochastic_map(build_cell_map(f), 0.9))
         assert dec.n_groups == 2
         assert len(dec.transient_groups) >= 3
 
