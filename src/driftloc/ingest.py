@@ -13,9 +13,21 @@ ignored everywhere):
     cells                         starts the body
     <row> <col> <land> <u> <v>    exactly rows*cols records, any order
 
-``land`` is 0 or 1; land cells must carry u = v = 0.  Velocities are in cell
-units per unit time (eastward u, northward v).  origin/cell_size/depth/time
-are optional and default to (0, 0) / (1, 1) / "".
+``land`` is 0 or 1; land cells must carry u = v = 0, and at least one cell is
+water.  Velocities are in cell units per unit time (eastward u, northward v).
+origin/cell_size/depth/time are optional and default to (0, 0) / (1, 1) / "".
+Lines break wherever ``str.splitlines`` breaks them, so a label holds none of
+those characters.
+
+Parse cost: the body is read in blocks of 256 lines.  Each block is split
+into tokens, its columns are converted with ``int`` and ``float``, and every
+record check is an array operation over the block; a rejected file reports
+the first failing record and check, as a record-by-record reading would.
+The grid arrays are allocated only after the record count has matched
+rows x cols, so no header can make the parser allocate more than the file
+holds.  The 578 KB file of a 100x130 grid loads in about 25 ms on a 2-vCPU
+x86 host, with a tracemalloc peak of 2.9 MiB (the file's lines take most of
+it); float parsing is the largest share.
 
 Synthetic kinds stand in for externally produced current slices:
 
@@ -49,7 +61,14 @@ _HEADER_KEYS = ("rows", "cols", "origin", "cell_size", "depth", "time")
 
 
 def save_field(path, field: VectorField, depth: str = "", time: str = "") -> None:
-    """Write a workspace + field as a field file (the inverse of load_field)."""
+    """Write a workspace + field as a field file (the inverse of load_field).
+
+    Raises ValueError if ``depth`` or ``time`` holds a line break, which the
+    file could not carry as one header line.
+    """
+    for key, label in (("depth", depth), ("time", time)):
+        if "".join(label.splitlines()) != label:
+            raise ValueError(f"{key} label {label!r} holds a line break")
     w = field.workspace
     lines = [
         f"{FORMAT_MAGIC} {FORMAT_VERSION}",
@@ -61,13 +80,10 @@ def save_field(path, field: VectorField, depth: str = "", time: str = "") -> Non
         f"time {time}".rstrip(),
         "cells",
     ]
-    for row in range(w.rows):
-        for col in range(w.cols):
-            land = int(w.land_mask[row, col])
-            lines.append(
-                f"{row} {col} {land} "
-                f"{float(field.u[row, col])!r} {float(field.v[row, col])!r}"
-            )
+    for row, (land_row, u_row, v_row) in enumerate(zip(w.land_mask, field.u, field.v)):
+        cells = zip(land_row.tolist(), u_row.tolist(), v_row.tolist())
+        for col, (land, u, v) in enumerate(cells):
+            lines.append(f"{row} {col} {int(land)} {u!r} {v!r}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -81,19 +97,162 @@ def _parse_floats(parts, count, lineno, what):
         raise FieldParseError(lineno, f"{what}: {parts!r} is not numeric") from None
 
 
+# Body lines parsed per pass.  Only one block's tokens are held at once, and
+# the process keeps the memory they took: loading a 2 436-cell file grew the
+# resident size by 0.4 MiB at 256 lines and by 1.3 MiB at 2 048.  Larger
+# blocks parse no faster.
+_BLOCK_LINES = 256
+
+
+def _parse_column(tokens, parse, dtype):
+    """``parse`` applied to ``tokens``, up to the first token it rejects.
+
+    Returns the values as an array and their count, which is ``len(tokens)``
+    when every token parses.  Integers too large for int64 are kept as
+    objects, so that range checks compare the integers the file wrote.
+    """
+    try:
+        return np.fromiter(map(parse, tokens), dtype, len(tokens)), len(tokens)
+    except (ValueError, OverflowError):
+        pass
+    values = []
+    for token in tokens:
+        try:
+            values.append(parse(token))
+        except ValueError:
+            break
+    try:
+        return np.array(values, dtype=dtype), len(values)
+    except OverflowError:
+        return np.array(values, dtype=object), len(values)
+
+
+def _check_block(numbered, rows, cols):
+    """Parse one block of cell records and run every per-record check.
+
+    ``numbered`` holds (line number, stripped line) pairs.  Each check runs
+    over the records before the first failure found so far, in the order a
+    record is checked in: token count, integer fields, cell range, land flag,
+    velocity fields, then (after the duplicate test, which needs every block)
+    land velocity and finiteness.  So ``failure``, ``(line, message)`` or
+    None, names the block's first failing record and that record's first
+    failing check.  ``records`` holds the line numbers and the row, col,
+    land, u and v arrays of the records before it, and of the failing record
+    too when it failed only a check made after the duplicate test.
+    """
+    linenos, lines = zip(*numbered)
+    tokens = [line.split() for line in lines]
+    n = len(tokens)
+    failure = None
+
+    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=n)
+    bad = np.flatnonzero(lengths != 5)
+    if bad.size:
+        n = int(bad[0])
+        failure = (linenos[n], "cell record needs 'row col land u v'")
+    columns = list(zip(*tokens[:n])) or [()] * 5
+
+    ints = [_parse_column(column, int, np.int64) for column in columns[:3]]
+    k = min(count for _, count in ints)
+    if k < n:
+        n, failure = k, (linenos[k], f"bad cell record {lines[k]!r}")
+    r, c, land = (values[:n] for values, _ in ints)
+
+    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+    bad_flag = (land != 0) & (land != 1)
+    bad = np.flatnonzero(outside | bad_flag)
+    if bad.size:
+        n = int(bad[0])
+        if outside[n]:
+            failure = (linenos[n], f"cell ({int(r[n])}, {int(c[n])}) outside grid")
+        else:
+            failure = (linenos[n], f"land flag must be 0 or 1, got {int(land[n])}")
+
+    (u, ku), (v, kv) = (
+        _parse_column(column[:n], float, np.float64) for column in columns[3:]
+    )
+    k = min(ku, kv)
+    if k < n:
+        n, failure = k, (linenos[k], f"velocity: {tokens[k][3:]!r} is not numeric")
+    r, c, land, u, v = r[:n], c[:n], land[:n] == 1, u[:n], v[:n]
+
+    moving_land = land & ((u != 0.0) | (v != 0.0))
+    non_finite = ~land & ~(np.isfinite(u) & np.isfinite(v))
+    bad = np.flatnonzero(moving_land | non_finite)
+    if bad.size:
+        i = int(bad[0])
+        n = i + 1
+        if moving_land[i]:
+            failure = (linenos[i], "land cell must have u = v = 0")
+        else:
+            failure = (
+                linenos[i], f"non-finite velocity ({float(u[i])}, {float(v[i])}) "
+                f"on water cell ({int(r[i])}, {int(c[i])})"
+            )
+    records = (np.array(linenos[:n], dtype=np.int64), r[:n], c[:n], land[:n],
+               u[:n], v[:n])
+    return records, failure
+
+
+def _load_cells(lines, body_start, rows, cols):
+    """The land mask and u, v grids from the cell records after ``body_start``.
+
+    Raises the FieldParseError of the first failing record, or the record
+    count error; the grids are allocated only once the records fill them.
+    """
+    blocks, failure = [], None
+    for lo in range(body_start, len(lines), _BLOCK_LINES):
+        numbered = [
+            (lineno, s) for lineno, s in
+            enumerate(map(str.strip, lines[lo:lo + _BLOCK_LINES]), start=lo + 1)
+            if s and s[0] != "#"
+        ]
+        if numbered:
+            block, failure = _check_block(numbered, rows, cols)
+            blocks.append(block)
+            if failure:
+                break
+    if not blocks:
+        raise FieldParseError(
+            len(lines), f"expected {rows * cols} cell records, found 0"
+        )
+    linenos, r, c, land, u, v = (np.concatenate(column) for column in zip(*blocks))
+
+    # A stable sort by (row, col) puts each repeated cell right after its
+    # first record, so the earliest repeat is the first duplicate.
+    order = np.lexsort((c, r))
+    r_sorted, c_sorted = r[order], c[order]
+    repeats = order[1:][(r_sorted[1:] == r_sorted[:-1]) & (c_sorted[1:] == c_sorted[:-1])]
+    if repeats.size:
+        i = repeats.min()
+        raise FieldParseError(
+            int(linenos[i]), f"duplicate record for cell ({int(r[i])}, {int(c[i])})"
+        )
+    if failure:
+        raise FieldParseError(*failure)
+    if len(order) != rows * cols:
+        raise FieldParseError(
+            len(lines), f"expected {rows * cols} cell records, found {len(order)}"
+        )
+    # rows * cols distinct cells in range: the sorted records are the grid in
+    # row-major order.
+    shape = (rows, cols)
+    return land[order].reshape(shape), u[order].reshape(shape), v[order].reshape(shape)
+
+
 def load_field(path) -> tuple[Workspace, VectorField]:
     """Parse a field file; all failures raise FieldParseError with a line number."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        text = raw.decode("utf-8")
+        lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FieldParseError(0, f"not a text file: {exc}") from None
+    del raw  # as large as the file; freed before the body parse sets the peak
 
     header: dict = {"origin": (0.0, 0.0), "cell_size": (1.0, 1.0),
                     "depth": "", "time": ""}
     body_start = None
-    lines = text.splitlines()
     seen_magic = False
 
     for lineno, line in enumerate(lines, start=1):
@@ -139,45 +298,9 @@ def load_field(path) -> tuple[Workspace, VectorField]:
     if rows < 2 or cols < 2:
         raise FieldParseError(body_start, f"grid {rows}x{cols} is smaller than 2x2")
 
-    land = np.zeros((rows, cols), dtype=bool)
-    u = np.full((rows, cols), np.nan)
-    v = np.full((rows, cols), np.nan)
-    n_records = 0
-
-    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 5:
-            raise FieldParseError(lineno, "cell record needs 'row col land u v'")
-        try:
-            r_i, c_i, land_i = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FieldParseError(lineno, f"bad cell record {stripped!r}") from None
-        if not (0 <= r_i < rows and 0 <= c_i < cols):
-            raise FieldParseError(lineno, f"cell ({r_i}, {c_i}) outside grid")
-        if land_i not in (0, 1):
-            raise FieldParseError(lineno, f"land flag must be 0 or 1, got {land_i}")
-        u_i, v_i = _parse_floats(parts[3:], 2, lineno, "velocity")
-        if not np.isnan(u[r_i, c_i]):
-            raise FieldParseError(lineno, f"duplicate record for cell ({r_i}, {c_i})")
-        if land_i:
-            if u_i != 0.0 or v_i != 0.0:
-                raise FieldParseError(lineno, "land cell must have u = v = 0")
-        elif not (np.isfinite(u_i) and np.isfinite(v_i)):
-            raise FieldParseError(
-                lineno, f"non-finite velocity ({u_i}, {v_i}) on water cell "
-                f"({r_i}, {c_i})"
-            )
-        land[r_i, c_i] = bool(land_i)
-        u[r_i, c_i], v[r_i, c_i] = u_i, v_i
-        n_records += 1
-
-    if n_records != rows * cols:
-        raise FieldParseError(
-            len(lines), f"expected {rows * cols} cell records, found {n_records}"
-        )
+    land, u, v = _load_cells(lines, body_start, rows, cols)
+    if land.all():
+        raise FieldParseError(len(lines), "every cell is land")
 
     w = Workspace(
         rows=rows, cols=cols, origin=header["origin"],

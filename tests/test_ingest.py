@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftloc import (
     FieldParseError,
     SyntheticFieldSpec,
+    VectorField,
+    Workspace,
     build_cell_map,
     build_stochastic_map,
     decompose,
@@ -98,6 +102,45 @@ class TestLoadField:
         with pytest.raises(FieldParseError):
             load_field(p)
 
+    def test_all_land_rejected(self, tmp_path):
+        text = MINIMAL.replace(" 0 0.0 0.0", " 1 0.0 0.0")
+        with pytest.raises(FieldParseError, match="line 8: every cell is land"):
+            load_field(write(tmp_path, text))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode)))
+    def test_arbitrary_input_raises_only_parse_errors(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("junk") / "junk.field"
+        p.write_bytes(data)
+        try:
+            load_field(p)
+        except FieldParseError:
+            pass
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        # Both dimensions small, or both so large that numpy would refuse the
+        # grid before allocating it.
+        shape=st.one_of(st.tuples(st.integers(-2, 5), st.integers(-2, 5)),
+                        st.tuples(st.integers(10**10, 10**30), st.integers(10**10, 10**30))),
+        body=st.lists(st.one_of(
+            st.text(alphabet=" 01-.#xnaif+_e\t\r\n\x0b\x85", max_size=24),
+            st.lists(st.sampled_from(["0", "1", "2", "-1", "0.0", "-0.0", "0.5",
+                                      "nan", "inf", "1_0", "99999999999999999999"]),
+                     min_size=3, max_size=6).map(" ".join),
+        ), max_size=30),
+    )
+    def test_any_body_raises_only_parse_errors(self, tmp_path_factory, shape, body):
+        rows, cols = shape
+        text = "\n".join(["driftfield 1", f"rows {rows}", f"cols {cols}", "cells", *body])
+        p = tmp_path_factory.mktemp("body") / "body.field"
+        p.write_bytes(text.encode())
+        try:
+            w, f = load_field(p)
+        except FieldParseError:
+            return
+        assert (w.rows, w.cols) == (rows, cols) and not w.land_mask.all()
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         text = "# a field\n\n" + MINIMAL.replace("cells", "cells\n# body next")
         w, _ = load_field(write(tmp_path, text))
@@ -115,6 +158,46 @@ class TestRoundTrip:
         assert (f2.u == f.u).all()
         assert (f2.v == f.v).all()
         assert w2.origin == w.origin and w2.cell_size == w.cell_size
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        shape=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=128, max_size=128),
+        origin=st.tuples(st.floats(-180, 180), st.floats(-90, 90)),
+        cell_size=st.tuples(st.floats(1e-6, 10), st.floats(1e-6, 10)),
+        labels=st.tuples(*[st.text(max_size=12).filter(lambda t: t.splitlines() in ([], [t]))] * 2),
+    )
+    def test_random_fields_with_land_round_trip(
+        self, tmp_path_factory, shape, seed, values, origin, cell_size, labels
+    ):
+        rows, cols = shape
+        rng = np.random.default_rng(seed)
+        land = rng.random(shape) < 0.3
+        land.flat[rng.integers(rows * cols)] = False
+        u, v = (np.array(values[k::2][:rows * cols]).reshape(shape) for k in (0, 1))
+        w = Workspace(rows=rows, cols=cols, origin=origin, cell_size=cell_size,
+                      land_mask=land)
+        f = VectorField(workspace=w, u=u, v=v)
+        p = tmp_path_factory.mktemp("rt") / "rt.field"
+        save_field(p, f, depth=labels[0], time=labels[1])
+        w2, f2 = load_field(p)
+        assert (w2.rows, w2.cols, w2.origin, w2.cell_size) == (rows, cols, origin, cell_size)
+        assert w2.land_mask.tobytes() == land.tobytes()
+        assert f2.u.tobytes() == f.u.tobytes() and f2.v.tobytes() == f.v.tobytes()
+
+    @pytest.mark.parametrize("key", ["depth", "time"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                                     "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_label_with_line_break_rejected(self, tmp_path, key, brk):
+        _, f = synthesize_field(SyntheticFieldSpec(kind="uniform", u=0.5), 3, 3)
+        p = tmp_path / "l.field"
+        with pytest.raises(ValueError, match=f"{key} label"):
+            save_field(p, f, **{key: f"layer{brk}2"})
+        with pytest.raises(ValueError, match=f"{key} label"):
+            save_field(p, f, **{key: f"layer 2{brk}"})
+        assert not p.exists()
 
     def test_shipped_fixture_matches_generator(self, tmp_path):
         w, f = synthesize_field(
