@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CellIndexError
 from .flowfield import CellMap
 from .gridworld import Direction, Workspace
 
@@ -333,28 +334,31 @@ class FlowDecomposition:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(list(self.transient_groups.values())))
 
-    def region_labels(self) -> list[str]:
+    def __post_init__(self):
+        # _region[s] indexes _labels and _groups, so region_of does no scan.
         labels = [f"B_{i + 1}" for i in range(self.n_groups)]
         labels += [_group_label(k) for k in self.transient_groups]
-        return labels
+        groups = [*self.persistent_groups, *self.transient_groups.values()]
+        region = np.empty(self.workspace.n_free, dtype=np.int64)  # groups partition it
+        for i, cells in enumerate(groups):
+            region[np.searchsorted(self.workspace.free_cells, cells)] = i
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_region", region)
+
+    def region_labels(self) -> list[str]:
+        return list(self._labels)
 
     def region_cells(self, label: str) -> np.ndarray:
-        for i, g in enumerate(self.persistent_groups):
-            if label == f"B_{i + 1}":
-                return g
-        for k, cells in self.transient_groups.items():
-            if label == _group_label(k):
-                return cells
-        raise KeyError(f"unknown region label {label!r}")
+        if label not in self._labels:
+            raise KeyError(f"unknown region label {label!r}")
+        return self._groups[self._labels.index(label)]
 
     def region_of(self, z: int) -> str:
-        for i, g in enumerate(self.persistent_groups):
-            if z in g:
-                return f"B_{i + 1}"
-        for k, cells in self.transient_groups.items():
-            if z in cells:
-                return _group_label(k)
-        raise KeyError(f"cell {z} is not a water cell of this decomposition")
+        try:
+            return self._labels[self._region[self.workspace.state_of(z)]]
+        except (CellIndexError, ValueError):
+            raise KeyError(f"cell {z} is not a water cell of this decomposition") from None
 
     def to_dict(self) -> dict:
         return {

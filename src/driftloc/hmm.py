@@ -11,9 +11,11 @@ observations has T + 1 states and maximizes
     pi[x_0] * prod_t Q[x_{t-1}][y_t] * P[x_{t-1}][x_t]
 
 over all state sequences, with ties broken toward the lexicographically
-smallest sequence.  All scoring happens in log space, directly on the chain's
-rows of nine slots: a decode costs O(T * n * 9) time and O(T * n) memory for
-n states, and no n x n array is ever built.
+smallest sequence.  All scoring happens in log space on the chain's rows of
+nine slots, only those of D_t: the states reachable after t observations that
+can emit the next one.  A decode costs O(sum_t |D_t| * 9) time and
+O(sum_t |D_t|) memory, besides an O(n) mask pass per step; no n x n or
+(T + 1) x n array is ever built.
 """
 
 from __future__ import annotations
@@ -79,22 +81,14 @@ class HmmModel:
             object.__setattr__(self, "_logP", np.log(self.P.probs))
             object.__setattr__(self, "_logQ", np.log(self.Q))
             object.__setattr__(self, "_logpi", np.log(self.pi))
+        # Decoder views: targets, -1 where _logP is -inf; emitters per symbol.
+        live = np.isfinite(self._logP)
+        object.__setattr__(self, "_next", np.where(live, self.P.targets, -1))
+        object.__setattr__(self, "_emits", np.ascontiguousarray((self.Q > 0.0).T))
 
     @property
     def workspace(self) -> Workspace:
         return self.P.workspace
-
-
-def _check_feasible(model: HmmModel, obs: np.ndarray) -> None:
-    """Forward sweep of reachable-state sets; raises at the first dead step."""
-    live = np.isfinite(model._logP)
-    reachable = model.pi > 0.0
-    for t, y in enumerate(obs):
-        departing = reachable & (model.Q[:, y] > 0.0)
-        if not departing.any():
-            raise ZeroProbabilityError(t + 1)
-        reachable = np.zeros_like(reachable)
-        reachable[model.P.targets[departing][live[departing]]] = True
 
 
 def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
@@ -108,35 +102,47 @@ def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
     T = len(obs)
     if T < 1:
         raise ValueError("observation history must contain at least one symbol")
-    _check_feasible(model, obs)
 
     logP, logQ, logpi = model._logP, model._logQ, model._logpi
-    targets = model.P.targets
+    targets, n = model.P.targets, model.P.n_states
 
-    # Backward pass: best[t][s] = best log score of observations t+1..T given
-    # the chain sits at s after t of them (best[T] = 0).  Decoding forward
-    # off these suffix scores over slots in ascending target order makes
-    # np.argmax's first-maximum rule yield the lexicographically smallest
-    # optimal trajectory; a forward trellis with backpointers would break ties
-    # in reverse order instead.  Slots off A(z) score -inf and are never chosen.
-    best = np.empty((T + 1, model.P.n_states))
-    best[T] = 0.0
-    for t in range(T, 0, -1):
-        cont = logP + best[t][targets]
-        best[t - 1] = logQ[:, obs[t - 1]] + cont.max(axis=1)
+    # Forward sweep: departing[t] is D_t, the states reachable after t
+    # observations that can emit y_{t+1}, ascending; dead slots mark reached[n].
+    reached = np.append(model.pi > 0.0, False)
+    departing = []
+    for t, y in enumerate(obs):
+        here = (reached[:n] & model._emits[y]).nonzero()[0]
+        if not len(here):
+            raise ZeroProbabilityError(t + 1)
+        departing.append(here)
+        reached[:] = False
+        reached[model._next.take(here, axis=0)] = True
 
-    start_scores = logpi + best[0]
+    # Backward pass: best[s] = best log score of observations t+1..T from s
+    # after t of them; 0 at t = T, then kept on D_t only (-inf elsewhere).  A
+    # live target of D_{t-1} is reachable after t, so off D_t it scores -inf
+    # over all n states too.  Decoding forward off these suffix scores over
+    # slots in ascending target order makes np.argmax's first-maximum rule
+    # yield the lexicographically smallest optimal trajectory; a forward
+    # trellis with backpointers would break ties in reverse order instead.
+    best = np.zeros(n)
+    slots = [None] * T  # the winning slot of each state of D_t
+    for t in range(T - 1, -1, -1):
+        here = departing[t]
+        cont = logP.take(here, axis=0) + best.take(targets.take(here, axis=0))
+        slots[t] = cont.argmax(axis=1).astype(np.uint8)
+        best = np.full(n, -np.inf)
+        best[here] = logQ[here, obs[t]] + cont.max(axis=1)
+
+    start_scores = logpi[here] + best[here]
     total = float(start_scores.max())
     if not np.isfinite(total):
         raise ZeroProbabilityError(1)
 
-    path = [int(np.argmax(start_scores))]
-    for t in range(1, T + 1):
-        # the emission term of the departing state is fixed by path[-1]
-        row = targets[path[-1]]
-        scores = logP[path[-1]] + best[t][row]
-        path.append(int(row[np.argmax(scores)]))
+    path = [int(here[np.argmax(start_scores)])]
+    for t in range(T):
+        k = slots[t][departing[t].searchsorted(path[-1])]
+        path.append(int(targets[path[-1], k]))
 
     cells = [int(model.workspace.free_cells[s]) for s in path]
     return cells, total
-

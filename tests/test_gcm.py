@@ -377,3 +377,24 @@ class TestDecompositionInvariants:
         assert sizes == d["n_free"]
         labels = [g["label"] for g in d["transient_groups"]]
         assert labels == ["B(1)", "B(2)", "B(1,2)"]
+
+    def test_region_of_every_cell(self, gyre):
+        rng = np.random.default_rng(3)
+        decs = [gyre["decomposition"]]
+        for _ in range(2):
+            _, f = random_field(rng, 7, 9, land_prob=0.25, vmax=1.5)
+            decs.append(decompose(build_stochastic_map(build_cell_map(f), 0.9)))
+        for dec in decs:
+            w = dec.workspace
+            owner = {}
+            for label in dec.region_labels():
+                for z in dec.region_cells(label):
+                    owner[int(z)] = label
+            assert sorted(owner) == list(w.free_cells)
+            for z in range(0, w.n_cells + 2):
+                if z in owner:
+                    assert dec.region_of(z) == owner[z]
+                    assert dec.region_of(np.int64(z)) == owner[z]
+                else:  # land or off the grid
+                    with pytest.raises(KeyError):
+                        dec.region_of(z)
