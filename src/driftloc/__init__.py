@@ -30,9 +30,6 @@ from .gcm import (
     StochasticCellMap,
     build_stochastic_map,
     decompose,
-    find_persistent_groups,
-    find_transient_groups,
-    reachability,
     strongly_connected_components,
 )
 from .gridworld import (

@@ -22,11 +22,14 @@ class VectorField:
     """Horizontal velocity samples at every cell center of a workspace.
 
     Land-cell entries are forced to zero; water-cell entries must be finite.
+    ``depth`` and ``time`` are the free-text labels of a field file.
     """
 
     workspace: Workspace
     u: np.ndarray  # (rows, cols) eastward, cell-widths per unit time
     v: np.ndarray  # (rows, cols) northward, cell-heights per unit time
+    depth: str = ""
+    time: str = ""
 
     def __post_init__(self):
         w = self.workspace

@@ -21,9 +21,13 @@ the layout.
 
 The chain's support graph is decomposed into persistent groups (attractors:
 closed, mutually communicating cell sets) and transient groups keyed by the
-set of attractors each cell can reach (its domiciles).  It costs one Tarjan
-pass plus one reverse breadth-first search per attractor, in O(n * 9) memory;
-no n x n reachability closure is built.
+set of attractors each cell can reach (its domiciles).  Tarjan emits each
+component after every component its edges enter, so one pass decides, as
+each component is emitted, whether it is an attractor and what it reaches.
+Time is O(n * 9) plus the size of each union of domicile sets formed.
+Memory is the rows' successor lists plus one interned tuple per distinct
+domicile set, and each of those is a key of the result or an attractor's own
+singleton, so no n x n closure or attractor x state table is ever built.
 """
 
 from __future__ import annotations
@@ -73,7 +77,10 @@ class StochasticCellMap:
 
     def adjacency(self) -> list[list[int]]:
         """Successor state lists (the support graph), one list per state."""
-        return [[u for u in row if u >= 0] for row in self.targets.tolist()]
+        live = self.targets >= 0
+        flat = self.targets[live].tolist()  # row by row, slots in order
+        ends = np.cumsum(live.sum(axis=1)).tolist()
+        return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
@@ -141,15 +148,15 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     )
 
 
-def _tarjan(succ: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan SCC.  Components are emitted in reverse topological
-    order of the condensation (every component before any that reaches it)."""
+def _tarjan(succ: list[list[int]]):
+    """Iterative Tarjan SCC, yielding each component (a list of states) as it
+    is emitted: in reverse topological order of the condensation, so every
+    component comes before any component that reaches it."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
     counter = 0
 
     for root in range(n):
@@ -184,8 +191,7 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
                         comp.append(u)
                         if u == v:
                             break
-                    comps.append(comp)
-    return comps
+                    yield comp
 
 
 def strongly_connected_components(P: StochasticCellMap) -> list[np.ndarray]:
@@ -193,112 +199,6 @@ def strongly_connected_components(P: StochasticCellMap) -> list[np.ndarray]:
     comps = [np.array(sorted(c), dtype=np.int64) for c in _tarjan(P.adjacency())]
     comps.sort(key=lambda c: int(c[0]))
     return comps
-
-
-def reachability(P: StochasticCellMap) -> np.ndarray:
-    """Boolean matrix C with C[i, j] true iff state i reaches j in >= 1 step.
-
-    Computed on the condensation DAG with bitset accumulation; semantically
-    equal to the transitive closure of the support graph.  It allocates n x n,
-    so ``decompose`` never calls it; it is kept for oracles and tests.
-    """
-    succ = P.adjacency()
-    n = len(succ)
-    comps = _tarjan(succ)  # reverse topological order
-    comp_of = np.empty(n, dtype=np.int64)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-
-    member_bits = []
-    for comp in comps:
-        bits = 0
-        for v in comp:
-            bits |= 1 << v
-        member_bits.append(bits)
-
-    reach_bits = [0] * len(comps)
-    for ci, comp in enumerate(comps):  # successors already processed
-        cyclic = len(comp) > 1 or any(int(u) == comp[0] for u in succ[comp[0]])
-        bits = member_bits[ci] if cyclic else 0
-        for v in comp:
-            for u in succ[v]:
-                di = int(comp_of[int(u)])
-                if di != ci:
-                    bits |= member_bits[di] | reach_bits[di]
-        reach_bits[ci] = bits
-
-    nbytes = (n + 7) // 8
-    C = np.empty((n, n), dtype=bool)
-    for v in range(n):
-        raw = reach_bits[comp_of[v]].to_bytes(nbytes, "little")
-        C[v] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:n]
-    return C
-
-
-def find_persistent_groups(
-    P: StochasticCellMap, sccs: list[np.ndarray]
-) -> list[np.ndarray]:
-    """SCCs that are closed under the mapping: the attractors.
-
-    A component is persistent iff it cycles (more than one member, or a
-    self-loop) and no edge of the support graph leaves it.  Both tests run
-    over the padded (n, 9) rows.  Returned in the order of ``sccs``, which
-    numbers the groups B_1..B_g.
-    """
-    sizes = np.array([len(c) for c in sccs], dtype=np.int64)
-    comp_of = np.empty(P.n_states, dtype=np.int64)
-    comp_of[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), sizes)
-
-    leaves = ((P.targets >= 0) & (comp_of[P.targets] != comp_of[:, None])).any(axis=1)
-    loops = (P.targets == np.arange(P.n_states)[:, None]).any(axis=1)
-    closed = np.bincount(comp_of, weights=leaves, minlength=len(sccs)) == 0
-    cyclic = (sizes > 1) | (np.bincount(comp_of, weights=loops, minlength=len(sccs)) > 0)
-    return [c for c, keep in zip(sccs, closed & cyclic) if keep]
-
-
-def find_transient_groups(
-    P: StochasticCellMap,
-    persistent_groups: list[np.ndarray],
-    transient_states: np.ndarray,
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Group transient states by their domicile set.
-
-    The domicile set of a transient state is the set of attractor numbers
-    (1-based positions in ``persistent_groups``) it can reach, found by one
-    reverse breadth-first search per attractor over predecessor lists.  Keys
-    with one element are single-domicile groups; larger keys are
-    multiple-domicile groups (the paper's boundary regions).  Every transient
-    state must have at least one domicile in a finite chain.
-    """
-    n = P.n_states
-    dst = P.targets.reshape(-1)
-    slots = np.flatnonzero(dst >= 0)
-    slots = slots[np.argsort(dst[slots], kind="stable")]  # grouped by target
-    preds = (slots // P.targets.shape[1]).tolist()
-    start = np.concatenate(([0], np.cumsum(np.bincount(dst[slots], minlength=n)))).tolist()
-
-    domiciles: list[list[int]] = [[] for _ in range(n)]
-    seen = [0] * n
-    for g, members in enumerate(persistent_groups, start=1):
-        queue = members.tolist()
-        for v in queue:  # grows while it is walked
-            if seen[v] != g:
-                seen[v] = g
-                domiciles[v].append(g)
-                queue.extend(preds[start[v]:start[v + 1]])
-
-    out: dict[tuple[int, ...], list[int]] = {}
-    for s in transient_states.tolist():
-        if not domiciles[s]:
-            raise RuntimeError(
-                f"transient state {s} reaches no persistent group; "
-                "the decomposition is inconsistent"
-            )
-        out.setdefault(tuple(domiciles[s]), []).append(s)
-    # single-domicile groups first, then by domicile tuple
-    ordered = sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return {k: np.array(sorted(v), dtype=np.int64) for k, v in ordered}
 
 
 def _group_label(domiciles: tuple[int, ...]) -> str:
@@ -384,18 +284,70 @@ class FlowDecomposition:
 
 
 def decompose(P: StochasticCellMap) -> FlowDecomposition:
-    """Full long-term decomposition of the chain's support graph."""
+    """Full long-term decomposition of the chain's support graph.
+
+    One pass over the components in Tarjan's emission order, in which every
+    component comes after all those its edges enter.  A component that
+    cycles and has no edge leaving it is a new attractor; any other reaches
+    the union of what the components its edges enter reach.  Reach sets are
+    interned tuples of attractor ids, reused as they are wherever one set is
+    entered, so the pass costs O(n * 9) time plus the unions it forms.
+    Attractors are then numbered by smallest member and the transient states
+    grouped by one stable sort on their reach set.  Raises RuntimeError for
+    the smallest transient state that reaches no attractor (a dead-end row).
+    """
     w = P.workspace
-    sccs = strongly_connected_components(P)
-    persistent = find_persistent_groups(P, sccs)
+    succ = P.adjacency()
+    reach = [-1] * len(succ)  # reach id of each state, set when it is emitted
+    sets: list[tuple[int, ...]] = [()]  # reach id -> attractor ids it reaches
+    ids = {(): 0}
+    attractors: list[list[int]] = []  # member states, in emission order
+    for comp in _tarjan(succ):
+        # The members are not set yet, so -1 marks an edge inside the
+        # component: it cycles (more than one member, or a self-loop).
+        entered = {reach[u] for v in comp for u in succ[v]}
+        cyclic = -1 in entered
+        entered.discard(-1)
+        if len(entered) == 1:
+            (rid,) = entered
+        else:
+            if entered:
+                key = tuple(sorted(set().union(*(sets[r] for r in entered))))
+            elif cyclic:
+                key = (len(attractors),)
+                attractors.append(comp)
+            else:
+                key = ()
+            rid = ids.setdefault(key, len(ids))
+            if rid == len(sets):
+                sets.append(key)
+        for v in comp:
+            reach[v] = rid
 
-    is_transient = np.ones(P.n_states, dtype=bool)
-    for g in persistent:
-        is_transient[g] = False
-    transient = find_transient_groups(P, persistent, np.flatnonzero(is_transient))
+    # B_1..B_g are numbered by their smallest member state.
+    order = sorted(range(len(attractors)), key=lambda a: min(attractors[a]))
+    number = [0] * len(attractors)
+    for i, a in enumerate(order, start=1):
+        number[a] = i
 
+    persistent = np.zeros(len(succ), dtype=bool)
+    persistent[[v for comp in attractors for v in comp]] = True
+    transient = np.flatnonzero(~persistent)
+    rid_of = np.array(reach, dtype=np.int64)[transient]
+    by_rid = np.argsort(rid_of, kind="stable")  # states stay ascending per group
+    rids, starts = np.unique(rid_of[by_rid], return_index=True)
+    groups = {}
+    for rid, states in zip(rids.tolist(), np.split(transient[by_rid], starts[1:])):
+        if rid == 0:  # the empty set: listed first, so states[0] is the smallest
+            raise RuntimeError(
+                f"transient state {states[0]} reaches no persistent group; "
+                "the decomposition is inconsistent"
+            )
+        groups[tuple(sorted(number[a] for a in sets[rid]))] = w.free_cells[states]
+
+    keys = sorted(groups, key=lambda k: (len(k), k))  # single domiciles first
     return FlowDecomposition(
         workspace=w,
-        persistent_groups=[w.free_cells[g] for g in persistent],
-        transient_groups={k: w.free_cells[v] for k, v in transient.items()},
+        persistent_groups=[w.free_cells[sorted(attractors[a])] for a in order],
+        transient_groups={k: groups[k] for k in keys},
     )

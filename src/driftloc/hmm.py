@@ -20,6 +20,7 @@ O(sum_t |D_t|) memory, besides an O(n) mask pass per step; no n x n or
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,20 +72,37 @@ class HmmModel:
         n = self.P.n_states
         if self.Q.shape != (n, N_DIRECTIONS):
             raise ValueError(f"emission matrix shape {self.Q.shape} != ({n}, 9)")
-        if self.pi.shape != (n,):
-            raise ValueError(f"initial distribution shape {self.pi.shape} != ({n},)")
-        if abs(self.pi.sum() - 1.0) > 1e-12:
-            raise ValueError("initial distribution does not sum to 1")
-        # Log-space views, shared by every decode against this model; _logP
-        # has P's slots, those off A(z) holding log 0 = -inf.
+        self._set_prior(self.pi)
+        # Log-space views, shared by every decode against this model and by
+        # the models with_prior derives from it; _logP has P's slots, those
+        # off A(z) holding log 0 = -inf.
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "_logP", np.log(self.P.probs))
             object.__setattr__(self, "_logQ", np.log(self.Q))
-            object.__setattr__(self, "_logpi", np.log(self.pi))
         # Decoder views: targets, -1 where _logP is -inf; emitters per symbol.
         live = np.isfinite(self._logP)
         object.__setattr__(self, "_next", np.where(live, self.P.targets, -1))
         object.__setattr__(self, "_emits", np.ascontiguousarray((self.Q > 0.0).T))
+
+    def _set_prior(self, pi: np.ndarray) -> None:
+        n = self.P.n_states
+        if pi.shape != (n,):
+            raise ValueError(f"initial distribution shape {pi.shape} != ({n},)")
+        if abs(pi.sum() - 1.0) > 1e-12:
+            raise ValueError("initial distribution does not sum to 1")
+        object.__setattr__(self, "pi", pi)
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_logpi", np.log(pi))
+
+    def with_prior(self, pi: np.ndarray) -> HmmModel:
+        """The same chain and emissions under another initial distribution.
+
+        Only ``pi`` is validated and logged; the chain-derived views are
+        shared with this model, not rebuilt.
+        """
+        model = copy.copy(self)
+        model._set_prior(pi)
+        return model
 
     @property
     def workspace(self) -> Workspace:

@@ -8,8 +8,8 @@ ignored everywhere):
     cols <int>                    grid width  (>= 2)
     origin <lon> <lat>            geographic center of cell (0, 0)
     cell_size <dlon> <dlat>       cell extent in degrees
-    depth <free text>             label only
-    time <free text>              label only
+    depth <free text>             label, kept as VectorField.depth
+    time <free text>              label, kept as VectorField.time
     cells                         starts the body
     <row> <col> <land> <u> <v>    exactly rows*cols records, any order
 
@@ -60,12 +60,17 @@ FORMAT_VERSION = 1
 _HEADER_KEYS = ("rows", "cols", "origin", "cell_size", "depth", "time")
 
 
-def save_field(path, field: VectorField, depth: str = "", time: str = "") -> None:
+def save_field(
+    path, field: VectorField, depth: str | None = None, time: str | None = None
+) -> None:
     """Write a workspace + field as a field file (the inverse of load_field).
 
-    Raises ValueError if ``depth`` or ``time`` holds a line break, which the
-    file could not carry as one header line.
+    ``depth`` and ``time`` default to the field's own labels.  Raises
+    ValueError if a label holds a line break, which the file could not carry
+    as one header line.
     """
+    depth = field.depth if depth is None else depth
+    time = field.time if time is None else time
     for key, label in (("depth", depth), ("time", time)):
         if "".join(label.splitlines()) != label:
             raise ValueError(f"{key} label {label!r} holds a line break")
@@ -306,7 +311,9 @@ def load_field(path) -> tuple[Workspace, VectorField]:
         rows=rows, cols=cols, origin=header["origin"],
         cell_size=header["cell_size"], land_mask=land,
     )
-    return w, VectorField(workspace=w, u=u, v=v)
+    return w, VectorField(
+        workspace=w, u=u, v=v, depth=header["depth"], time=header["time"]
+    )
 
 
 # -- synthetic fields --------------------------------------------------------

@@ -262,6 +262,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
 
     summary = []
     run_records = []
+    model = None  # built once; each run swaps in its own prior
     for cond_idx, (mode, T, region) in enumerate(conditions):
         pool = dec.region_cells(region) if region is not None else w.free_cells
         finals, trajs = [], []
@@ -276,7 +277,10 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
             true_path, obs = sample_trajectory(
                 smap, pi, T, rng, obs_noise=cfg.obs_noise
             )
-            model = HmmModel(P=smap, Q=Q, pi=pi)
+            if model is None:
+                model = HmmModel(P=smap, Q=Q, pi=pi)
+            else:
+                model = model.with_prior(pi)
             decoded, logp = viterbi(model, obs)
             rep = error_report(true_path, decoded, w)
             finals.append(rep.final_error)

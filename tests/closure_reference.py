@@ -4,7 +4,8 @@ C, and the C-based attractor and domicile tests.
 
 Frozen copies of the earlier code, kept as bit-exactness oracles.  ``decompose``
 builds the n x n boolean closure, so it costs n^2 bytes; use it on small
-chains only.
+chains only.  ``reachability`` is the only n x n closure left, so the tests
+that need C itself take it from here.
 """
 
 import numpy as np

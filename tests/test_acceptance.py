@@ -18,7 +18,6 @@ from driftloc import (
     emission_matrix,
     error_report,
     initial_distribution,
-    reachability,
     run_experiment,
     sample_trajectory,
     strongly_connected_components,
@@ -27,6 +26,7 @@ from driftloc import (
     SyntheticFieldSpec,
 )
 from driftloc.cli import main as cli_main
+from closure_reference import reachability
 from conftest import (
     CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, last_live_slot, make_field,
     random_field,
@@ -77,17 +77,45 @@ class TestCriterion2ReachabilityOracle:
             w, f = random_field(rng, 5, 5, land_prob=0.2, vmax=1.5)
             assert w.n_free <= 25
             P = build_stochastic_map(build_cell_map(f), 0.85)
-            C = reachability(P)
+            dec = decompose(P)
             n = P.n_states
             adj = np.zeros((n, n), dtype=bool)
-            for s, row in enumerate(P.adjacency()):
-                adj[s, row] = True
-            assert (C == bool_power_closure(adj)).all(), "closure mismatch"
+            for s, row in enumerate(P.targets):
+                adj[s, row[row >= 0]] = True
+            C = bool_power_closure(adj)
+
+            attractors = [
+                frozenset(w.state_of(int(z)) for z in g) for g in dec.persistent_groups
+            ]
+            for A in attractors:
+                inside = np.zeros(n, dtype=bool)
+                inside[sorted(A)] = True
+                assert C[np.ix_(inside, inside)].all(), "attractor not communicating"
+                assert not adj[np.ix_(inside, ~inside)].any(), "attractor not closed"
+            # a closed communicating class: a state on a cycle together with
+            # everything it reaches, when all of that reaches back to it
+            classes = {
+                frozenset(np.flatnonzero(C[s]).tolist())
+                for s in range(n) if C[s, s] and not (C[s] & ~C[:, s]).any()
+            }
+            assert set(attractors) == classes, "attractors != closed classes"
+
+            n_transient = 0
+            for key, cells in dec.transient_groups.items():
+                for z in cells:
+                    s = w.state_of(int(z))
+                    reached = tuple(
+                        i + 1 for i, A in enumerate(attractors) if C[s, min(A)]
+                    )
+                    assert key == reached, f"state {s}: domiciles {key} != {reached}"
+                    n_transient += 1
+            assert n_transient + sum(map(len, attractors)) == n
             n_instances += 1
         elapsed = time.time() - t0
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
         _report(2, "reachability oracle equivalence",
-                f"{n_instances} random maps bit-identical in {elapsed:.1f}s")
+                f"{n_instances} random maps: attractors and domiciles match "
+                f"boolean powers in {elapsed:.1f}s")
 
 
 def _fixture_suite():

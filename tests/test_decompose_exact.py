@@ -25,6 +25,7 @@ from driftloc import (
     synthesize_field,
 )
 from test_acceptance import _fixture_suite
+from test_gcm import chain_from_edges
 
 # the shipped fixture, uniform, zero, single-gyre, saddle and random masked fields
 SUITE = {name: field for name, (_, field) in _fixture_suite()}
@@ -89,6 +90,16 @@ class TestMatchesClosureReference:
         rng = np.random.default_rng(seed)
         _, field = random_field(rng, rows, cols, land_prob=land_prob, vmax=1.5)
         assert_matches_reference(chain(field, r))
+
+    def test_thousands_of_transient_groups(self):
+        # Even states are self-loop attractors; odd state 2k + 1 feeds the
+        # attractor 2 * (7k mod 1000), so the 1 000 single-state groups come
+        # keyed in another order than their states.
+        n = 2000
+        edges = [(s, s) for s in range(0, n, 2)]
+        edges += [(2 * k + 1, 2 * (7 * k % 1000)) for k in range(n // 2)]
+        dec = assert_matches_reference(chain_from_edges(n, edges))
+        assert dec.n_groups == len(dec.transient_groups) == n // 2
 
 
 class TestMemory:

@@ -9,12 +9,10 @@ from driftloc import (
     build_cell_map,
     build_stochastic_map,
     decompose,
-    find_persistent_groups,
-    find_transient_groups,
     neighbors,
-    reachability,
     strongly_connected_components,
 )
+from closure_reference import reachability
 from conftest import last_live_slot, make_field, random_field
 
 
@@ -42,6 +40,11 @@ def chain_from_edges(n, edges, probs=None):
         workspace=w, r=1.0, dt=1.0, targets=targets, probs=pr,
         colliding=np.zeros(n, dtype=bool),
     )
+
+
+def states_of(P, cells):
+    """The chain states of decomposition cell indices."""
+    return [P.workspace.state_of(int(z)) for z in cells]
 
 
 def bool_power_closure(adj):
@@ -267,26 +270,27 @@ class TestReachability:
 class TestPersistentGroups:
     def test_single_absorbing_cell(self):
         P = chain_from_edges(3, [(0, 1), (1, 2), (2, 2)])
-        sccs = strongly_connected_components(P)
-        groups = find_persistent_groups(P, sccs)
-        assert [list(g) for g in groups] == [[2]]
+        groups = decompose(P).persistent_groups
+        assert [states_of(P, g) for g in groups] == [[2]]
 
     def test_cycle_plus_transient(self):
         # A <-> B cycle fed by transient c
         P = chain_from_edges(3, [(0, 1), (1, 0), (2, 0)])
-        groups = find_persistent_groups(P, strongly_connected_components(P))
-        assert [list(g) for g in groups] == [[0, 1]]
+        groups = decompose(P).persistent_groups
+        assert [states_of(P, g) for g in groups] == [[0, 1]]
 
     def test_dead_end_state_is_not_an_attractor(self):
-        # an all-padding row has no edge out, yet never cycles back
+        # an all-padding row has no edge out, yet never cycles back: it is
+        # transient, reaching no attractor, where [0] is the only one
         P = chain_from_edges(3, [(0, 0), (1, 0), (2, 0)])
         targets, probs = P.targets.copy(), P.probs.copy()
         targets[2], probs[2] = -1, 0.0
         P = replace(P, targets=targets, probs=probs)
-        groups = find_persistent_groups(P, strongly_connected_components(P))
-        assert [list(g) for g in groups] == [[0]]
         with pytest.raises(RuntimeError, match="transient state 2"):
             decompose(P)
+        targets[2], probs[2, 0] = targets[1], 1.0  # restored, 2 feeds [0] like 1
+        groups = decompose(replace(P, targets=targets, probs=probs)).persistent_groups
+        assert [states_of(P, g) for g in groups] == [[0]]
 
     def test_double_gyre_two_attractors(self, gyre):
         dec = gyre["decomposition"]
@@ -296,19 +300,17 @@ class TestPersistentGroups:
 class TestTransientGroups:
     def test_chain_single_domicile(self):
         P = chain_from_edges(3, [(0, 1), (1, 2), (2, 2)])
-        groups = find_persistent_groups(P, strongly_connected_components(P))
-        trans = find_transient_groups(P, groups, np.array([0, 1]))
+        trans = decompose(P).transient_groups
         assert list(trans) == [(1,)]
-        assert list(trans[(1,)]) == [0, 1]
+        assert states_of(P, trans[(1,)]) == [0, 1]
 
     def test_cell_feeding_two_basins(self):
         # 0 and 1 absorbing; 2 feeds both; 3 feeds only 0
         P = chain_from_edges(4, [(0, 0), (1, 1), (2, 0), (2, 1), (3, 0)])
-        groups = find_persistent_groups(P, strongly_connected_components(P))
-        trans = find_transient_groups(P, groups, np.array([2, 3]))
+        trans = decompose(P).transient_groups
         assert set(trans) == {(1, 2), (1,)}
-        assert list(trans[(1, 2)]) == [2]
-        assert list(trans[(1,)]) == [3]
+        assert states_of(P, trans[(1, 2)]) == [2]
+        assert states_of(P, trans[(1,)]) == [3]
 
     def test_double_gyre_three_transient_groups(self, gyre):
         dec = gyre["decomposition"]

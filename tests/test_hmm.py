@@ -261,6 +261,26 @@ class TestViterbi:
         with pytest.raises(ValueError):
             HmmModel(P=P, Q=Q, pi=np.full(9, 0.2))
 
+    def test_with_prior_shares_chain_views(self, gyre):
+        w, P = gyre["workspace"], gyre["P"]
+        Q = emission_matrix(P)
+        base = HmmModel(P=P, Q=Q, pi=initial_distribution(w, int(w.free_cells[0]),
+                                                          "deterministic"))
+        rng = np.random.default_rng(8)
+        for x0 in rng.choice(w.free_cells, size=6, replace=False).tolist():
+            for mode in ("deterministic", "probabilistic"):
+                pi = initial_distribution(w, x0, mode)
+                model, fresh = base.with_prior(pi), HmmModel(P=P, Q=Q, pi=pi)
+                assert model.pi is pi and base.pi is not pi
+                for view in ("_logP", "_logQ", "_next", "_emits"):
+                    assert getattr(model, view) is getattr(base, view)
+                assert model._logpi.tobytes() == fresh._logpi.tobytes()
+                _, obs = sample_trajectory(P, pi, 30, rng)
+                assert viterbi(model, obs) == viterbi(fresh, obs)
+        for bad in (np.full(w.n_free + 1, 1.0 / (w.n_free + 1)), np.full(w.n_free, 0.5)):
+            with pytest.raises(ValueError, match="initial distribution"):
+                base.with_prior(bad)
+
 
 def decode_outcome(decoder, model, obs):
     """(path, log prob), or ("infeasible", step) if the decoder raises."""

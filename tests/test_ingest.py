@@ -50,9 +50,12 @@ class TestLoadField:
             "cells", "origin -118.2 33.4\ncell_size 0.02 0.01\n"
             "depth 10 m layer\ntime 2011-07-15 06:00\ncells"
         )
-        w, _ = load_field(write(tmp_path, text))
+        w, f = load_field(write(tmp_path, text))
         assert w.origin == (-118.2, 33.4)
         assert w.cell_size == (0.02, 0.01)
+        assert (f.depth, f.time) == ("10 m layer", "2011-07-15 06:00")
+        _, f = load_field(write(tmp_path, MINIMAL))
+        assert (f.depth, f.time) == ("", "")
 
     def test_nan_velocity_names_line(self, tmp_path):
         text = MINIMAL.replace("0 1 0 0.0 0.0", "0 1 0 nan 0.0")
@@ -158,6 +161,10 @@ class TestRoundTrip:
         assert (f2.u == f.u).all()
         assert (f2.v == f.v).all()
         assert w2.origin == w.origin and w2.cell_size == w.cell_size
+        assert (f2.depth, f2.time) == ("10 m", "forecast 3")
+        save_field(p, f2, time="forecast 4")  # an explicit label wins
+        _, f3 = load_field(p)
+        assert (f3.depth, f3.time) == ("10 m", "forecast 4")
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(
@@ -186,6 +193,14 @@ class TestRoundTrip:
         assert (w2.rows, w2.cols, w2.origin, w2.cell_size) == (rows, cols, origin, cell_size)
         assert w2.land_mask.tobytes() == land.tobytes()
         assert f2.u.tobytes() == f.u.tobytes() and f2.v.tobytes() == f.v.tobytes()
+        # a header line is stripped, so the labels come back stripped
+        assert (f2.depth, f2.time) == tuple(label.strip() for label in labels)
+        text = p.read_text()
+        save_field(p, f2)  # the field's own labels by default
+        _, f3 = load_field(p)
+        assert (f3.depth, f3.time) == (f2.depth, f2.time)
+        if labels == (f2.depth, f2.time):
+            assert p.read_text() == text
 
     @pytest.mark.parametrize("key", ["depth", "time"])
     @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
