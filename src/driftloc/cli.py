@@ -115,16 +115,15 @@ def cmd_experiment(args) -> int:
         raw = json.loads(cfg_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {cfg_path}: {exc}") from None
-    if "field" in raw and "path" in raw["field"]:
-        # Field paths are resolved relative to the config file.
-        raw["field"] = {
-            "path": str((cfg_path.parent / raw["field"]["path"]).resolve())
-        }
     cfg = ExperimentConfig.from_dict(raw)
     if args.seed is not None:
         cfg.base_seed = args.seed
 
-    result = run_experiment(cfg)
+    # A field path is relative to the config file; the report keeps it as given.
+    field = cfg.field
+    result = run_experiment(
+        cfg, load_field(cfg_path.parent / field["path"]) if "path" in field else None
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

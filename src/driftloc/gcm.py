@@ -240,8 +240,10 @@ class FlowDecomposition:
         labels += [_group_label(k) for k in self.transient_groups]
         groups = [*self.persistent_groups, *self.transient_groups.values()]
         region = np.empty(self.workspace.n_free, dtype=np.int64)  # groups partition it
-        for i, cells in enumerate(groups):
-            region[np.searchsorted(self.workspace.free_cells, cells)] = i
+        if groups:
+            cells = np.concatenate(groups)
+            ids = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+            region[np.searchsorted(self.workspace.free_cells, cells)] = ids
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "_region", region)

@@ -21,12 +21,15 @@ those characters.
 
 Parse cost: the body is read in blocks of 256 lines.  Each block is split
 into tokens, its columns are converted with ``int`` and ``float``, and every
-record check is an array operation over the block; a rejected file reports
-the first failing record and check, as a record-by-record reading would.
-The grid arrays are allocated only after the record count has matched
+record check is one array operation over the block; the records are then
+sorted by cell, which finds repeats and confirms that they fill the grid.
+This bulk parse only accepts or rejects.  A rejected file is read again by a
+record loop that reports the first failing record and check, so it costs
+the bulk parse up to the failing block plus the loop, which reads about
+17 MB/s.  The grid arrays are allocated only after the records have filled
 rows x cols, so no header can make the parser allocate more than the file
-holds.  The 578 KB file of a 100x130 grid loads in about 25 ms on a 2-vCPU
-x86 host, with a tracemalloc peak of 2.9 MiB (the file's lines take most of
+holds.  The 584 KB file of a 100x130 grid loads in about 40 ms on a 2-vCPU
+x86 host, with a tracemalloc peak of 2.5 MiB (the file's lines take most of
 it); float parsing is the largest share.
 
 Synthetic kinds stand in for externally produced current slices:
@@ -46,7 +49,9 @@ have exactly zero velocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -109,94 +114,70 @@ def _parse_floats(parts, count, lineno, what):
 _BLOCK_LINES = 256
 
 
-def _parse_column(tokens, parse, dtype):
-    """``parse`` applied to ``tokens``, up to the first token it rejects.
+class _Rejected(Exception):
+    """A cell record fails a check; the record loop finds which one."""
 
-    Returns the values as an array and their count, which is ``len(tokens)``
-    when every token parses.  Integers too large for int64 are kept as
-    objects, so that range checks compare the integers the file wrote.
+
+def _parse_block(tokens, rows, cols):
+    """The row, col, land, u and v arrays of one block of split cell records.
+
+    Raises _Rejected if any record fails a check that needs no other record.
     """
-    try:
-        return np.fromiter(map(parse, tokens), dtype, len(tokens)), len(tokens)
-    except (ValueError, OverflowError):
-        pass
-    values = []
-    for token in tokens:
-        try:
-            values.append(parse(token))
-        except ValueError:
-            break
-    try:
-        return np.array(values, dtype=dtype), len(values)
-    except OverflowError:
-        return np.array(values, dtype=object), len(values)
-
-
-def _check_block(numbered, rows, cols):
-    """Parse one block of cell records and run every per-record check.
-
-    ``numbered`` holds (line number, stripped line) pairs.  Each check runs
-    over the records before the first failure found so far, in the order a
-    record is checked in: token count, integer fields, cell range, land flag,
-    velocity fields, then (after the duplicate test, which needs every block)
-    land velocity and finiteness.  So ``failure``, ``(line, message)`` or
-    None, names the block's first failing record and that record's first
-    failing check.  ``records`` holds the line numbers and the row, col,
-    land, u and v arrays of the records before it, and of the failing record
-    too when it failed only a check made after the duplicate test.
-    """
-    linenos, lines = zip(*numbered)
-    tokens = [line.split() for line in lines]
+    if set(map(len, tokens)) != {5}:
+        raise _Rejected
     n = len(tokens)
-    failure = None
+    columns = list(zip(*tokens))
+    try:
+        r, c, land = (np.fromiter(map(int, col), np.int64, n) for col in columns[:3])
+        u, v = (np.fromiter(map(float, col), np.float64, n) for col in columns[3:])
+    except (ValueError, OverflowError):  # OverflowError: beyond int64
+        raise _Rejected from None
+    bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | ((land != 0) & (land != 1))
+    land = land == 1
+    bad |= land & ((u != 0.0) | (v != 0.0))
+    bad |= ~land & ~(np.isfinite(u) & np.isfinite(v))
+    if bad.any():
+        raise _Rejected
+    return r, c, land, u, v
 
-    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=n)
-    bad = np.flatnonzero(lengths != 5)
-    if bad.size:
-        n = int(bad[0])
-        failure = (linenos[n], "cell record needs 'row col land u v'")
-    columns = list(zip(*tokens[:n])) or [()] * 5
 
-    ints = [_parse_column(column, int, np.int64) for column in columns[:3]]
-    k = min(count for _, count in ints)
-    if k < n:
-        n, failure = k, (linenos[k], f"bad cell record {lines[k]!r}")
-    r, c, land = (values[:n] for values, _ in ints)
+def _raise_first_error(lines, body_start, rows, cols) -> NoReturn:
+    """Raise the FieldParseError of the first failing cell record.
 
-    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-    bad_flag = (land != 0) & (land != 1)
-    bad = np.flatnonzero(outside | bad_flag)
-    if bad.size:
-        n = int(bad[0])
-        if outside[n]:
-            failure = (linenos[n], f"cell ({int(r[n])}, {int(c[n])}) outside grid")
-        else:
-            failure = (linenos[n], f"land flag must be 0 or 1, got {int(land[n])}")
-
-    (u, ku), (v, kv) = (
-        _parse_column(column[:n], float, np.float64) for column in columns[3:]
-    )
-    k = min(ku, kv)
-    if k < n:
-        n, failure = k, (linenos[k], f"velocity: {tokens[k][3:]!r} is not numeric")
-    r, c, land, u, v = r[:n], c[:n], land[:n] == 1, u[:n], v[:n]
-
-    moving_land = land & ((u != 0.0) | (v != 0.0))
-    non_finite = ~land & ~(np.isfinite(u) & np.isfinite(v))
-    bad = np.flatnonzero(moving_land | non_finite)
-    if bad.size:
-        i = int(bad[0])
-        n = i + 1
-        if moving_land[i]:
-            failure = (linenos[i], "land cell must have u = v = 0")
-        else:
-            failure = (
-                linenos[i], f"non-finite velocity ({float(u[i])}, {float(v[i])}) "
-                f"on water cell ({int(r[i])}, {int(c[i])})"
+    Checks one record at a time, in the order the file gives them, so that
+    the error names the first failing record and its first failing check.
+    Runs only on files the bulk parse rejected.
+    """
+    seen = set()
+    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 5:
+            raise FieldParseError(lineno, "cell record needs 'row col land u v'")
+        try:
+            r, c, land = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise FieldParseError(lineno, f"bad cell record {stripped!r}") from None
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise FieldParseError(lineno, f"cell ({r}, {c}) outside grid")
+        if land not in (0, 1):
+            raise FieldParseError(lineno, f"land flag must be 0 or 1, got {land}")
+        u, v = _parse_floats(parts[3:], 2, lineno, "velocity")
+        if (r, c) in seen:
+            raise FieldParseError(lineno, f"duplicate record for cell ({r}, {c})")
+        if land:
+            if u != 0.0 or v != 0.0:
+                raise FieldParseError(lineno, "land cell must have u = v = 0")
+        elif not (math.isfinite(u) and math.isfinite(v)):
+            raise FieldParseError(
+                lineno, f"non-finite velocity ({u}, {v}) on water cell ({r}, {c})"
             )
-    records = (np.array(linenos[:n], dtype=np.int64), r[:n], c[:n], land[:n],
-               u[:n], v[:n])
-    return records, failure
+        seen.add((r, c))
+    raise FieldParseError(
+        len(lines), f"expected {rows * cols} cell records, found {len(seen)}"
+    )
 
 
 def _load_cells(lines, body_start, rows, cols):
@@ -205,40 +186,24 @@ def _load_cells(lines, body_start, rows, cols):
     Raises the FieldParseError of the first failing record, or the record
     count error; the grids are allocated only once the records fill them.
     """
-    blocks, failure = [], None
-    for lo in range(body_start, len(lines), _BLOCK_LINES):
-        numbered = [
-            (lineno, s) for lineno, s in
-            enumerate(map(str.strip, lines[lo:lo + _BLOCK_LINES]), start=lo + 1)
-            if s and s[0] != "#"
-        ]
-        if numbered:
-            block, failure = _check_block(numbered, rows, cols)
-            blocks.append(block)
-            if failure:
-                break
-    if not blocks:
-        raise FieldParseError(
-            len(lines), f"expected {rows * cols} cell records, found 0"
-        )
-    linenos, r, c, land, u, v = (np.concatenate(column) for column in zip(*blocks))
-
-    # A stable sort by (row, col) puts each repeated cell right after its
-    # first record, so the earliest repeat is the first duplicate.
-    order = np.lexsort((c, r))
-    r_sorted, c_sorted = r[order], c[order]
-    repeats = order[1:][(r_sorted[1:] == r_sorted[:-1]) & (c_sorted[1:] == c_sorted[:-1])]
-    if repeats.size:
-        i = repeats.min()
-        raise FieldParseError(
-            int(linenos[i]), f"duplicate record for cell ({int(r[i])}, {int(c[i])})"
-        )
-    if failure:
-        raise FieldParseError(*failure)
-    if len(order) != rows * cols:
-        raise FieldParseError(
-            len(lines), f"expected {rows * cols} cell records, found {len(order)}"
-        )
+    try:
+        blocks = []
+        for lo in range(body_start, len(lines), _BLOCK_LINES):
+            # A line splits to no tokens iff it is blank, and its first token
+            # starts with "#" iff it is a comment.
+            tokens = [t for t in map(str.split, lines[lo:lo + _BLOCK_LINES])
+                      if t and t[0][0] != "#"]
+            if tokens:
+                blocks.append(_parse_block(tokens, rows, cols))
+        if not blocks:
+            raise _Rejected
+        r, c, land, u, v = (np.concatenate(column) for column in zip(*blocks))
+        order = np.lexsort((c, r))
+        r, c = r[order], c[order]
+        if len(order) != rows * cols or ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
+            raise _Rejected
+    except _Rejected:
+        _raise_first_error(lines, body_start, rows, cols)
     # rows * cols distinct cells in range: the sorted records are the grid in
     # row-major order.
     shape = (rows, cols)

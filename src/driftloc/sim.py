@@ -37,6 +37,15 @@ from .ingest import resolve_field
 MODES = ("deterministic", "probabilistic")
 
 
+def _is_a(x, *types) -> bool:
+    """``isinstance(x, types)``, except that a bool is no int."""
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
+def _is_list(x, *types) -> bool:
+    return isinstance(x, (list, tuple)) and all(_is_a(v, *types) for v in x)
+
+
 def sample_trajectory(
     P: StochasticCellMap,
     pi: np.ndarray,
@@ -125,10 +134,26 @@ class ExperimentConfig:
     obs_noise: float = 0.0
 
     def validate(self) -> None:
-        if not isinstance(self.field, dict) or not (
-            "path" in self.field or "synthetic" in self.field
+        field = self.field if isinstance(self.field, dict) else {}
+        for key, ok, what in (
+            ("field", _is_a(field.get("path"), str)
+             or isinstance(field.get("synthetic"), dict),
+             "{'path': <file>} or {'synthetic': {...}}"),
+            ("r", _is_a(self.r, int, float), "a number"),
+            ("dt", self.dt is None or _is_a(self.dt, int, float), "a number or null"),
+            ("modes", _is_list(self.modes, str), "a list of mode names"),
+            ("T_list", _is_list(self.T_list, int), "a list of integers"),
+            ("runs", _is_a(self.runs, int), "an integer"),
+            ("base_seed", _is_a(self.base_seed, int), "an integer"),
+            ("initial", _is_a(self.initial, int) or self.initial == "random",
+             "a cell index or 'random'"),
+            ("group_by_region", isinstance(self.group_by_region, bool), "true or false"),
+            ("regions", self.regions is None or _is_list(self.regions, str),
+             "a list of region labels"),
+            ("obs_noise", _is_a(self.obs_noise, int, float), "a number"),
         ):
-            raise ConfigError("field must provide 'path' or 'synthetic'")
+            if not ok:
+                raise ConfigError(f"{key} must be {what}, got {getattr(self, key)!r}")
         if not 0.0 < self.r <= 1.0:
             raise ConfigError(f"r must be in (0, 1], got {self.r}")
         if self.dt is not None and self.dt <= 0:
@@ -142,8 +167,6 @@ class ExperimentConfig:
             raise ConfigError("T_list must contain positive lengths")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if isinstance(self.initial, str) and self.initial != "random":
-            raise ConfigError("initial must be a cell index or 'random'")
         if not 0.0 <= self.obs_noise < 1.0:
             raise ConfigError("obs_noise must be in [0, 1)")
         if self.regions is not None and not self.group_by_region:
@@ -155,12 +178,14 @@ class ExperimentConfig:
             "field", "r", "dt", "modes", "T_list", "runs", "base_seed",
             "initial", "group_by_region", "regions", "obs_noise",
         }
+        if not isinstance(d, dict) or "field" not in d:
+            raise ConfigError("config must be a JSON object with a 'field' key")
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
         for key in ("modes", "T_list", "regions"):
-            if key in kwargs and kwargs[key] is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         cfg = cls(**kwargs)
         cfg.validate()
@@ -229,7 +254,8 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
     """Execute every (T, mode[, region]) condition of a config.
 
     ``field_pair`` may pass a prebuilt (Workspace, VectorField) to skip the
-    field source in the config (the CLI resolves paths before calling).
+    field source in the config (the CLI loads a field path relative to the
+    config file and passes the result).
     """
     cfg.validate()
     if field_pair is None:
@@ -246,9 +272,10 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
 
     if cfg.group_by_region:
         regions = list(cfg.regions) if cfg.regions is not None else dec.region_labels()
+        labels = dec.region_labels()
         for label in regions:
-            if len(dec.region_cells(label)) == 0:
-                raise ConfigError(f"region {label} is empty")
+            if label not in labels:
+                raise ConfigError(f"regions: this field has no region {label!r}")
     else:
         regions = [None]
 

@@ -240,6 +240,43 @@ class TestCellIndexOutOfRange:
         ))
 
 
+class TestBadConfigValues:
+    @pytest.mark.parametrize("change, needle", [
+        ({"runs": "x"}, "runs must be an integer"),
+        ({"r": "0.9"}, "r must be a number"),
+        ({"T_list": 5}, "T_list must be a list of integers"),
+        ({"field": {"path": 5}}, "field must be {'path': <file>}"),
+        ({"modes": "deterministic"}, "modes must be a list of mode names"),
+        ({"initial": 1.5}, "initial must be a cell index"),
+        ({"initial": True}, "initial must be a cell index"),
+        ({"group_by_region": True, "regions": ["B_9"]}, "no region 'B_9'"),
+    ])
+    def test_wrongly_typed_value(self, tmp_path, change, needle):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "field": {"path": str(FIXTURE_FIELD)}, "T_list": [5], "runs": 1, **change,
+        }))
+        proc = run_cli_process(
+            "experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert needle in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc", [[], {"runs": 2}])
+    def test_config_without_field_object(self, tmp_path, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli_process(
+            "experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: config must be a JSON object")
+        assert "Traceback" not in proc.stderr
+
+
 class TestLogLevel:
     # A fresh process: under pytest the root logger already has handlers, so
     # logging.basicConfig would not apply the level in-process.

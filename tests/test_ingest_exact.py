@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import ingest_reference as ref
 from conftest import FIXTURE_FIELD, random_field
-from driftloc import FieldParseError, load_field, save_field
+from driftloc import FieldParseError, ingest, load_field, save_field
 from driftloc.ingest import _BLOCK_LINES
 from test_decompose_exact import gyre_with_land
 
@@ -157,6 +157,19 @@ class TestValidFiles:
         p = tmp_path / "r.field"
         save_field(p, f)
         assert assert_same(p)[0] == "ok"
+
+
+class TestValidFilesStayOnTheBulkPath(TestValidFiles):
+    """The same valid files, with the record loop made to fail the test: the
+    bulk parse alone accepts every valid file, and the loop runs only to
+    report why a file was rejected."""
+
+    @pytest.fixture(autouse=True)
+    def no_record_loop(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("a valid file fell to the record loop")
+
+        monkeypatch.setattr(ingest, "_raise_first_error", fail)
 
 
 class TestFirstError:
