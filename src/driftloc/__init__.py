@@ -46,6 +46,7 @@ from .hmm import (
     emission_matrix,
     initial_distribution,
     viterbi,
+    viterbi_runs,
 )
 from .ingest import (
     SyntheticFieldSpec,
@@ -60,6 +61,7 @@ from .sim import (
     ExperimentResult,
     error_report,
     run_experiment,
+    sample_runs,
     sample_trajectory,
 )
 

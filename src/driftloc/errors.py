@@ -21,11 +21,14 @@ class ZeroProbabilityError(DriftlocError, ValueError):
     """The observation history has probability zero under the model.
 
     ``step`` is the 1-based index of the first observation that cannot be
-    emitted from any state still reachable at that point.
+    emitted from any state still reachable at that point.  ``run`` is the
+    index of the infeasible history among those decoded together (0 for one
+    history); ``run_experiment`` sets it to the run's index in its condition.
     """
 
-    def __init__(self, step, message=None):
+    def __init__(self, step, message=None, run=0):
         self.step = step
+        self.run = run
         super().__init__(message or f"observation history infeasible at step {step}")
 
 

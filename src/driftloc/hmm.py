@@ -16,6 +16,18 @@ nine slots, only those of D_t: the states reachable after t observations that
 can emit the next one.  A decode costs O(sum_t |D_t| * 9) time and
 O(sum_t |D_t|) memory, besides an O(n) mask pass per step; no n x n or
 (T + 1) x n array is ever built.
+
+``viterbi_runs`` decodes a group of R histories of one length T against one
+chain in lockstep, so each step's array calls serve every run.  Run r keeps
+its states in block r of R blocks of n + 1 indices, slot n being its sink.
+A group does the arithmetic of R single decodes, O(sum_t |D_t| * 9) over the
+runs' summed feasible sets, in about 20 array calls per step instead of 20 R,
+plus O(R n) per step for the mask and the emission rows.  It keeps 5 bytes
+per state of the summed sets (an int32 index and a uint8 slot) plus O(R n)
+for the mask, scores and priors; the chain tables are shared, not repeated
+per run.  They are read in take's "wrap" mode, which reduces an index by
+repeated subtraction: negligible on chains of hundreds of states, but on a
+chain of a few states with hundreds of runs in a group it dominates a step.
 """
 
 from __future__ import annotations
@@ -60,6 +72,13 @@ def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
     return pi
 
 
+def _check_prior(pi: np.ndarray, n: int) -> None:
+    if pi.shape != (n,):
+        raise ValueError(f"initial distribution shape {pi.shape} != ({n},)")
+    if abs(pi.sum() - 1.0) > 1e-12:
+        raise ValueError("initial distribution does not sum to 1")
+
+
 @dataclass(frozen=True, eq=False)
 class HmmModel:
     """lambda = (P, Q, pi) over the free cells and the 9-symbol alphabet."""
@@ -73,23 +92,27 @@ class HmmModel:
         if self.Q.shape != (n, N_DIRECTIONS):
             raise ValueError(f"emission matrix shape {self.Q.shape} != ({n}, 9)")
         self._set_prior(self.pi)
-        # Log-space views, shared by every decode against this model and by
-        # the models with_prior derives from it; _logP has P's slots, those
-        # off A(z) holding log 0 = -inf.
+        # Decoder tables padded with a sink, state n: the target of every slot
+        # off A(z), reaching only itself, scoring log 0 and emitting nothing.
+        # They are shared by every decode against this model and by the
+        # models with_prior derives from it; _logP (P's slots, log 0 = -inf
+        # off A(z)) and _logQ are views of their first n states.
+        logP_pad = np.full((n + 1, self.P.probs.shape[1]), -np.inf)
+        logQT = np.full((N_DIRECTIONS, n + 1), -np.inf)
         with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_logP", np.log(self.P.probs))
-            object.__setattr__(self, "_logQ", np.log(self.Q))
-        # Decoder views: targets, -1 where _logP is -inf; emitters per symbol.
-        live = np.isfinite(self._logP)
-        object.__setattr__(self, "_next", np.where(live, self.P.targets, -1))
-        object.__setattr__(self, "_emits", np.ascontiguousarray((self.Q > 0.0).T))
+            np.log(self.P.probs, out=logP_pad[:n])
+            logQT[:, :n] = np.log(self.Q).T
+        nxt = np.full(logP_pad.shape, n)
+        np.copyto(nxt[:n], self.P.targets, where=np.isfinite(logP_pad[:n]))
+        object.__setattr__(self, "_logP_pad", logP_pad)
+        object.__setattr__(self, "_logQT", logQT)  # (9, n + 1): log Q by symbol
+        object.__setattr__(self, "_next", nxt)
+        object.__setattr__(self, "_emits", logQT > -np.inf)
+        object.__setattr__(self, "_logP", logP_pad[:n])
+        object.__setattr__(self, "_logQ", logQT[:, :n].T)
 
     def _set_prior(self, pi: np.ndarray) -> None:
-        n = self.P.n_states
-        if pi.shape != (n,):
-            raise ValueError(f"initial distribution shape {pi.shape} != ({n},)")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("initial distribution does not sum to 1")
+        _check_prior(pi, self.P.n_states)
         object.__setattr__(self, "pi", pi)
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "_logpi", np.log(pi))
@@ -116,51 +139,124 @@ def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
     cell indices.  Raises ZeroProbabilityError (carrying the 1-based step) if
     no state sequence is consistent with the observations.
     """
-    obs = np.asarray([int(Direction(y)) for y in observations], dtype=np.int64)
-    T = len(obs)
+    return viterbi_runs(model, [model.pi], [observations])[0]
+
+
+def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], float]]:
+    """Decode a group of runs on one chain: history r under initial distribution r.
+
+    Every history must have the same length T >= 1; ``model.pi`` is not read.
+    Returns one (trajectory, log probability) per run, each equal to what
+    ``viterbi`` gives for that run alone.  If some history is infeasible,
+    raises the ZeroProbabilityError of the first such run, whose ``run`` is
+    that run's index in the group.
+    """
+    rows = [[int(Direction(y)) for y in h] for h in histories]
+    if len(rows) != len(priors):
+        raise ValueError(f"{len(rows)} histories but {len(priors)} priors")
+    T = len(rows[0]) if rows else 0
     if T < 1:
         raise ValueError("observation history must contain at least one symbol")
+    if any(len(h) != T for h in rows):
+        raise ValueError("the histories of a group must have the same length")
+    obs = np.array(rows, dtype=np.int64)  # (R, T)
 
-    logP, logQ, logpi = model._logP, model._logQ, model._logpi
-    targets, n = model.P.targets, model.P.n_states
+    n = model.P.n_states
+    for pi in priors:
+        _check_prior(pi, n)
+    # Run r's state s is index r * N + s; the blocks of N = n + 1 keep each
+    # run's part of a sorted index set contiguous and in run order.  The
+    # chain tables are read in take's "wrap" mode (index mod N), and a
+    # state's targets are its index plus its hops (targets relative to the
+    # state), so no table is repeated per run.  A group keeps its feasible
+    # sets, the bulk of its memory, as int32.  One run reads the tables in
+    # place: its step makes the array calls of a one-run decode, with no
+    # gather, add or cast.  rows_at(table, t) is the row of a (9, N) table
+    # for each run's symbol at step t, run after run.
+    R, N = len(rows), n + 1
+    pis = np.array(priors, dtype=float)
+    logpi = np.full((R, N), -np.inf)
+    with np.errstate(divide="ignore"):
+        logpi[:, :n] = np.log(pis)
+    if R == 1:
+        index = np.intp
+
+        def rows_at(table, t):
+            return table[obs[0, t]]
+
+        def targets(here):
+            return model._next.take(here, axis=0)
+    else:
+        index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
+        hop = model._next - np.arange(N)[:, None]
+
+        def rows_at(table, t):
+            return table[obs[:, t]].ravel()
+
+        def targets(here):
+            nx = hop.take(here, axis=0, mode="wrap")
+            nx += here[:, None]
+            return nx
+    base = np.arange(0, R * N, N, dtype=index)
 
     # Forward sweep: departing[t] is D_t, the states reachable after t
-    # observations that can emit y_{t+1}, ascending; dead slots mark reached[n].
-    reached = np.append(model.pi > 0.0, False)
+    # observations that can emit y_{t+1}, ascending; dead slots mark a sink.
+    reached = np.zeros((R, N), dtype=bool)
+    reached[:, :n] = pis > 0.0
+    reached = reached.ravel()
     departing = []
-    for t, y in enumerate(obs):
-        here = (reached[:n] & model._emits[y]).nonzero()[0]
+    for t in range(T):
+        here = (reached & rows_at(model._emits, t)).nonzero()[0]
+        departing.append(here.astype(index, copy=False))
         if not len(here):
-            raise ZeroProbabilityError(t + 1)
-        departing.append(here)
+            break
         reached[:] = False
-        reached[model._next.take(here, axis=0)] = True
+        reached[targets(here)] = True
+    # A run whose D_t is empty has empty sets after it, so the runs absent
+    # from the last set are the infeasible ones.
+    alive = np.zeros(R, dtype=bool)
+    alive[departing[-1] // N] = True
+    if not alive.all():
+        r = int(np.argmin(alive))
+        step = next(t for t, d in enumerate(departing, 1) if not (d // N == r).any())
+        raise ZeroProbabilityError(step, run=r)
 
     # Backward pass: best[s] = best log score of observations t+1..T from s
     # after t of them; 0 at t = T, then kept on D_t only (-inf elsewhere).  A
     # live target of D_{t-1} is reachable after t, so off D_t it scores -inf
-    # over all n states too.  Decoding forward off these suffix scores over
+    # over all states too.  Decoding forward off these suffix scores over
     # slots in ascending target order makes np.argmax's first-maximum rule
     # yield the lexicographically smallest optimal trajectory; a forward
     # trellis with backpointers would break ties in reverse order instead.
-    best = np.zeros(n)
+    best = np.zeros(R * N)
     slots = [None] * T  # the winning slot of each state of D_t
     for t in range(T - 1, -1, -1):
-        here = departing[t]
-        cont = logP.take(here, axis=0) + best.take(targets.take(here, axis=0))
-        slots[t] = cont.argmax(axis=1).astype(np.uint8)
-        best = np.full(n, -np.inf)
-        best[here] = logQ[here, obs[t]] + cont.max(axis=1)
+        here = departing[t].astype(np.intp, copy=False)
+        cont = best.take(targets(here))
+        cont += model._logP_pad.take(here, axis=0, mode="wrap")
+        k = cont.argmax(axis=1)
+        slots[t] = k.astype(np.uint8)
+        # Each row's maximum, read at its argmax: a reduction over rows of
+        # nine is several times slower than argmax plus this gather.
+        k += np.arange(0, cont.size, cont.shape[1])
+        best = np.full(R * N, -np.inf)
+        best[here] = rows_at(model._logQT, t).take(here) + cont.ravel().take(k)
 
-    start_scores = logpi[here] + best[here]
-    total = float(start_scores.max())
-    if not np.isfinite(total):
-        raise ZeroProbabilityError(1)
+    # Per run: the best start score over its block of D_0, and the first
+    # state that attains it.
+    start_scores = logpi.ravel().take(here) + best.take(here)
+    first = here.searchsorted(base)
+    totals = np.maximum.reduceat(start_scores, first)
+    finite = np.isfinite(totals)
+    if not finite.all():
+        raise ZeroProbabilityError(1, run=int(np.argmin(finite)))
+    top = np.flatnonzero(start_scores == totals.repeat(np.diff(first, append=len(here))))
 
-    path = [int(here[np.argmax(start_scores)])]
+    path = np.empty((R, T + 1), dtype=index)  # states, run by run
+    path[:, 0] = here[top[top.searchsorted(first)]] - base
     for t in range(T):
-        k = slots[t][departing[t].searchsorted(path[-1])]
-        path.append(int(targets[path[-1], k]))
+        k = slots[t][departing[t].searchsorted(path[:, t] + base)]
+        path[:, t + 1] = model._next[path[:, t], k]
 
-    cells = [int(model.workspace.free_cells[s]) for s in path]
-    return cells, total
+    cells = model.workspace.free_cells[path]
+    return [(c.tolist(), float(total)) for c, total in zip(cells, totals)]

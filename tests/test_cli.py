@@ -250,6 +250,16 @@ class TestBadConfigValues:
         ({"initial": 1.5}, "initial must be a cell index"),
         ({"initial": True}, "initial must be a cell index"),
         ({"group_by_region": True, "regions": ["B_9"]}, "no region 'B_9'"),
+        ({"field": {"synthetic": {"kind": "uniform"}}},
+         "field.synthetic.rows must be an integer, got None"),
+        ({"field": {"synthetic": {"kind": "uniform", "rows": 6, "cols": 6, "speed": 1}}},
+         "unknown field.synthetic keys: ['speed']"),
+        ({"field": {"synthetic": {"kind": "uniform", "rows": "6", "cols": 6}}},
+         "field.synthetic.rows must be an integer, got '6'"),
+        ({"field": {"synthetic": {"kind": "uniform", "rows": 6, "cols": 6, "u": "1"}}},
+         "field.synthetic.u must be a number, got '1'"),
+        ({"field": {"synthetic": {"kind": "gyre", "rows": 6, "cols": 6}}},
+         "field.synthetic.kind must be one of"),
     ])
     def test_wrongly_typed_value(self, tmp_path, change, needle):
         cfg = tmp_path / "bad.json"
@@ -275,6 +285,40 @@ class TestBadConfigValues:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: config must be a JSON object")
         assert "Traceback" not in proc.stderr
+
+
+class TestInfeasibleRun:
+    def test_message_names_the_run(self, tmp_path):
+        # Compass noise flips headings the paper model cannot emit; with
+        # these seeds run 2 of the first condition is the first infeasible.
+        cfg = tmp_path / "noisy.json"
+        cfg.write_text(json.dumps({
+            "field": {"path": str(FIXTURE_FIELD)}, "T_list": [20], "runs": 20,
+            "obs_noise": 0.2,
+        }))
+        proc = run_cli_process(
+            "experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: condition 0 (T=20, mode deterministic, region B(1,2)), run 2: "
+            "observation history infeasible at step 2\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_driftloc_classify_matches_golden(self, tmp_path):
+        out = tmp_path / "dec.json"
+        path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftloc", "classify", "--field", str(FIXTURE_FIELD),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN_DIR / "classify_fixture.json").read_bytes()
 
 
 class TestLogLevel:

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from driftloc import (
     ExperimentConfig,
     build_cell_map,
     build_stochastic_map,
+    ZeroProbabilityError,
     error_report,
     initial_distribution,
+    load_field,
     run_experiment,
+    sample_runs,
     sample_trajectory,
 )
-from conftest import make_field, random_field
+from conftest import CONFIG_DIR, make_field, random_field
 
 
 def chain_for(field_pair, r, dt=None):
@@ -224,3 +229,72 @@ class TestRunExperiment:
         cfg.field = {"path": "nonexistent.field"}
         with pytest.raises(Exception):
             run_experiment(cfg)
+
+
+class TestSampleRuns:
+    """A lockstep group samples what each of its runs samples alone."""
+
+    @staticmethod
+    def assert_matches_single_runs(P, pis, T, seeds, obs_noise):
+        cells, obs = sample_runs(
+            P, pis, T, [np.random.default_rng(s) for s in seeds], obs_noise
+        )
+        assert cells.shape == (len(pis), T + 1) and obs.shape == (len(pis), T)
+        for r, (pi, seed) in enumerate(zip(pis, seeds)):
+            single = sample_trajectory(P, pi, T, seed, obs_noise=obs_noise)
+            assert (cells[r].tolist(), obs[r].tolist()) == single, r
+
+    @pytest.mark.parametrize("obs_noise", [0.0, 0.2])
+    def test_fixture_groups(self, gyre, obs_noise):
+        w, P = gyre["workspace"], gyre["P"]
+        for R, T in ((1, 1), (2, 7), (13, 40), (20, 100)):
+            seeds = [np.random.SeedSequence((R, T, i)) for i in range(R)]
+            pis = [
+                initial_distribution(w, int(w.free_cells[(97 * i) % w.n_free]),
+                                     ("deterministic", "probabilistic")[i % 2])
+                for i in range(R)
+            ]
+            self.assert_matches_single_runs(P, pis, T, seeds, obs_noise)
+
+    @pytest.mark.parametrize("obs_noise", [0.0, 0.2])
+    def test_random_fields_with_land(self, obs_noise):
+        rng = np.random.default_rng(62)
+        for trial in range(20):
+            w, f = random_field(rng, 5, 6, land_prob=0.25, vmax=2.0)
+            w, P = chain_for((w, f), float(rng.choice([0.6, 0.9, 1.0])))
+            R = int(rng.integers(1, 9))
+            pis = [initial_distribution(w, int(rng.choice(w.free_cells)), "probabilistic")
+                   for _ in range(R)]
+            seeds = [int(s) for s in rng.integers(2**32, size=R)]
+            self.assert_matches_single_runs(P, pis, int(rng.integers(1, 41)), seeds, obs_noise)
+
+
+class TestLockstepExperiment:
+    def test_infeasible_run_keeps_its_step(self):
+        cfg = ExperimentConfig.from_dict({
+            "field": {"path": str(CONFIG_DIR.parent / "fixtures" / "double_gyre_21x29.field")},
+            "T_list": [20], "runs": 20, "obs_noise": 0.2,
+        })
+        with pytest.raises(ZeroProbabilityError) as exc:
+            run_experiment(cfg)
+        assert (exc.value.step, exc.value.run) == (2, 2)
+        assert str(exc.value) == (
+            "condition 0 (T=20, mode deterministic, region B(1,2)), run 2: "
+            "observation history infeasible at step 2"
+        )
+
+    def test_fig5_longest_condition_memory(self):
+        # The fig5 protocol at T = 100: 50 runs, decoded 13 at a time.  One
+        # group of all 50 peaks near 8 MiB; groups of 13 stay near 3.5 MiB.
+        raw = json.loads((CONFIG_DIR / "fig5.json").read_text())
+        raw["T_list"] = [100]
+        cfg = ExperimentConfig.from_dict(raw)
+        field_pair = load_field(CONFIG_DIR / raw["field"]["path"])
+        tracemalloc.start()
+        try:
+            res = run_experiment(cfg, field_pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.runs) == 50
+        assert peak < 5 * 2**20, f"run_experiment peaked at {peak / 2**20:.1f} MiB"

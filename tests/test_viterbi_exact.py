@@ -4,12 +4,14 @@
 case here compares its path, log probability and ``ZeroProbabilityError.step``
 with ``==`` against two frozen oracles: ``viterbi_reference`` (the decoder
 that scored all n states at every step) and ``dense_reference`` (the dense
-n x n decoder before it).
+n x n decoder before it).  ``viterbi_runs`` decodes a group of histories in
+lockstep and must give each run what the oracle gives it alone.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from driftloc import (
     sample_trajectory,
     synthesize_field,
     viterbi,
+    viterbi_runs,
 )
 from conftest import random_field
 from dense_reference import dense_viterbi
@@ -128,3 +131,96 @@ class TestMemory:
             tracemalloc.stop()
         assert len(cells) == 401
         assert peak < 32 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
+
+
+def assert_group_matches_oracle(models, histories):
+    """viterbi_runs on the group equals reference_viterbi run by run; an
+    infeasible group raises at its first infeasible run's step."""
+    want = [outcome(reference_viterbi, m, h) for m, h in zip(models, histories)]
+    try:
+        got = viterbi_runs(models[0], [m.pi for m in models], histories)
+    except ZeroProbabilityError as exc:
+        first = next(i for i, w in enumerate(want) if w[0] == "infeasible")
+        assert (exc.run, exc.step) == (first, want[first][1])
+        return "infeasible"
+    assert got == want
+    return "feasible"
+
+
+class TestLockstepGroups:
+    def test_fixture_groups(self, gyre):
+        # Sampled histories are feasible, so every run of these groups is
+        # decoded and compared; group sizes span one run to a full group.
+        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
+        rng = np.random.default_rng(90)
+        for R in (1, 2, 5, 13):
+            for T in (1, 20, 50):
+                models, histories = [], []
+                for i in range(R):
+                    x0 = int(w.free_cells[rng.integers(w.n_free)])
+                    mode = ("deterministic", "probabilistic")[i % 2]
+                    models.append(HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode)))
+                    histories.append(history("sampled", models[-1], T, rng))
+                assert assert_group_matches_oracle(models, histories) == "feasible"
+
+    def test_first_infeasible_run_wins(self, gyre):
+        # A group whose run 1 dies before its run 0 does: the error is run 0's.
+        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
+        rng = np.random.default_rng(91)
+        late = early = None
+        while late is None or early is None:
+            x0 = int(w.free_cells[rng.integers(w.n_free)])
+            model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, "deterministic"))
+            obs = history("noisy", model, 30, rng)
+            got = outcome(reference_viterbi, model, obs)
+            if got[0] == "infeasible" and got[1] > 10:
+                late = late or (model, obs)
+            elif got[0] == "infeasible" and got[1] < 5:
+                early = early or (model, obs)
+        (m0, h0), (m1, h1) = late, early
+        sampled = HmmModel(P=P, Q=Q, pi=m0.pi)
+        h2 = history("sampled", sampled, 30, rng)
+        assert assert_group_matches_oracle([sampled, m0, m1], [h2, h0, h1]) == "infeasible"
+        with pytest.raises(ZeroProbabilityError) as exc:
+            viterbi_runs(m0, [m0.pi, m1.pi], [h0, h1])
+        assert exc.value.run == 0 and exc.value.step > 10
+
+    def test_group_rejects_mismatched_inputs(self, gyre):
+        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
+        model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
+        with pytest.raises(ValueError, match="same length"):
+            viterbi_runs(model, [model.pi, model.pi], [[0, 1], [0]])
+        with pytest.raises(ValueError, match="priors"):
+            viterbi_runs(model, [model.pi], [[0], [1]])
+        with pytest.raises(ValueError, match="at least one symbol"):
+            viterbi_runs(model, [], [])
+        with pytest.raises(ValueError, match="initial distribution"):
+            viterbi_runs(model, [np.full(w.n_free, 0.5)], [[0]])
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(3, 8),
+        cols=st.integers(3, 8),
+        land_prob=st.sampled_from([0.0, 0.15, 0.3]),
+        r=st.sampled_from([0.5, 0.8, 0.95, 1.0]),
+        T=st.integers(1, 40),
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from(["deterministic", "probabilistic"]),
+                st.sampled_from(("sampled", "sampled", "noisy", "random")),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_random_fields_with_land(self, seed, rows, cols, land_prob, r, T, runs):
+        rng = np.random.default_rng(seed)
+        w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
+        P = build_stochastic_map(build_cell_map(f), r)
+        Q = emission_matrix(P)
+        models, histories = [], []
+        for mode, kind in runs:
+            x0 = int(rng.choice(w.free_cells))
+            models.append(HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode)))
+            histories.append(history(kind, models[-1], T, rng))
+        assert_group_matches_oracle(models, histories)
