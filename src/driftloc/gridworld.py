@@ -9,7 +9,6 @@ degrees or meters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -79,9 +78,36 @@ def parse_directions(text: str) -> list[Direction]:
     return out
 
 
+def direction_array(histories) -> np.ndarray:
+    """R equal-length observation histories as an (R, T) array of direction
+    indices.
+
+    Integer input is checked by one range test; other input symbol by symbol.
+    An invalid symbol raises the ValueError that ``Direction(y)`` raises for
+    the first one, history by history.
+    """
+    obs = np.asarray(histories)
+    if obs.dtype.kind not in "iu" and obs.size:
+        obs = np.array([[Direction(y) for y in h] for h in histories])
+    obs = obs.astype(np.int64, copy=False)
+    if obs.size and (obs.min() < 0 or obs.max() >= N_DIRECTIONS):
+        r, t = divmod(int(np.argmax((obs < 0) | (obs >= N_DIRECTIONS))), obs.shape[1])
+        Direction(histories[r][t])  # raises the enum's ValueError
+    return obs
+
+
+_SYMBOLS = tuple(d.symbol for d in Direction)
+
+
+def format_histories(histories) -> list[str]:
+    """Serialize R observation histories, each as one space-separated line."""
+    rows = direction_array(histories).tolist()
+    return [" ".join(map(_SYMBOLS.__getitem__, h)) for h in rows]
+
+
 def format_directions(directions) -> str:
     """Serialize an observation history as a single space-separated line."""
-    return " ".join(Direction(d).symbol for d in directions)
+    return format_histories([directions])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +234,24 @@ def direction_between(w: Workspace, z: int, z2: int) -> Direction:
     return d
 
 
+def cell_distances(w: Workspace, z, z2) -> np.ndarray:
+    """Euclidean distances between the centers of equal-shape arrays of cells.
+
+    Raises CellIndexError for the first cell out of range, taking z[i] before
+    z2[i] and the pairs in row-major order.
+    """
+    cells = np.stack([np.asarray(z, dtype=np.int64), np.asarray(z2, dtype=np.int64)], axis=-1)
+    flat = cells.ravel()
+    if flat.size and (flat.min() < 1 or flat.max() > w.n_cells):
+        w._check(flat[np.argmax((flat < 1) | (flat > w.n_cells))])  # raises
+    rows, cols = np.divmod(cells - 1, w.cols)
+    dr = rows[..., 1] - rows[..., 0]
+    dc = cols[..., 1] - cols[..., 0]
+    # The root of the exact integer dr^2 + dc^2 is correctly rounded: it
+    # equals math.hypot on every offset up to 400, where np.hypot does not.
+    return np.sqrt(dr * dr + dc * dc)
+
+
 def cell_distance(w: Workspace, z: int, z2: int) -> float:
     """Euclidean distance between cell centers, in cell units."""
-    r1, c1 = w.rowcol(z)
-    r2, c2 = w.rowcol(z2)
-    return math.hypot(r2 - r1, c2 - c1)
+    return float(cell_distances(w, z, z2))

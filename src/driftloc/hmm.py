@@ -11,23 +11,26 @@ observations has T + 1 states and maximizes
     pi[x_0] * prod_t Q[x_{t-1}][y_t] * P[x_{t-1}][x_t]
 
 over all state sequences, with ties broken toward the lexicographically
-smallest sequence.  All scoring happens in log space on the chain's rows of
-nine slots, only those of D_t: the states reachable after t observations that
-can emit the next one.  A decode costs O(sum_t |D_t| * 9) time and
-O(sum_t |D_t|) memory, besides an O(n) mask pass per step; no n x n or
-(T + 1) x n array is ever built.
+smallest sequence.  All scoring happens in log space on the chain's rows,
+only those of D_t: the states reachable after t observations that can emit
+the next one.  The decoder tables keep each row's live slots in W columns,
+W the most live slots of any row: 6 on the fixture and on the 42 x 58 gyre,
+1 at r = 1, and at most 9 (with a shorter Euler step, or beside land).  A
+decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory, 5 bytes a
+state (an int32 index and a uint8 slot), besides an O(n) mask pass per step;
+no n x n or (T + 1) x n array is ever built.
 
 ``viterbi_runs`` decodes a group of R histories of one length T against one
 chain in lockstep, so each step's array calls serve every run.  Run r keeps
 its states in block r of R blocks of n + 1 indices, slot n being its sink.
-A group does the arithmetic of R single decodes, O(sum_t |D_t| * 9) over the
+A group does the arithmetic of R single decodes, O(sum_t |D_t| * W) over the
 runs' summed feasible sets, in about 20 array calls per step instead of 20 R,
 plus O(R n) per step for the mask and the emission rows.  It keeps 5 bytes
-per state of the summed sets (an int32 index and a uint8 slot) plus O(R n)
-for the mask, scores and priors; the chain tables are shared, not repeated
-per run.  They are read in take's "wrap" mode, which reduces an index by
-repeated subtraction: negligible on chains of hundreds of states, but on a
-chain of a few states with hundreds of runs in a group it dominates a step.
+per state of the summed sets plus O(R n) for the mask, scores and priors;
+the chain tables are shared, not repeated per run.  They are read in take's
+"wrap" mode, which reduces an index by repeated subtraction: negligible on
+chains of hundreds of states, but on a chain of a few states with hundreds
+of runs in a group it dominates a step.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import LandCellError, ZeroProbabilityError
 from .gcm import SLOT_DIRECTIONS, StochasticCellMap
-from .gridworld import N_DIRECTIONS, Direction, Workspace
+from .gridworld import N_DIRECTIONS, Workspace, direction_array
 
 
 def emission_matrix(smap: StochasticCellMap) -> np.ndarray:
@@ -92,23 +95,38 @@ class HmmModel:
         if self.Q.shape != (n, N_DIRECTIONS):
             raise ValueError(f"emission matrix shape {self.Q.shape} != ({n}, 9)")
         self._set_prior(self.pi)
-        # Decoder tables padded with a sink, state n: the target of every slot
-        # off A(z), reaching only itself, scoring log 0 and emitting nothing.
-        # They are shared by every decode against this model and by the
-        # models with_prior derives from it; _logP (P's slots, log 0 = -inf
-        # off A(z)) and _logQ are views of their first n states.
-        logP_pad = np.full((n + 1, self.P.probs.shape[1]), -np.inf)
+        # Decoder tables of W columns, W the most live slots of any row: row
+        # s holds the live slots of state s first, in slot (ascending target)
+        # order, so on a row with a finite maximum argmax's first-maximum
+        # rule picks the target it would pick over all nine slots, those off
+        # A(z) scoring -inf.  A row is padded, and a sink state n added, with
+        # the target n, which reaches only itself, scores log 0 and emits
+        # nothing.  The tables are shared by every decode against this model
+        # and by the models with_prior derives from it; _logQ is a view of
+        # the first n states of _logQT.
+        probs = self.P.probs
+        live = np.flatnonzero(probs > 0.0)  # the live slots, row by row
+        state = live // probs.shape[1]
+        count = np.bincount(state, minlength=n)
+        width = int(count.max())
+        # Each live slot's place in the tables: its row, at its rank there.
+        column = np.arange(len(live))
+        column += state * width
+        column -= (np.cumsum(count) - count)[state]
+        del state
+        logP_pad = np.full((n + 1, width), -np.inf)
+        nxt = np.full((n + 1, width), n)
+        logp = probs.ravel().take(live)
+        logP_pad.ravel()[column] = np.log(logp, out=logp)
+        nxt.ravel()[column] = self.P.targets.ravel().take(live)
+        del live, column, logp  # freed before the emission table is made
         logQT = np.full((N_DIRECTIONS, n + 1), -np.inf)
         with np.errstate(divide="ignore"):
-            np.log(self.P.probs, out=logP_pad[:n])
-            logQT[:, :n] = np.log(self.Q).T
-        nxt = np.full(logP_pad.shape, n)
-        np.copyto(nxt[:n], self.P.targets, where=np.isfinite(logP_pad[:n]))
-        object.__setattr__(self, "_logP_pad", logP_pad)
+            np.log(self.Q.T, out=logQT[:, :n])
+        object.__setattr__(self, "_logP_pad", logP_pad)  # (n + 1, W)
+        object.__setattr__(self, "_next", nxt)  # (n + 1, W): target states
         object.__setattr__(self, "_logQT", logQT)  # (9, n + 1): log Q by symbol
-        object.__setattr__(self, "_next", nxt)
         object.__setattr__(self, "_emits", logQT > -np.inf)
-        object.__setattr__(self, "_logP", logP_pad[:n])
         object.__setattr__(self, "_logQ", logQT[:, :n].T)
 
     def _set_prior(self, pi: np.ndarray) -> None:
@@ -139,27 +157,28 @@ def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
     cell indices.  Raises ZeroProbabilityError (carrying the 1-based step) if
     no state sequence is consistent with the observations.
     """
-    return viterbi_runs(model, [model.pi], [observations])[0]
+    return viterbi_runs(model, [model.pi], [list(observations)])[0]
 
 
 def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], float]]:
     """Decode a group of runs on one chain: history r under initial distribution r.
 
     Every history must have the same length T >= 1; ``model.pi`` is not read.
+    ``histories`` may be an (R, T) integer array, checked by one range test;
+    a symbol that is no direction raises the ValueError of ``Direction(y)``.
     Returns one (trajectory, log probability) per run, each equal to what
     ``viterbi`` gives for that run alone.  If some history is infeasible,
     raises the ZeroProbabilityError of the first such run, whose ``run`` is
     that run's index in the group.
     """
-    rows = [[int(Direction(y)) for y in h] for h in histories]
-    if len(rows) != len(priors):
-        raise ValueError(f"{len(rows)} histories but {len(priors)} priors")
-    T = len(rows[0]) if rows else 0
+    if len(histories) != len(priors):
+        raise ValueError(f"{len(histories)} histories but {len(priors)} priors")
+    T = len(histories[0]) if len(histories) else 0
     if T < 1:
         raise ValueError("observation history must contain at least one symbol")
-    if any(len(h) != T for h in rows):
+    if any(len(h) != T for h in histories):
         raise ValueError("the histories of a group must have the same length")
-    obs = np.array(rows, dtype=np.int64)  # (R, T)
+    obs = direction_array(histories)  # (R, T)
 
     n = model.P.n_states
     for pi in priors:
@@ -168,18 +187,18 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     # run's part of a sorted index set contiguous and in run order.  The
     # chain tables are read in take's "wrap" mode (index mod N), and a
     # state's targets are its index plus its hops (targets relative to the
-    # state), so no table is repeated per run.  A group keeps its feasible
-    # sets, the bulk of its memory, as int32.  One run reads the tables in
+    # state), so no table is repeated per run.  The feasible sets, the bulk
+    # of a decode's memory, are kept as int32.  One run reads the tables in
     # place: its step makes the array calls of a one-run decode, with no
-    # gather, add or cast.  rows_at(table, t) is the row of a (9, N) table
-    # for each run's symbol at step t, run after run.
-    R, N = len(rows), n + 1
+    # gather or add.  rows_at(table, t) is the row of a (9, N) table for
+    # each run's symbol at step t, run after run.
+    R, N = len(obs), n + 1
+    index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
     pis = np.array(priors, dtype=float)
     logpi = np.full((R, N), -np.inf)
     with np.errstate(divide="ignore"):
         logpi[:, :n] = np.log(pis)
     if R == 1:
-        index = np.intp
 
         def rows_at(table, t):
             return table[obs[0, t]]
@@ -187,7 +206,6 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         def targets(here):
             return model._next.take(here, axis=0)
     else:
-        index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
         hop = model._next - np.arange(N)[:, None]
 
         def rows_at(table, t):

@@ -19,7 +19,13 @@ and decodes them in lockstep groups of about 8 192 states in all (13 runs on
 the 609-state fixture): one array step of ``sample_runs`` and one of
 ``viterbi_runs`` serve every run of a group.  Sampling a group costs O(T)
 array calls over R x 9 cumulative probabilities, plus R initial-state draws
-and R T noise draws in Python when obs_noise > 0.
+and R T noise draws in Python when obs_noise > 0.  Decoding it costs
+O(sum_t |D_t| * W) over the runs' summed feasible sets D_t, W being the most
+live slots of any chain row (6 on the fixture; see ``hmm``).  The errors and
+observation strings of a group come from a few array calls over its
+(R, T + 1) paths and (R, T) symbols.  The trajectory error adds a run's step
+distances left to right, so a report does not depend on how a Python
+version's ``sum()`` rounds.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .gcm import (
     build_stochastic_map,
     decompose,
 )
-from .gridworld import N_DIRECTIONS, Workspace, cell_distance, format_directions
+from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
 from .hmm import HmmModel, emission_matrix, initial_distribution, viterbi_runs
 from .ingest import SyntheticFieldSpec, resolve_field
 
@@ -162,13 +168,27 @@ def error_report(true_path, decoded_path, w: Workspace) -> ErrorReport:
         raise ValueError(
             f"path lengths differ: {len(true_path)} vs {len(decoded_path)}"
         )
-    steps = [
-        cell_distance(w, a, b) for a, b in zip(true_path[1:], decoded_path[1:])
-    ]
-    return ErrorReport(
-        final_error=float(steps[-1]) if steps else 0.0,
-        trajectory_error=float(sum(steps)),
-    )
+    final, trajectory = error_reports([true_path], [decoded_path], w)
+    return ErrorReport(final_error=final.item(), trajectory_error=trajectory.item())
+
+
+def error_reports(true_paths, decoded_paths, w: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Final and trajectory errors of R runs, from (R, T + 1) true and decoded
+    paths: row r is what ``error_report`` gives for that run alone.
+
+    The trajectory error adds each run's step distances left to right, so it
+    does not depend on the summation order of any one library or Python
+    version.
+    """
+    true_paths, decoded_paths = np.asarray(true_paths), np.asarray(decoded_paths)
+    if true_paths.shape != decoded_paths.shape:
+        raise ValueError(
+            f"path lengths differ: {true_paths.shape[-1]} vs {decoded_paths.shape[-1]}"
+        )
+    steps = cell_distances(w, true_paths[:, 1:], decoded_paths[:, 1:])
+    if not steps.shape[1]:  # paths of one cell
+        return np.zeros(len(steps)), np.zeros(len(steps))
+    return steps[:, -1], steps.cumsum(axis=1)[:, -1]
 
 
 @dataclass
@@ -387,13 +407,17 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                     f"run {run_idx}: {exc}",
                     run=run_idx,
                 ) from None
-            for run_idx, true_path, obs, (decoded, logp) in zip(
-                runs, true_paths.tolist(), histories.tolist(), decodes
+            group_finals, group_trajs = (
+                errors.tolist()
+                for errors in error_reports(true_paths, [d for d, _ in decodes], w)
+            )
+            finals += group_finals
+            trajs += group_trajs
+            for run_idx, true_path, obs, (decoded, logp), final, traj in zip(
+                runs, true_paths.tolist(), format_histories(histories), decodes,
+                group_finals, group_trajs,
             ):
                 x_init = starts[run_idx]
-                rep = error_report(true_path, decoded, w)
-                finals.append(rep.final_error)
-                trajs.append(rep.trajectory_error)
                 run_records.append({
                     "condition": cond_idx,
                     "T": T,
@@ -402,11 +426,11 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                     "run": run_idx,
                     "x_init": x_init,
                     "true_path": true_path,
-                    "observations": format_directions(obs),
+                    "observations": obs,
                     "decoded_path": decoded,
                     "log_prob": logp,
-                    "final_error": rep.final_error,
-                    "trajectory_error": rep.trajectory_error,
+                    "final_error": final,
+                    "trajectory_error": traj,
                 })
         f_stats = _summarize(finals)
         t_stats = _summarize(trajs)

@@ -102,6 +102,35 @@ class TestMatchesClosureReference:
         assert dec.n_groups == len(dec.transient_groups) == n // 2
 
 
+class TestPartitionProperty:
+    """Without an oracle: the groups partition the water states, and no live
+    slot of an attractor's rows leaves it."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(3, 9),
+        cols=st.integers(3, 9),
+        land_prob=st.sampled_from([0.15, 0.3, 0.5]),
+        r=st.sampled_from([0.6, 0.9, 1.0]),
+        dt=st.sampled_from([None, 0.5, 2.0]),
+    )
+    def test_random_fields_with_land(self, seed, rows, cols, land_prob, r, dt):
+        rng = np.random.default_rng(seed)
+        w, field = random_field(rng, rows, cols, land_prob=land_prob, vmax=1.5)
+        P = build_stochastic_map(build_cell_map(field, dt=dt), r)
+        dec = decompose(P)
+        groups = [*dec.persistent_groups, *dec.transient_groups.values()]
+        cells = np.concatenate(groups)
+        assert len(cells) == w.n_free
+        assert np.array_equal(np.sort(cells), w.free_cells)
+        assert all(len(k) > 0 for k in dec.transient_groups)
+        for group in dec.persistent_groups:
+            states = [w.state_of(z) for z in group.tolist()]
+            targets = P.targets[states]
+            assert np.isin(targets[targets >= 0], states).all()
+
+
 class TestMemory:
     # 30 000 states: the closure C alone would be 858 MiB, and on the zero
     # field (one attractor per cell) a g x n domicile table just as much.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftloc import (
+    CellIndexError,
     Direction,
     NonAdjacentCellsError,
     Workspace,
@@ -13,6 +14,7 @@ from driftloc import (
     neighbors,
     parse_directions,
 )
+from driftloc.gridworld import cell_distances, format_histories
 
 
 def ws(rows=3, cols=3, land=None):
@@ -122,6 +124,20 @@ class TestDirections:
         with pytest.raises(ValueError, match="XX"):
             parse_directions("N XX")
 
+    def test_format_histories(self):
+        assert format_histories(np.array([[0, 8], [5, 2]])) == ["N I", "SW E"]
+        assert format_histories([[Direction.W, Direction.SE]]) == ["W SE"]
+        assert format_directions(np.array([], dtype=np.int64)) == ""
+        assert format_directions(d for d in (Direction.NW, Direction.S)) == "NW S"
+
+    def test_format_rejects_what_direction_rejects(self):
+        for bad in ([0, 9], np.array([3, -1]), ["N"], [1.5]):
+            with pytest.raises(ValueError) as want:
+                [Direction(y) for y in bad]
+            with pytest.raises(ValueError) as got:
+                format_directions(bad)
+            assert str(got.value) == str(want.value)
+
 
 class TestCellDistance:
     def test_identity_unit_diagonal(self):
@@ -139,3 +155,25 @@ class TestCellDistance:
             assert ab == cell_distance(w, b, a)
             assert (ab == 0.0) == (a == b)
             assert ab <= cell_distance(w, a, c) + cell_distance(w, c, b) + 1e-12
+
+    def test_matches_hypot_on_every_offset_to_400(self):
+        # The root of the exact integer square sum is correctly rounded, as
+        # math.hypot is on these offsets; np.hypot is not on all of them.
+        w = Workspace(rows=401, cols=401)
+        cells = np.arange(1, w.n_cells + 1)
+        rows, cols = np.divmod(cells - 1, w.cols)
+        for r0, c0 in ((0, 0), (400, 400)):
+            got = cell_distances(w, np.full(w.n_cells, w.index(r0, c0)), cells)
+            want = [math.hypot(r - r0, c - c0) for r, c in zip(rows.tolist(), cols.tolist())]
+            assert got.tolist() == want
+
+    def test_first_cell_out_of_range_is_reported(self):
+        w = ws()
+        with pytest.raises(CellIndexError, match="cell index 0 out of range 1..9"):
+            cell_distances(w, [[1, 0], [10, 1]], [[1, 11], [1, 1]])
+        with pytest.raises(CellIndexError, match="cell index 12 "):
+            cell_distances(w, [[1, 2]], [[12, -3]])
+        with pytest.raises(CellIndexError, match="cell index 10 "):
+            cell_distance(w, 1, 10)
+        with pytest.raises(CellIndexError, match="cell index 0 "):
+            cell_distance(w, 0, 1)

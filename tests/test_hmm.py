@@ -272,7 +272,7 @@ class TestViterbi:
                 pi = initial_distribution(w, x0, mode)
                 model, fresh = base.with_prior(pi), HmmModel(P=P, Q=Q, pi=pi)
                 assert model.pi is pi and base.pi is not pi
-                for view in ("_logP", "_logQ", "_next", "_emits"):
+                for view in ("_logP_pad", "_logQ", "_next", "_emits"):
                     assert getattr(model, view) is getattr(base, view)
                 assert model._logpi.tobytes() == fresh._logpi.tobytes()
                 _, obs = sample_trajectory(P, pi, 30, rng)

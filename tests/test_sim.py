@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftloc import (
+    CellIndexError,
     ConfigError,
     Direction,
     ErrorReport,
@@ -21,6 +22,7 @@ from driftloc import (
     sample_trajectory,
 )
 from conftest import CONFIG_DIR, make_field, random_field
+from driftloc.sim import error_reports
 
 
 def chain_for(field_pair, r, dt=None):
@@ -125,6 +127,52 @@ class TestErrorReport:
         w, _ = make_field(3, 3)
         with pytest.raises(ValueError):
             error_report([1, 2], [1, 2, 3], w)
+
+    def test_out_of_range_cell(self):
+        w, _ = make_field(3, 3)
+        with pytest.raises(CellIndexError, match="cell index 10 "):
+            error_report([1, 2, 3], [1, 10, 0], w)
+        with pytest.raises(CellIndexError, match="cell index 0 "):
+            error_report([1, 2, 3], [1, 2, 0], w)
+
+    def test_trajectory_error_adds_left_to_right(self):
+        # These step distances sum to different doubles left to right and
+        # compensated (math.fsum, and builtin sum() from CPython 3.12 on).
+        # The reports add left to right on every Python version.
+        w, _ = make_field(10, 10)
+        a = [86, 64, 52, 27, 31, 5, 8, 2, 18]
+        b = [82, 65, 92, 51, 61, 98, 73, 64, 55]
+        want = sequential_report(a, b, 10)
+        assert want.trajectory_error != math.fsum(step_distances(a, b, 10))
+        assert error_report(a, b, w) == want
+
+    def test_group_rows_equal_sequential_recomputation(self):
+        rng = np.random.default_rng(15)
+        w, _ = make_field(6, 7)
+        for T in (0, 1, 12, 100):
+            a = rng.integers(1, w.n_cells + 1, size=(5, T + 1))
+            b = rng.integers(1, w.n_cells + 1, size=(5, T + 1))
+            final, traj = error_reports(a, b, w)
+            assert [ErrorReport(f, t) for f, t in zip(final.tolist(), traj.tolist())] == [
+                sequential_report(x, y, w.cols) for x, y in zip(a.tolist(), b.tolist())
+            ]
+
+
+def step_distances(a, b, cols):
+    steps = []
+    for za, zb in zip(a[1:], b[1:]):
+        (ra, ca), (rb, cb) = divmod(za - 1, cols), divmod(zb - 1, cols)
+        steps.append(math.hypot(ra - rb, ca - cb))
+    return steps
+
+
+def sequential_report(a, b, cols):
+    """The report of two paths with its step distances added left to right."""
+    steps = step_distances(a, b, cols)
+    total = 0.0
+    for d in steps:
+        total += d
+    return ErrorReport(steps[-1] if steps else 0.0, total)
 
 
 class TestExperimentConfig:

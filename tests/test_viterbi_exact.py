@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftloc import (
+    Direction,
     HmmModel,
     SyntheticFieldSpec,
     ZeroProbabilityError,
@@ -23,12 +24,13 @@ from driftloc import (
     build_stochastic_map,
     emission_matrix,
     initial_distribution,
+    load_field,
     sample_trajectory,
     synthesize_field,
     viterbi,
     viterbi_runs,
 )
-from conftest import random_field
+from conftest import FIXTURE_FIELD, make_field, random_field
 from dense_reference import dense_viterbi
 from viterbi_reference import reference_viterbi
 
@@ -224,3 +226,69 @@ class TestLockstepGroups:
             models.append(HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode)))
             histories.append(history(kind, models[-1], T, rng))
         assert_group_matches_oracle(models, histories)
+
+
+def land_field_of_full_width():
+    """A 7 x 7 field in which, at dt = 1, cell (3, 3) is colliding, its
+    endpoint stencil touching the land cell (3, 5), while its whole Moore
+    stencil is water: the uniform boundary rule gives it all nine slots."""
+    land = np.zeros((7, 7), dtype=bool)
+    land[3, 5] = True
+    u = np.full((7, 7), 0.3)
+    u[3, 3] = 1.5
+    return make_field(7, 7, u=u, v=0.2, land=land)
+
+
+def width_cases():
+    """(name, chain, table width W) at each width the decoder tables take."""
+    _, fixture = load_field(FIXTURE_FIELD)
+    yield "r=1", build_stochastic_map(build_cell_map(fixture), 1.0), 1
+    yield "default dt", build_stochastic_map(build_cell_map(fixture), 0.9), 6
+    yield "dt=0.5", build_stochastic_map(build_cell_map(fixture, dt=0.5), 0.9), 9
+    _, land = land_field_of_full_width()
+    yield "land", build_stochastic_map(build_cell_map(land, dt=1.0), 0.9), 9
+
+
+class TestTableWidths:
+    """The decoder tables hold W columns, the most live slots of any row;
+    decodes at every width equal the oracle's, which reads all nine."""
+
+    @pytest.mark.parametrize("case", list(width_cases()), ids=lambda c: c[0])
+    def test_decodes_equal_oracle(self, case):
+        _, P, width = case
+        w, Q = P.workspace, emission_matrix(P)
+        rng = np.random.default_rng(width)
+        models, histories = [], []
+        for i in range(12):
+            x0 = int(w.free_cells[rng.integers(w.n_free)])
+            mode = ("deterministic", "probabilistic")[i % 2]
+            model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode))
+            assert model._next.shape == model._logP_pad.shape == (w.n_free + 1, width)
+            obs = history(HISTORIES[i % 3], model, 25, rng)
+            assert_matches_oracles(model, obs, dense=False)
+            if i % 3 == 0:  # sampled, hence feasible
+                models.append(model)
+                histories.append(obs)
+        assert assert_group_matches_oracle(models, histories) == "feasible"
+        assert assert_group_matches_oracle(models, np.array(histories)) == "feasible"
+
+
+class TestSymbolCheck:
+    def test_bad_symbol_raises_as_direction_does(self, gyre):
+        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
+        model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
+        pis = [model.pi, model.pi]
+        # the first bad symbol, run by run, is the one reported
+        for histories, bad in (
+            ([[0, 1], [-1, 9]], -1),
+            ([[0, 12], [-1, 3]], 12),
+            (np.array([[0, 1], [2, 9]]), np.int64(9)),
+            (np.array([[0, 1], [2, 9]], dtype=np.uint8), np.uint8(9)),
+        ):
+            with pytest.raises(ValueError) as want:
+                Direction(bad)
+            with pytest.raises(ValueError) as got:
+                viterbi_runs(model, pis, histories)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="'N' is not a valid Direction"):
+            viterbi(model, ["N"])

@@ -12,9 +12,16 @@ import numpy as np
 from driftloc import Direction, ZeroProbabilityError
 
 
+def reference_log_chain(model) -> np.ndarray:
+    """log P in the chain's nine slots, -inf off A(z): the table the decoder
+    kept as ``model._logP`` when this copy was frozen."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.P.probs)
+
+
 def reference_check_feasible(model, obs: np.ndarray) -> None:
     """Forward sweep of reachable-state sets; raises at the first dead step."""
-    live = np.isfinite(model._logP)
+    live = np.isfinite(reference_log_chain(model))
     reachable = model.pi > 0.0
     for t, y in enumerate(obs):
         departing = reachable & (model.Q[:, y] > 0.0)
@@ -31,7 +38,7 @@ def reference_viterbi(model, observations) -> tuple[list[int], float]:
         raise ValueError("observation history must contain at least one symbol")
     reference_check_feasible(model, obs)
 
-    logP, logQ, logpi = model._logP, model._logQ, model._logpi
+    logP, logQ, logpi = reference_log_chain(model), model._logQ, model._logpi
     targets = model.P.targets
 
     best = np.empty((T + 1, model.P.n_states))
