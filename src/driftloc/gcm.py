@@ -1,33 +1,18 @@
 """Stochastic cell-to-cell mapping chain and its long-term flow decomposition.
 
-The deterministic cell map is widened into a finite Markov chain: each water
-cell z gets a mapped set A(z) with probabilities summing to one.  Motion
-uncertainty is spread over the cells surrounding the continuous Euler
-endpoint (the up-to-four cells whose centers lie within one cell of it),
-clamped to the nine-action neighborhood of z.  The perfect-motion image
-carries probability r and the remaining members share (1 - r) uniformly.
-Cells whose endpoint stencil touches land or leaves the grid are "colliding"
-cells: there the drifter stays or moves to any admissible neighbor with
-uniform probability.  At r = 1 motion is perfectly reliable everywhere and
-the chain degenerates to the deterministic map.
+``build_stochastic_map(cm, r)`` widens a deterministic cell map into a finite
+Markov chain: each water cell z gets a mapped set A(z) inside its 3 x 3 Moore
+stencil, with probabilities summing to one.  The perfect-motion image carries
+probability r and the other cells around the continuous Euler endpoint share
+1 - r uniformly; a "colliding" cell, whose endpoint stencil touches land or
+leaves the grid, moves uniformly to any admissible neighbor.  At r = 1 the
+chain is the deterministic map.  O(n * 9) time and memory.
 
-A(z) always lies in the 3 x 3 Moore stencil of z, so every row of the chain
-has nine fixed slots: slot k = (drow + 1) * 3 + (dcol + 1) holds the move by
-the Moore offset (drow, dcol), and a slot outside A(z) holds -1 / 0.0.  The
-slots run in ascending cell index, and each one reads as one compass symbol
-(``SLOT_DIRECTIONS``), so the compass emission matrix is a fixed column
-permutation of the probabilities.  This module is the only one that knows
-the layout.
-
-The chain's support graph is decomposed into persistent groups (attractors:
-closed, mutually communicating cell sets) and transient groups keyed by the
-set of attractors each cell can reach (its domiciles).  Tarjan emits each
-component after every component its edges enter, so one pass decides, as
-each component is emitted, whether it is an attractor and what it reaches.
-Time is O(n * 9) plus the size of each union of domicile sets formed.
-Memory is the rows' successor lists plus one interned tuple per distinct
-domicile set, and each of those is a key of the result or an attractor's own
-singleton, so no n x n closure or attractor x state table is ever built.
+``decompose(P)`` partitions the water cells into attractors (closed, mutually
+communicating sets, numbered B_1..B_g by smallest member) and transient
+groups keyed by the attractors their cells reach, single domiciles first and
+then by domicile tuple, cells ascending in each.  O(n * 9) time and memory,
+plus the unions of domicile sets formed; no n x n table is built.
 """
 
 from __future__ import annotations
@@ -42,8 +27,11 @@ from .gridworld import Direction, Workspace
 
 MAX_MAPPED = 9  # |A(z)| can never exceed the nine-action neighborhood
 
-# The compass symbol of each slot: Direction.step is (drow, dcol), and the
-# slots are those offsets in ascending order.
+# Every chain row has nine fixed slots: slot k = (drow + 1) * 3 + (dcol + 1)
+# holds the move by the Moore offset (drow, dcol), so the slots run in
+# ascending cell index.  Each slot reads as one compass symbol, so the compass
+# emission matrix is a fixed column permutation of the probabilities.  This
+# module is the only one that knows the layout.
 SLOT_DIRECTIONS = tuple(sorted(Direction, key=lambda d: d.step))
 
 
@@ -148,57 +136,80 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     )
 
 
-def _tarjan(succ: list[list[int]]):
-    """Iterative Tarjan SCC, yielding each component (a list of states) as it
-    is emitted: in reverse topological order of the condensation, so every
-    component comes before any component that reaches it."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
+def _successors(P: StochasticCellMap) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's number of successors other than itself, and those
+    successors as int32, row by row with the slots in order.  A self-loop
+    never changes which component a state belongs to."""
+    live = (P.targets >= 0) & (P.targets != np.arange(P.n_states)[:, None])
+    return live.sum(axis=1), P.targets[live].astype(np.int32)
 
+
+def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each state's strongly connected component, numbered in emission order.
+
+    One iterative Tarjan, in Pearce's one-array form, over flat successor
+    lists: state v has ``counts[v]`` successors, listed after those of the
+    states before it in ``succ``, and is read with an integer cursor.
+    Emission order is reverse topological: every edge that leaves a
+    component enters one with a smaller number.  Returns the int32 labels
+    and the number of components.
+    """
+    n = len(counts)
+    succ = succ.tolist()
+    ends = np.cumsum(counts).tolist()
+    cursor = [0, *ends[:-1]]  # next edge of each row to read
+    index = [0] * n  # DFS number, from 1; 0 while unvisited
+    # rindex[v] is the lowest DFS number v reaches while its component is
+    # open, then done + the component's number.  done exceeds every DFS
+    # number, so an edge into a closed component never lowers rindex.
+    rindex = [0] * n
+    done = n + 1
+    closed = 0
+    stack: list[int] = []  # finished states whose component is still open
+    count = 0
     for root in range(n):
-        if index[root] != -1:
+        if index[root]:
             continue
-        work = [(root, None)]
-        while work:
-            v, children = work[-1]
-            if children is None:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-                children = iter(succ[v])
-                work[-1] = (v, children)
-            for u in children:  # resumes where the last descent left off
-                if index[u] == -1:
-                    work.append((u, None))
+        count += 1
+        index[root] = rindex[root] = count
+        path = [root]
+        while path:
+            v = path[-1]
+            rv = rindex[v]
+            i, end = cursor[v], ends[v]
+            while i < end:
+                u = succ[i]
+                ru = rindex[u]
+                if not ru:  # descend; this edge is read again once u is done
+                    cursor[v] = i
+                    rindex[v] = rv
+                    count += 1
+                    index[u] = rindex[u] = count
+                    path.append(u)
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
+                if ru < rv:
+                    rv = ru
+                i += 1
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        comp.append(u)
-                        if u == v:
-                            break
-                    yield comp
+                path.pop()
+                if rv == index[v]:  # v roots a component: close it
+                    label = done + closed
+                    closed += 1
+                    rindex[v] = label
+                    while stack and rindex[stack[-1]] >= rv:
+                        rindex[stack.pop()] = label
+                else:
+                    rindex[v] = rv
+                    stack.append(v)
+    return (np.array(rindex, dtype=np.int64) - done).astype(np.int32), closed
 
 
 def strongly_connected_components(P: StochasticCellMap) -> list[np.ndarray]:
     """Maximal SCCs of the support graph, ordered by smallest member state."""
-    comps = [np.array(sorted(c), dtype=np.int64) for c in _tarjan(P.adjacency())]
-    comps.sort(key=lambda c: int(c[0]))
-    return comps
+    labels, _ = _component_labels(*_successors(P))
+    by_label = np.argsort(labels, kind="stable")  # members ascending per label
+    comps = np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1)
+    return sorted(comps, key=lambda c: int(c[0]))
 
 
 def _group_label(domiciles: tuple[int, ...]) -> str:
@@ -270,7 +281,7 @@ class FlowDecomposition:
             "n_persistent_groups": self.n_groups,
             "n_transient_groups": len(self.transient_groups),
             "persistent_groups": [
-                {"label": f"B_{i + 1}", "size": len(g), "cells": [int(z) for z in g]}
+                {"label": f"B_{i + 1}", "size": len(g), "cells": g.tolist()}
                 for i, g in enumerate(self.persistent_groups)
             ],
             "transient_groups": [
@@ -278,7 +289,7 @@ class FlowDecomposition:
                     "label": _group_label(k),
                     "domiciles": list(k),
                     "size": len(cells),
-                    "cells": [int(z) for z in cells],
+                    "cells": cells.tolist(),
                 }
                 for k, cells in self.transient_groups.items()
             ],
@@ -288,68 +299,74 @@ class FlowDecomposition:
 def decompose(P: StochasticCellMap) -> FlowDecomposition:
     """Full long-term decomposition of the chain's support graph.
 
-    One pass over the components in Tarjan's emission order, in which every
-    component comes after all those its edges enter.  A component that
-    cycles and has no edge leaving it is a new attractor; any other reaches
-    the union of what the components its edges enter reach.  Reach sets are
-    interned tuples of attractor ids, reused as they are wherever one set is
-    entered, so the pass costs O(n * 9) time plus the unions it forms.
-    Attractors are then numbered by smallest member and the transient states
-    grouped by one stable sort on their reach set.  Raises RuntimeError for
-    the smallest transient state that reaches no attractor (a dead-end row).
+    Attractors are the cyclic components that no edge leaves, numbered
+    B_1..B_g by smallest member state.  Every other state is grouped by the
+    set of attractors it reaches; groups are ordered single domiciles first,
+    then by domicile tuple, with states ascending in each.  Costs O(n * 9)
+    time and memory, plus the unions of domicile sets formed.  Raises
+    RuntimeError for the smallest transient state that reaches no attractor
+    (a dead-end row).
     """
     w = P.workspace
-    succ = P.adjacency()
-    reach = [-1] * len(succ)  # reach id of each state, set when it is emitted
-    sets: list[tuple[int, ...]] = [()]  # reach id -> attractor ids it reaches
-    ids = {(): 0}
-    attractors: list[list[int]] = []  # member states, in emission order
-    for comp in _tarjan(succ):
-        # The members are not set yet, so -1 marks an edge inside the
-        # component: it cycles (more than one member, or a self-loop).
-        entered = {reach[u] for v in comp for u in succ[v]}
-        cyclic = -1 in entered
-        entered.discard(-1)
-        if len(entered) == 1:
-            (rid,) = entered
-        else:
-            if entered:
-                key = tuple(sorted(set().union(*(sets[r] for r in entered))))
-            elif cyclic:
-                key = (len(attractors),)
-                attractors.append(comp)
-            else:
-                key = ()
-            rid = ids.setdefault(key, len(ids))
-            if rid == len(sets):
-                sets.append(key)
-        for v in comp:
-            reach[v] = rid
+    counts, succ = _successors(P)
+    labels, n_comps = _component_labels(counts, succ)
+    src, dst = np.repeat(labels, counts), labels[succ]
+    out = src != dst
+    # Cross edges keyed source-major: each component's run of keys lists the
+    # components it enters, all of them earlier in emission order.
+    edges = np.sort(src[out].astype(np.int64) * n_comps + dst[out])
+    edges = edges[np.diff(edges, prepend=-1) != 0]
+    bounds = np.searchsorted(edges, np.arange(n_comps + 1) * n_comps)
+    exits = bounds[1:] > bounds[:-1]
 
-    # B_1..B_g are numbered by their smallest member state.
-    order = sorted(range(len(attractors)), key=lambda a: min(attractors[a]))
-    number = [0] * len(attractors)
-    for i, a in enumerate(order, start=1):
-        number[a] = i
+    sizes = np.bincount(labels, minlength=n_comps)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    by_label = np.argsort(labels, kind="stable")  # states ascending per label
+    cyclic = sizes > 1
+    cyclic[labels[(P.targets == np.arange(P.n_states)[:, None]).any(axis=1)]] = True
+    is_attractor = cyclic & ~exits
+    attractors = np.flatnonzero(is_attractor)
+    attractors = attractors[np.argsort(by_label[starts[attractors]])]  # B_1..B_g
 
-    persistent = np.zeros(len(succ), dtype=bool)
-    persistent[[v for comp in attractors for v in comp]] = True
-    transient = np.flatnonzero(~persistent)
-    rid_of = np.array(reach, dtype=np.int64)[transient]
+    # Reach ids index interned tuples of the attractor numbers reached; id 0
+    # is the empty set (a dead end) and id i <= g is B_i alone.
+    g = len(attractors)
+    sets = [(), *((i,) for i in range(1, g + 1))]
+    ids = {key: rid for rid, key in enumerate(sets)}
+    reach = [0] * n_comps  # reach id of each component
+    for rid, c in enumerate(attractors.tolist(), start=1):
+        reach[c] = rid
+    entered = (edges % n_comps).tolist()
+    bounds = bounds.tolist()
+    for c in np.flatnonzero(exits).tolist():  # in emission order
+        rids = {reach[d] for d in entered[bounds[c]:bounds[c + 1]]}
+        if len(rids) == 1:
+            reach[c] = rids.pop()
+            continue
+        key = tuple(sorted(set().union(*(sets[r] for r in rids))))
+        reach[c] = rid = ids.setdefault(key, len(ids))
+        if rid == len(sets):
+            sets.append(key)
+
+    cells = w.free_cells[by_label]
+    persistent = [cells[a:b] for a, b in zip(starts[attractors].tolist(),
+                                               starts[attractors + 1].tolist())]
+    transient = np.flatnonzero(~is_attractor[labels])
+    rid_of = np.array(reach, dtype=np.int64)[labels[transient]]
     by_rid = np.argsort(rid_of, kind="stable")  # states stay ascending per group
-    rids, starts = np.unique(rid_of[by_rid], return_index=True)
+    rids, firsts = np.unique(rid_of[by_rid], return_index=True)
     groups = {}
-    for rid, states in zip(rids.tolist(), np.split(transient[by_rid], starts[1:])):
+    for rid, states in zip(rids.tolist(), np.split(transient[by_rid], firsts[1:])):
         if rid == 0:  # the empty set: listed first, so states[0] is the smallest
             raise RuntimeError(
                 f"transient state {states[0]} reaches no persistent group; "
                 "the decomposition is inconsistent"
             )
-        groups[tuple(sorted(number[a] for a in sets[rid]))] = w.free_cells[states]
+        groups[sets[rid]] = w.free_cells[states]
 
     keys = sorted(groups, key=lambda k: (len(k), k))  # single domiciles first
     return FlowDecomposition(
         workspace=w,
-        persistent_groups=[w.free_cells[sorted(attractors[a])] for a in order],
+        persistent_groups=persistent,
         transient_groups={k: groups[k] for k in keys},
     )

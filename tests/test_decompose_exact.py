@@ -45,10 +45,31 @@ def assert_matches_reference(P):
     for k, b in want.transient_groups.items():
         a = got.transient_groups[k]
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert_same_sccs(P)
+    return got
+
+
+def assert_same_sccs(P):
     sccs, ref_sccs = strongly_connected_components(P), ref.strongly_connected_components(P)
     assert len(sccs) == len(ref_sccs)
-    assert all(np.array_equal(a, b) for a, b in zip(sccs, ref_sccs))
-    return got
+    for a, b in zip(sccs, ref_sccs):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def graphs(draw):
+    """n states with arbitrary (non-Moore) edges, a cycle through a random
+    subset of them, and a few dead-end rows; every other row has an edge."""
+    n = draw(st.integers(2, 40))  # a workspace is at least 2x2
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, state), max_size=3 * n))
+    cycle = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    dead = draw(st.sets(state, max_size=max(1, n // 4)))
+    edges = [(i, j) for i, j in edges if i not in dead]
+    sources = {i for i, _ in edges}
+    edges += [(i, draw(state)) for i in range(n) if i not in dead | sources]
+    return n, edges, dead
 
 
 def gyre_with_land(rows, cols, seed):
@@ -91,6 +112,22 @@ class TestMatchesClosureReference:
         _, field = random_field(rng, rows, cols, land_prob=land_prob, vmax=1.5)
         assert_matches_reference(chain(field, r))
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(graph=graphs())
+    def test_random_graphs(self, graph):
+        n, edges, dead = graph
+        P = chain_from_edges(n, edges, dead_ends=dead)
+        if not dead:
+            assert_matches_reference(P)
+            return
+        # A dead-end row is transient and reaches no attractor.
+        with pytest.raises(RuntimeError) as got:
+            decompose(P)
+        with pytest.raises(RuntimeError) as want:
+            ref.decompose(P)
+        assert str(got.value) == str(want.value)
+        assert_same_sccs(P)
+
     def test_thousands_of_transient_groups(self):
         # Even states are self-loop attractors; odd state 2k + 1 feeds the
         # attractor 2 * (7k mod 1000), so the 1 000 single-state groups come
@@ -100,6 +137,31 @@ class TestMatchesClosureReference:
         edges += [(2 * k + 1, 2 * (7 * k % 1000)) for k in range(n // 2)]
         dec = assert_matches_reference(chain_from_edges(n, edges))
         assert dec.n_groups == len(dec.transient_groups) == n // 2
+
+
+class TestDeepGraph:
+    """A path of 100 000 states into a self-loop: as deep as a depth-first
+    search gets, so a recursive one would overflow the interpreter stack."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_path_into_a_self_loop(self, ascending):
+        n = self.N
+        step = 1 if ascending else -1
+        end = n - 1 if ascending else 0
+        edges = [(s, s + step) for s in range(n) if s != end] + [(end, end)]
+        P = chain_from_edges(n, edges)
+        # state s is water cell s + 1 of the single water row
+        cells = np.arange(1, n + 1)
+        dec = decompose(P)
+        assert len(dec.persistent_groups) == 1
+        assert dec.persistent_groups[0].tolist() == [end + 1]
+        assert list(dec.transient_groups) == [(1,)]
+        assert np.array_equal(dec.transient_groups[(1,)], np.delete(cells, end))
+        sccs = strongly_connected_components(P)
+        assert len(sccs) == n
+        assert np.array_equal(np.concatenate(sccs), np.arange(n))
 
 
 class TestPartitionProperty:
@@ -149,3 +211,17 @@ class TestMemory:
             tracemalloc.stop()
         assert len(dec.persistent_cells) + len(dec.transient_cells) == w.n_free == 30_000
         assert peak < 32 * 2**20, f"decompose peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_decompose_peak_at_benchmark_size(self, seed):
+        # The classify benchmark's size: 100x130 with a coast and islands.
+        field = gyre_with_land(100, 130, seed)
+        P = chain(field, 0.9)
+        tracemalloc.start()
+        try:
+            dec = decompose(P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dec.n_groups == 2
+        assert peak < 5 * 2**20, f"decompose peaked at {peak / 2**20:.2f} MiB"

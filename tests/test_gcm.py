@@ -16,11 +16,12 @@ from closure_reference import reachability
 from conftest import last_live_slot, make_field, random_field
 
 
-def chain_from_edges(n, edges, probs=None):
+def chain_from_edges(n, edges, probs=None, dead_ends=()):
     """Hand-built chain over n states (uniform rows by default).
 
     The edges need not join Moore neighbors, so each row lists its successors
-    in its first slots; the decomposition reads only the support graph.
+    in its first slots; the decomposition reads only the support graph.  The
+    states in ``dead_ends`` get empty rows, which no field produces.
     """
     w = Workspace(rows=2, cols=n, land_mask=np.vstack(
         [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
@@ -32,7 +33,7 @@ def chain_from_edges(n, edges, probs=None):
         by_src.setdefault(i, []).append(j)
     for i in range(n):
         succ = sorted(set(by_src.get(i, [])))
-        assert succ, f"state {i} needs at least one outgoing edge"
+        assert bool(succ) != (i in dead_ends), f"state {i}: edges {succ}"
         for k, j in enumerate(succ):
             targets[i, k] = j
             pr[i, k] = (probs or {}).get((i, j), 1.0 / len(succ))

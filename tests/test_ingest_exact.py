@@ -198,6 +198,14 @@ class TestFirstError:
         got = assert_same(write(tmp_path, lines))
         assert got[2] == BOUNDARY - 4 and "duplicate" in got[3]
 
+    def test_repeat_in_accepted_blocks_beats_a_rejected_later_block(
+        self, tmp_path, base_lines
+    ):
+        lines = mutate(base_lines, [("token", BOUNDARY + 5, 3, "x"),
+                                    ("insert", HEADER_LINES + 30, base_lines[HEADER_LINES + 2])])
+        got = assert_same(write(tmp_path, lines))
+        assert got[2] == HEADER_LINES + 31 and "duplicate" in got[3]
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("change", [
         ("token", 0, "x"), ("token", 1, str(COLS)), ("token", 2, "2"),
