@@ -23,6 +23,7 @@ from .gcm import build_stochastic_map, decompose
 from .gridworld import parse_directions
 from .hmm import HmmModel, emission_matrix, initial_distribution, viterbi
 from .ingest import SyntheticFieldSpec, load_field, synthesize_field
+from .report import report_json
 from .sim import ExperimentConfig, run_experiment
 
 log = logging.getLogger("driftloc")
@@ -70,7 +71,7 @@ def _build_chain(args):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = report_json(payload) + "\n"
     if out:
         Path(out).write_text(text)
     else:

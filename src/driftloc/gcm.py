@@ -18,6 +18,7 @@ plus the unions of domicile sets formed; no n x n table is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -233,20 +234,10 @@ class FlowDecomposition:
     def n_groups(self) -> int:
         return len(self.persistent_groups)
 
-    @property
-    def persistent_cells(self) -> np.ndarray:
-        if not self.persistent_groups:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(self.persistent_groups))
-
-    @property
-    def transient_cells(self) -> np.ndarray:
-        if not self.transient_groups:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(list(self.transient_groups.values())))
-
-    def __post_init__(self):
-        # _region[s] indexes _labels and _groups, so region_of does no scan.
+    @cached_property
+    def _index(self):
+        # Labels, cell arrays, and each state's index into both, so region_of
+        # does no scan.  Built on first use: classify never reads it.
         labels = [f"B_{i + 1}" for i in range(self.n_groups)]
         labels += [_group_label(k) for k in self.transient_groups]
         groups = [*self.persistent_groups, *self.transient_groups.values()]
@@ -255,21 +246,21 @@ class FlowDecomposition:
             cells = np.concatenate(groups)
             ids = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
             region[np.searchsorted(self.workspace.free_cells, cells)] = ids
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_groups", groups)
-        object.__setattr__(self, "_region", region)
+        return labels, groups, region
 
     def region_labels(self) -> list[str]:
-        return list(self._labels)
+        return list(self._index[0])
 
     def region_cells(self, label: str) -> np.ndarray:
-        if label not in self._labels:
+        labels, groups, _ = self._index
+        if label not in labels:
             raise KeyError(f"unknown region label {label!r}")
-        return self._groups[self._labels.index(label)]
+        return groups[labels.index(label)]
 
     def region_of(self, z: int) -> str:
+        labels, _, region = self._index
         try:
-            return self._labels[self._region[self.workspace.state_of(z)]]
+            return labels[region[self.workspace.state_of(z)]]
         except (CellIndexError, ValueError):
             raise KeyError(f"cell {z} is not a water cell of this decomposition") from None
 

@@ -19,20 +19,16 @@ origin/cell_size/depth/time are optional and default to (0, 0) / (1, 1) / "".
 Lines break wherever ``str.splitlines`` breaks them, so a label holds none of
 those characters.
 
-Parse cost: the body is read in blocks of 256 lines.  Each block is split
-into tokens, its columns are converted with ``int`` and ``float``, and every
-record check is one array operation over the block; the records are then
-sorted by cell, which finds repeats and confirms that they fill the grid.
-This bulk parse only accepts or rejects.  A record loop, which reads about
-17 MB/s, then reports a rejected file's first failing record and check.  It
-starts at the first rejected block, with the cells of the blocks before it,
-so a bad last record costs about one valid load.  It reads the file from
-the top when the blocks that passed repeat a cell or miss the record
-count.  The grid arrays are allocated only after the records have filled
-rows x cols, so no header can make the parser allocate more than the file
-holds.  The 584 KB file of a 100x130 grid loads in about 40 ms on a 2-vCPU
-x86 host, with a tracemalloc peak of 2.5 MiB (the file's lines take most of
-it); float parsing is the largest share.
+Parse cost: the body is read in blocks of 256 lines.  numpy's text reader
+converts a block in one call; it accepts a subset of what ``int`` and
+``float`` accept, with the same values.  A block it refuses (a comment, no
+records, ``1_0``, an int beyond int64, a malformed record) is split into
+tokens for ``int`` and ``float``.  Record checks are array operations over
+a block, then a sort by cell finds repeats and confirms the records fill
+the grid, which is allocated only then.  A record loop (about 17 MB/s)
+finds a rejected file's first failing record and check.  The 584 KB file
+of a 100x130 grid loads in about 10 ms on a 2-vCPU x86 host (17 ms through
+the tokens), with a tracemalloc peak of 2.5 MiB.
 
 Synthetic kinds stand in for externally produced current slices:
 
@@ -52,6 +48,7 @@ have exactly zero velocity.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -109,31 +106,44 @@ def _parse_floats(parts, count, lineno, what):
         raise FieldParseError(lineno, f"{what}: {parts!r} is not numeric") from None
 
 
-# Body lines parsed per pass.  Only one block's tokens are held at once, and
-# the process keeps the memory they took: loading a 2 436-cell file grew the
-# resident size by 0.4 MiB at 256 lines and by 1.3 MiB at 2 048.  Larger
-# blocks parse no faster.
+# Body lines parsed per pass.  The process keeps the memory that the tokens
+# of a block numpy refuses took: through the tokens, loading a 2 436-cell
+# file grew the resident size by 0.4 MiB at 256 lines and 1.3 MiB at 2 048.
 _BLOCK_LINES = 256
+_RECORD = np.dtype("i8,i8,i8,f8,f8")  # row, col, land, u, v
 
 
 class _Rejected(Exception):
     """A cell record fails a check; the record loop finds which one."""
 
 
-def _parse_block(tokens, rows, cols):
-    """The row, col, land, u and v arrays of one block of split cell records.
+def _parse_block(lines, rows, cols):
+    """The row, col, land, u and v arrays of the records in ``lines``, or None.
 
     Raises _Rejected if any record fails a check that needs no other record.
     """
-    if set(map(len, tokens)) != {5}:
-        raise _Rejected
-    n = len(tokens)
-    columns = list(zip(*tokens))
     try:
-        r, c, land = (np.fromiter(map(int, col), np.int64, n) for col in columns[:3])
-        u, v = (np.fromiter(map(float, col), np.float64, n) for col in columns[3:])
-    except (ValueError, OverflowError):  # OverflowError: beyond int64
-        raise _Rejected from None
+        # numpy accepts a subset of int() and float(); the filter makes it refuse
+        # a block without records and, before numpy 2, a float in an int column.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(lines, _RECORD, comments=None, ndmin=1)
+        r, c, land, u, v = (records[name] for name in _RECORD.names)
+    except (ValueError, Warning):
+        # A line splits to no tokens iff it is blank, and its first token
+        # starts with "#" iff it is a comment.
+        tokens = [t for t in map(str.split, lines) if t and t[0][0] != "#"]
+        if not tokens:
+            return None
+        if set(map(len, tokens)) != {5}:
+            raise _Rejected
+        n = len(tokens)
+        columns = list(zip(*tokens))
+        try:
+            r, c, land = (np.fromiter(map(int, col), np.int64, n) for col in columns[:3])
+            u, v = (np.fromiter(map(float, col), np.float64, n) for col in columns[3:])
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
+            raise _Rejected from None
     bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | ((land != 0) & (land != 1))
     land = land == 1
     bad |= land & ((u != 0.0) | (v != 0.0))
@@ -192,12 +202,9 @@ def _load_cells(lines, body_start, rows, cols):
     blocks = []
     try:
         for lo in range(body_start, len(lines), _BLOCK_LINES):
-            # A line splits to no tokens iff it is blank, and its first token
-            # starts with "#" iff it is a comment.
-            tokens = [t for t in map(str.split, lines[lo:lo + _BLOCK_LINES])
-                      if t and t[0][0] != "#"]
-            if tokens:
-                blocks.append(_parse_block(tokens, rows, cols))
+            block = _parse_block(lines[lo:lo + _BLOCK_LINES], rows, cols)
+            if block is not None:
+                blocks.append(block)
     except _Rejected:
         # Every record before line lo passed its own checks, so unless two of
         # them share a cell the first error is at line lo or after it.

@@ -30,7 +30,6 @@ version's ``sum()`` rounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,6 +46,7 @@ from .gcm import (
 from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
 from .hmm import HmmModel, emission_matrix, initial_distribution, viterbi_runs
 from .ingest import SyntheticFieldSpec, resolve_field
+from .report import report_json
 
 MODES = ("deterministic", "probabilistic")
 
@@ -316,7 +316,7 @@ class ExperimentResult:
             "summary": self.summary,
             "runs": self.runs,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return report_json(payload) + "\n"
 
     def write(self, csv_path, json_path) -> None:
         with open(csv_path, "w") as f:

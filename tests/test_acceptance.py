@@ -147,7 +147,7 @@ class TestCriterion3StochasticityAndPartition:
                 assert np.abs(Q.sum(axis=1) - 1.0).max() < 1e-12, name
 
                 dec = decompose(P)
-                cells = np.concatenate([dec.persistent_cells, dec.transient_cells])
+                cells = np.concatenate([*dec.persistent_groups, *dec.transient_groups.values()])
                 assert sorted(cells) == list(w.free_cells), f"{name}: not a partition"
 
                 C = reachability(P)

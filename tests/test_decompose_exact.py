@@ -209,7 +209,8 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(dec.persistent_cells) + len(dec.transient_cells) == w.n_free == 30_000
+        groups = [*dec.persistent_groups, *dec.transient_groups.values()]
+        assert sum(map(len, groups)) == w.n_free == 30_000
         assert peak < 32 * 2**20, f"decompose peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("seed", [0, 1])

@@ -329,7 +329,7 @@ class TestDecompositionInvariants:
         C = reachability(P)
 
         all_cells = np.concatenate(
-            [dec.persistent_cells, dec.transient_cells]
+            [*dec.persistent_groups, *dec.transient_groups.values()]
         )
         assert sorted(all_cells) == list(w.free_cells)
 
@@ -352,7 +352,8 @@ class TestDecompositionInvariants:
             for z in g:
                 group_of[w.state_of(int(z))] = i + 1
         rng = np.random.default_rng(99)
-        sample = rng.choice(dec.transient_cells, size=20, replace=False)
+        transient = np.sort(np.concatenate(list(dec.transient_groups.values())))
+        sample = rng.choice(transient, size=20, replace=False)
         cum = np.cumsum(P.probs, axis=1)
         last = last_live_slot(P)
         absorbed = 0

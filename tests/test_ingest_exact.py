@@ -61,11 +61,21 @@ def base_lines(tmp_path_factory):
 
 # -- mutations ---------------------------------------------------------------
 
+# The bulk parse converts a block with numpy's reader and falls back to
+# int() and float() when numpy refuses it, so the alphabets hold spellings
+# where the two could differ: forms numpy refuses, and forms both accept.
 TOKENS = ["1.0", "x", "nan", "inf", "-inf", "+1", "1_0", "-1", "0", "1", "2",
-          str(ROWS), str(COLS), "1e3", "0x1", "\u0661", "99999999999999999999", "-0.0"]
+          str(ROWS), str(COLS), "1e3", "0x1", "\u0661", "99999999999999999999", "-0.0",
+          "1.", "1e0", "00", "-0", "+.5", ".5", "1e400", "infinity", "-nan",
+          "0 # a comment after the record"]
+# Line breaks, and whitespace that str.split splits a record on.
 BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
-          "\u2029", " "]
-FILLERS = ["", "   ", "\t", "#", "# comment", "  # indented comment", "#1 1 0 0.0 0.0"]
+          "\u2029", " ", "\xa0", "\x1f", "\t"]
+# The last two fillers are enough comment lines, or whitespace-only lines,
+# to fill a whole block of lines.
+FILLERS = ["", "   ", "\t", "\xa0", "#", "# comment", "  # indented comment",
+           "#1 1 0 0.0 0.0", "\n".join(["# comment"] * (2 * _BLOCK_LINES - 1)),
+           "\n".join(["\xa0"] * (2 * _BLOCK_LINES - 1))]
 
 position = st.one_of(
     st.integers(HEADER_LINES, HEADER_LINES + ROWS * COLS - 1),
@@ -210,7 +220,7 @@ class TestFirstError:
     @pytest.mark.parametrize("change", [
         ("token", 0, "x"), ("token", 1, str(COLS)), ("token", 2, "2"),
         ("token", 3, "x"), ("token", 4, "inf"), ("arity", 4), ("arity", 6),
-        ("land",), ("split", 2, "\x0b"),
+        ("land",), ("split", 2, "\x0b"), ("token", 4, "0 # comment"),
     ])
     def test_error_on_either_side_of_the_block_boundary(
         self, tmp_path, base_lines, offset, change
@@ -236,7 +246,7 @@ class TestFirstError:
         got = assert_same(write(tmp_path, lines))
         assert got[2] == BOUNDARY + 1 and message in got[3]
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=400, deadline=None, database=None)
     @given(mutations=st.lists(mutation, min_size=1, max_size=3),
            eol=st.sampled_from(["\n", "\r\n"]))
     def test_mutated_files(self, tmp_path_factory, base_lines, mutations, eol):
