@@ -11,7 +11,6 @@ from driftloc import (
     SyntheticFieldSpec,
     build_cell_map,
     direction_between,
-    euler_endpoint,
     synthesize_field,
 )
 
@@ -20,8 +19,10 @@ w, field = synthesize_field(SyntheticFieldSpec(kind="uniform", u=1.0), 5, 8)
 cm = build_cell_map(field)
 print(f"uniform east on {w.rows}x{w.cols}: dt = {cm.dt}")
 z = w.index(2, 3)
-print(f"  cell {z} at {w.center(z)} -> endpoint {euler_endpoint(field, z, cm.dt)}"
-      f" -> image {cm.image_of(z)}")
+row, col = w.rowcol(z)
+s = w.state_of(z)  # the cell map's arrays are indexed by water-cell state
+print(f"  cell {z} at {(float(col), float(row))} -> endpoint {tuple(cm.endpoints[s].tolist())}"
+      f" -> image {cm.images[s]}")
 
 # A double gyre: two counter-rotating circulation cells with an inward
 # spiral that contracts each gyre onto its center.
@@ -29,6 +30,7 @@ w, field = synthesize_field(
     SyntheticFieldSpec(kind="double_gyre", amplitude=1.0, decay=2.0), 21, 29
 )
 cm = build_cell_map(field)
+image = dict(zip(w.free_cells.tolist(), cm.images.tolist()))
 speed = field.speed()
 print(f"\ndouble gyre on {w.rows}x{w.cols}: max speed {speed.max():.1f} cells/time,"
       f" dt = {cm.dt:.4f}")
@@ -44,13 +46,13 @@ for row in range(w.rows - 1, -1, -1):
     line = []
     for col in range(w.cols):
         z = w.index(row, col)
-        line.append(GLYPH[direction_between(w, z, cm.image_of(z))])
+        line.append(GLYPH[direction_between(w, z, image[z])])
     print("  " + "".join(line))
 
 # Orbits: follow the deterministic map from a fast-band start.
 z = w.index(10, 2)
 orbit = [z]
 for _ in range(14):
-    z = cm.image_of(z)
+    z = image[z]
     orbit.append(z)
 print("\norbit from (row 10, col 2):", [w.rowcol(c) for c in orbit])

@@ -16,43 +16,47 @@ from driftloc import (
     HmmModel,
     build_cell_map,
     build_stochastic_map,
-    emission_matrix,
-    error_report,
-    format_directions,
     initial_distribution,
     load_field,
-    sample_trajectory,
+    sample_runs,
     viterbi,
+    viterbi_runs,
 )
+from driftloc.gridworld import format_histories
+from driftloc.sim import error_reports
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "double_gyre_21x29.field"
 
 w, field = load_field(FIXTURE)
 P = build_stochastic_map(build_cell_map(field), r=0.9)
-Q = emission_matrix(P)
 
 x_deploy = w.index(16, 10)
 T = 40
 
-for i, mode in enumerate(("deterministic", "probabilistic")):
-    pi = initial_distribution(w, x_deploy, mode)
-    true_path, obs = sample_trajectory(P, pi, T, seed=(2026, i))
-    model = HmmModel(P=P, Q=Q, pi=pi)
-    decoded, logp = viterbi(model, obs)
-    rep = error_report(true_path, decoded, w)
+# Both priors as one group of runs: each run draws from its own generator.
+modes = ("deterministic", "probabilistic")
+pis = [initial_distribution(w, x_deploy, mode) for mode in modes]
+rngs = [np.random.default_rng((2026, i)) for i in range(len(modes))]
+true_paths, histories = sample_runs(P, pis, T, rngs)
+decodes = viterbi_runs(HmmModel(P=P, pi=pis[0]), pis, histories)
+finals, trajs = error_reports(true_paths, [decoded for decoded, _ in decodes], w)
 
+for mode, true_path, obs, (decoded, logp), final, traj in zip(
+    modes, true_paths.tolist(), format_histories(histories[:, :16]), decodes, finals, trajs
+):
     print(f"--- {mode} prior, deployment cell {x_deploy} {w.rowcol(x_deploy)} ---")
-    print(f"observations: {format_directions(obs[:16])} ...")
+    print(f"observations: {obs} ...")
     print(f"true path ends at      {w.rowcol(true_path[-1])}")
     print(f"decoded path ends at   {w.rowcol(decoded[-1])}  (log prob {logp:.2f})")
-    print(f"final error            {rep.final_error:.2f} cells")
-    print(f"whole-trajectory error {rep.trajectory_error:.2f} cells\n")
+    print(f"final error            {final:.2f} cells")
+    print(f"whole-trajectory error {traj:.2f} cells\n")
 
 # The decoder dominates the truth: no feasible path scores better than the
 # decoded one, including the path the drifter actually took.
 pi = initial_distribution(w, x_deploy, "deterministic")
-model = HmmModel(P=P, Q=Q, pi=pi)
-true_path, obs = sample_trajectory(P, pi, T, seed=7)
+model = HmmModel(P=P, pi=pi)
+cells, histories = sample_runs(P, [pi], T, [np.random.default_rng(7)])
+true_path, obs = cells[0].tolist(), histories[0].tolist()
 decoded, logp = viterbi(model, obs)
 
 
@@ -60,7 +64,7 @@ def score(cells):
     s = np.log(pi[w.state_of(cells[0])])
     for t, y in enumerate(obs):
         a, b = cells[t], cells[t + 1]
-        s += np.log(Q[w.state_of(a), int(y)]) + np.log(P.mapped_set(a)[b])
+        s += np.log(model.Q[w.state_of(a), int(y)]) + np.log(P.mapped_set(a)[b])
     return float(s)
 
 

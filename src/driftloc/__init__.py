@@ -22,7 +22,6 @@ from .flowfield import (
     VectorField,
     build_cell_map,
     default_dt,
-    euler_endpoint,
 )
 from .gcm import (
     SLOT_DIRECTIONS,
@@ -30,15 +29,11 @@ from .gcm import (
     StochasticCellMap,
     build_stochastic_map,
     decompose,
-    strongly_connected_components,
 )
 from .gridworld import (
     Direction,
     Workspace,
-    cell_distance,
     direction_between,
-    format_directions,
-    neighbors,
     parse_directions,
 )
 from .hmm import (
@@ -56,13 +51,10 @@ from .ingest import (
     synthesize_field,
 )
 from .sim import (
-    ErrorReport,
     ExperimentConfig,
     ExperimentResult,
-    error_report,
     run_experiment,
     sample_runs,
-    sample_trajectory,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .errors import ConfigError, DriftlocError, FieldParseError, ZeroProbability
 from .flowfield import build_cell_map
 from .gcm import build_stochastic_map, decompose
 from .gridworld import parse_directions
-from .hmm import HmmModel, emission_matrix, initial_distribution, viterbi
+from .hmm import HmmModel, initial_distribution, viterbi
 from .ingest import SyntheticFieldSpec, load_field, synthesize_field
 from .report import report_json
 from .sim import ExperimentConfig, run_experiment
@@ -100,8 +100,8 @@ def cmd_localize(args) -> int:
     obs = parse_directions(Path(args.obs).read_text())
     if not obs:
         raise DriftlocError(f"observation file {args.obs} is empty")
-    pi = initial_distribution(w, args.x0, args.pi)
-    model = HmmModel(P=smap, Q=emission_matrix(smap), pi=pi)
+    mode = {"det": "deterministic", "prob": "probabilistic"}[args.pi]
+    model = HmmModel(P=smap, pi=initial_distribution(w, args.x0, mode))
     cells, logp = viterbi(model, obs)
     payload = {"path": cells, "final": cells[-1], "log_prob": logp}
     print(f"decoded {len(obs)} observations; final cell {cells[-1]}, "
@@ -181,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "pi", None) is not None and args.command == "localize":
-        args.pi = {"det": "deterministic", "prob": "probabilistic"}[args.pi]
     try:
         name = os.environ.get("DRIFTLOC_LOG_LEVEL", "WARNING")
         level = logging.getLevelName(name.upper())

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LandCellError
 from .gridworld import Workspace
 
 
@@ -70,17 +69,6 @@ def default_dt(field: VectorField) -> float:
     return 1.0 / vmax if vmax > 0.0 else 1.0
 
 
-def euler_endpoint(field: VectorField, z: int, dt: float) -> tuple[float, float]:
-    """Continuous endpoint (x, y) = center(z) + dt * F(z), grid coordinates."""
-    w = field.workspace
-    row, col = w.rowcol(z)
-    if w.land_mask[row, col]:
-        raise LandCellError(f"cell {z} is land; the field is undefined there")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return (col + dt * float(field.u[row, col]), row + dt * float(field.v[row, col]))
-
-
 @dataclass(frozen=True, eq=False)
 class CellMap:
     """Deterministic Euler image of every water cell, plus the raw endpoints.
@@ -95,10 +83,6 @@ class CellMap:
     dt: float
     images: np.ndarray  # (n_free,) int64, cell indices
     endpoints: np.ndarray  # (n_free, 2) float64, (x, y)
-
-    def image_of(self, z: int) -> int:
-        return int(self.images[self.workspace.state_of(z)])
-
 
 def build_cell_map(field: VectorField, dt: float | None = None) -> CellMap:
     """Euler-map every water cell; dt defaults to one cell at peak speed."""

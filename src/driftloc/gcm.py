@@ -205,14 +205,6 @@ def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray,
     return (np.array(rindex, dtype=np.int64) - done).astype(np.int32), closed
 
 
-def strongly_connected_components(P: StochasticCellMap) -> list[np.ndarray]:
-    """Maximal SCCs of the support graph, ordered by smallest member state."""
-    labels, _ = _component_labels(*_successors(P))
-    by_label = np.argsort(labels, kind="stable")  # members ascending per label
-    comps = np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1)
-    return sorted(comps, key=lambda c: int(c[0]))
-
-
 def _group_label(domiciles: tuple[int, ...]) -> str:
     return "B(" + ",".join(str(d) for d in domiciles) + ")"
 

@@ -105,11 +105,6 @@ def format_histories(histories) -> list[str]:
     return [" ".join(map(_SYMBOLS.__getitem__, h)) for h in rows]
 
 
-def format_directions(directions) -> str:
-    """Serialize an observation history as a single space-separated line."""
-    return format_histories([directions])[0]
-
-
 @dataclass(frozen=True, eq=False)
 class Workspace:
     """Rectangular cell grid with a land mask.
@@ -180,19 +175,6 @@ class Workspace:
         z = self._check(z)
         return divmod(z - 1, self.cols)
 
-    def center(self, z: int) -> tuple[float, float]:
-        """Cell center in continuous grid coordinates (x = col, y = row)."""
-        row, col = self.rowcol(z)
-        return (float(col), float(row))
-
-    def geographic(self, z: int) -> tuple[float, float]:
-        """(lon, lat) of the cell center."""
-        row, col = self.rowcol(z)
-        return (
-            self.origin[0] + col * self.cell_size[0],
-            self.origin[1] + row * self.cell_size[1],
-        )
-
     def is_land(self, z: int) -> bool:
         row, col = self.rowcol(z)
         return bool(self.land_mask[row, col])
@@ -215,10 +197,6 @@ class Workspace:
             if 0 <= r < self.rows and 0 <= c < self.cols and not self.land_mask[r, c]:
                 out.add(r * self.cols + c + 1)
         return out
-
-
-def neighbors(w: Workspace, z: int) -> set[int]:
-    return w.neighbors(z)
 
 
 def direction_between(w: Workspace, z: int, z2: int) -> Direction:
@@ -250,8 +228,3 @@ def cell_distances(w: Workspace, z, z2) -> np.ndarray:
     # The root of the exact integer dr^2 + dc^2 is correctly rounded: it
     # equals math.hypot on every offset up to 400, where np.hypot does not.
     return np.sqrt(dr * dr + dc * dc)
-
-
-def cell_distance(w: Workspace, z: int, z2: int) -> float:
-    """Euclidean distance between cell centers, in cell units."""
-    return float(cell_distances(w, z, z2))

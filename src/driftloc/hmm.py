@@ -19,24 +19,11 @@ W the most live slots of any row: 6 on the fixture and on the 42 x 58 gyre,
 decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory, 5 bytes a
 state (an int32 index and a uint8 slot), besides an O(n) mask pass per step;
 no n x n or (T + 1) x n array is ever built.
-
-``viterbi_runs`` decodes a group of R histories of one length T against one
-chain in lockstep, so each step's array calls serve every run.  Run r keeps
-its states in block r of R blocks of n + 1 indices, slot n being its sink.
-A group does the arithmetic of R single decodes, O(sum_t |D_t| * W) over the
-runs' summed feasible sets, in about 20 array calls per step instead of 20 R,
-plus O(R n) per step for the mask and the emission rows.  It keeps 5 bytes
-per state of the summed sets plus O(R n) for the mask, scores and priors;
-the chain tables are shared, not repeated per run.  They are read in take's
-"wrap" mode, which reduces an index by repeated subtraction: negligible on
-chains of hundreds of states, but on a chain of a few states with hundreds
-of runs in a group it dominates a step.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,26 +71,28 @@ def _check_prior(pi: np.ndarray, n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HmmModel:
-    """lambda = (P, Q, pi) over the free cells and the 9-symbol alphabet."""
+    """lambda = (P, Q, pi) over the free cells and the 9-symbol alphabet.
+
+    Q is derived from the chain: ``emission_matrix(P)``.
+    """
 
     P: StochasticCellMap
-    Q: np.ndarray  # (n_free, 9)
     pi: np.ndarray  # (n_free,)
+    Q: np.ndarray = field(init=False)  # (n_free, 9)
 
     def __post_init__(self):
         n = self.P.n_states
-        if self.Q.shape != (n, N_DIRECTIONS):
-            raise ValueError(f"emission matrix shape {self.Q.shape} != ({n}, 9)")
-        self._set_prior(self.pi)
+        _check_prior(self.pi, n)
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_logpi", np.log(self.pi))
         # Decoder tables of W columns, W the most live slots of any row: row
         # s holds the live slots of state s first, in slot (ascending target)
         # order, so on a row with a finite maximum argmax's first-maximum
         # rule picks the target it would pick over all nine slots, those off
         # A(z) scoring -inf.  A row is padded, and a sink state n added, with
         # the target n, which reaches only itself, scores log 0 and emits
-        # nothing.  The tables are shared by every decode against this model
-        # and by the models with_prior derives from it; _logQ is a view of
-        # the first n states of _logQT.
+        # nothing.  The tables are shared by every decode against this
+        # model; _logQ is a view of the first n states of _logQT.
         probs = self.P.probs
         live = np.flatnonzero(probs > 0.0)  # the live slots, row by row
         state = live // probs.shape[1]
@@ -120,6 +109,7 @@ class HmmModel:
         logP_pad.ravel()[column] = np.log(logp, out=logp)
         nxt.ravel()[column] = self.P.targets.ravel().take(live)
         del live, column, logp  # freed before the emission table is made
+        object.__setattr__(self, "Q", emission_matrix(self.P))
         logQT = np.full((N_DIRECTIONS, n + 1), -np.inf)
         with np.errstate(divide="ignore"):
             np.log(self.Q.T, out=logQT[:, :n])
@@ -128,22 +118,6 @@ class HmmModel:
         object.__setattr__(self, "_logQT", logQT)  # (9, n + 1): log Q by symbol
         object.__setattr__(self, "_emits", logQT > -np.inf)
         object.__setattr__(self, "_logQ", logQT[:, :n].T)
-
-    def _set_prior(self, pi: np.ndarray) -> None:
-        _check_prior(pi, self.P.n_states)
-        object.__setattr__(self, "pi", pi)
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_logpi", np.log(pi))
-
-    def with_prior(self, pi: np.ndarray) -> HmmModel:
-        """The same chain and emissions under another initial distribution.
-
-        Only ``pi`` is validated and logged; the chain-derived views are
-        shared with this model, not rebuilt.
-        """
-        model = copy.copy(self)
-        model._set_prior(pi)
-        return model
 
     @property
     def workspace(self) -> Workspace:
@@ -191,7 +165,9 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     # of a decode's memory, are kept as int32.  One run reads the tables in
     # place: its step makes the array calls of a one-run decode, with no
     # gather or add.  rows_at(table, t) is the row of a (9, N) table for
-    # each run's symbol at step t, run after run.
+    # each run's symbol at step t, run after run.  Wrap mode reduces an index
+    # by repeated subtraction: negligible on chains of hundreds of states, it
+    # dominates a step on a chain of a few states with hundreds of runs.
     R, N = len(obs), n + 1
     index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
     pis = np.array(priors, dtype=float)

@@ -349,12 +349,6 @@ class SyntheticFieldSpec:
         spec.validate()
         return spec
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "amplitude": self.amplitude, "decay": self.decay,
-            "u": self.u, "v": self.v,
-        }
-
 
 def _gyre_velocity(x, y, amplitude, decay):
     """Rotation + inward spiral of psi = A sin(pi x) sin(pi y).

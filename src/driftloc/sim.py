@@ -44,7 +44,7 @@ from .gcm import (
     decompose,
 )
 from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
-from .hmm import HmmModel, emission_matrix, initial_distribution, viterbi_runs
+from .hmm import HmmModel, initial_distribution, viterbi_runs
 from .ingest import SyntheticFieldSpec, resolve_field
 from .report import report_json
 
@@ -90,24 +90,6 @@ def _check_synthetic(synth: dict) -> None:
             )
 
 
-def sample_trajectory(
-    P: StochasticCellMap,
-    pi: np.ndarray,
-    T: int,
-    seed,
-    obs_noise: float = 0.0,
-) -> tuple[list[int], list[int]]:
-    """Simulate the chain for T steps and report the compass history.
-
-    Returns (trajectory of T + 1 cell indices, T direction indices).  The
-    observation at step t is the heading of the move x_{t-1} -> x_t; with
-    obs_noise > 0 each symbol is replaced by a uniformly random different
-    one with that probability.
-    """
-    cells, obs = sample_runs(P, [pi], T, [np.random.default_rng(seed)], obs_noise)
-    return cells[0].tolist(), obs[0].tolist()
-
-
 def sample_runs(
     P: StochasticCellMap,
     pis,
@@ -117,10 +99,13 @@ def sample_runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate R runs of the chain in lockstep: run r from pis[r] with rngs[r].
 
-    Returns ((R, T + 1) cell indices, (R, T) direction indices); row r is
-    what ``sample_trajectory`` gives for that run alone.  Each generator is
-    drawn from in the same order: initial state, T step uniforms, then the
-    noise draws.  The steps cost O(T) array calls over R runs and 9 slots.
+    Returns ((R, T + 1) cell indices, (R, T) direction indices).  The
+    observation at step t is the heading of the move x_{t-1} -> x_t; with
+    obs_noise > 0 each symbol is replaced by a uniformly random different
+    one with that probability.  Each generator is drawn from in the same
+    order: initial state, T step uniforms, then the noise draws, so row r
+    does not depend on the other runs.  The steps cost O(T) array calls over
+    R runs and 9 slots.
     """
     if T < 1:
         raise ValueError("trajectory length T must be >= 1")
@@ -154,27 +139,9 @@ def sample_runs(
     return P.workspace.free_cells[states], obs
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Localization error of one decoded run, in cell units."""
-
-    final_error: float
-    trajectory_error: float
-
-
-def error_report(true_path, decoded_path, w: Workspace) -> ErrorReport:
-    """Final-location and whole-trajectory error between two equal-length paths."""
-    if len(true_path) != len(decoded_path):
-        raise ValueError(
-            f"path lengths differ: {len(true_path)} vs {len(decoded_path)}"
-        )
-    final, trajectory = error_reports([true_path], [decoded_path], w)
-    return ErrorReport(final_error=final.item(), trajectory_error=trajectory.item())
-
-
 def error_reports(true_paths, decoded_paths, w: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Final and trajectory errors of R runs, from (R, T + 1) true and decoded
-    paths: row r is what ``error_report`` gives for that run alone.
+    """Final-location and whole-trajectory errors of R runs, in cell units,
+    from (R, T + 1) true and decoded paths.
 
     The trajectory error adds each run's step distances left to right, so it
     does not depend on the summation order of any one library or Python
@@ -257,10 +224,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {
-            "field", "r", "dt", "modes", "T_list", "runs", "base_seed",
-            "initial", "group_by_region", "regions", "obs_noise",
-        }
+        known = {f.name for f in fields(cls)}
         if not isinstance(d, dict) or "field" not in d:
             raise ConfigError("config must be a JSON object with a 'field' key")
         unknown = set(d) - known
@@ -275,19 +239,8 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "r": self.r,
-            "dt": self.dt,
-            "modes": list(self.modes),
-            "T_list": list(self.T_list),
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "initial": self.initial,
-            "group_by_region": self.group_by_region,
-            "regions": list(self.regions) if self.regions is not None else None,
-            "obs_noise": self.obs_noise,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 SUMMARY_COLUMNS = (
@@ -347,7 +300,6 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
 
     cm = build_cell_map(vfield, dt=cfg.dt)
     smap = build_stochastic_map(cm, cfg.r)
-    Q = emission_matrix(smap)
     dec = decompose(smap)
 
     if isinstance(cfg.initial, int) and w.is_land(cfg.initial):
@@ -392,7 +344,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
             runs = range(lo, min(lo + group, cfg.runs))
             priors = [initial_distribution(w, starts[i], mode) for i in runs]
             if model is None:
-                model = HmmModel(P=smap, Q=Q, pi=priors[0])
+                model = HmmModel(P=smap, pi=priors[0])
             true_paths, histories = sample_runs(
                 smap, priors, T, rngs[lo:runs.stop], cfg.obs_noise
             )
@@ -432,21 +384,10 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                     "final_error": final,
                     "trajectory_error": traj,
                 })
-        f_stats = _summarize(finals)
-        t_stats = _summarize(trajs)
-        summary.append({
-            "condition": cond_idx,
-            "T": T,
-            "mode": mode,
-            "region": region or "",
-            "runs": cfg.runs,
-            "final_mean": f_stats[0], "final_median": f_stats[1],
-            "final_std": f_stats[2], "final_min": f_stats[3],
-            "final_max": f_stats[4],
-            "traj_mean": t_stats[0], "traj_median": t_stats[1],
-            "traj_std": t_stats[2], "traj_min": t_stats[3],
-            "traj_max": t_stats[4],
-        })
+        summary.append(dict(zip(SUMMARY_COLUMNS, (
+            cond_idx, T, mode, region or "", cfg.runs,
+            *_summarize(finals), *_summarize(trajs),
+        ))))
 
     return ExperimentResult(
         config=cfg, summary=summary, runs=run_records, decomposition=dec

@@ -10,9 +10,10 @@ from driftloc import (
     build_cell_map,
     build_stochastic_map,
     decompose,
-    emission_matrix,
     load_field,
+    sample_runs,
 )
+from driftloc import gcm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_FIELD = REPO_ROOT / "fixtures" / "double_gyre_21x29.field"
@@ -55,6 +56,23 @@ def packed(smap):
     )
 
 
+def sample_run(P, pi, T, seed, obs_noise=0.0):
+    """One run of ``sample_runs`` from ``default_rng(seed)``: its T + 1 cells
+    and T direction indices, as lists."""
+    cells, obs = sample_runs(P, [pi], T, [np.random.default_rng(seed)], obs_noise)
+    return cells[0].tolist(), obs[0].tolist()
+
+
+def components(P):
+    """The chain's strongly connected components, the labels of
+    ``gcm._component_labels`` grouped: ascending states per component, the
+    components ordered by their smallest state."""
+    labels, _ = gcm._component_labels(*gcm._successors(P))
+    by_label = np.argsort(labels, kind="stable")
+    comps = np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1)
+    return sorted(comps, key=lambda c: int(c[0]))
+
+
 def last_live_slot(P):
     """Per row, the last slot that holds a mapped cell."""
     return P.targets.shape[1] - 1 - np.argmax(P.targets[:, ::-1] >= 0, axis=1)
@@ -72,6 +90,5 @@ def gyre():
         "cell_map": cm,
         "smap": smap,
         "P": smap,
-        "Q": emission_matrix(smap),
         "decomposition": decompose(smap),
     }

@@ -16,20 +16,18 @@ from driftloc import (
     build_stochastic_map,
     decompose,
     emission_matrix,
-    error_report,
     initial_distribution,
     run_experiment,
-    sample_trajectory,
-    strongly_connected_components,
     synthesize_field,
     viterbi,
     SyntheticFieldSpec,
 )
 from driftloc.cli import main as cli_main
+from driftloc.sim import error_reports
 from closure_reference import reachability
 from conftest import (
     CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, last_live_slot, make_field,
-    random_field,
+    random_field, sample_run,
 )
 from test_gcm import bool_power_closure
 from test_hmm import brute_force_best, path_logprob
@@ -49,12 +47,11 @@ class TestCriterion1ViterbiOracle:
             w, f = random_field(rng, int(rows), int(cols), land_prob=0.12, vmax=1.3)
             r = float(rng.choice([0.7, 0.9]))
             P = build_stochastic_map(build_cell_map(f), r)
-            Q = emission_matrix(P)
             x0 = int(rng.choice(w.free_cells))
             mode = "deterministic" if rng.random() < 0.5 else "probabilistic"
-            model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode))
+            model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
             T = int(rng.integers(3, 7))
-            _, obs = sample_trajectory(P, model.pi, T, seed=rng)
+            _, obs = sample_run(P, model.pi, T, seed=rng)
             decoded, logp = viterbi(model, obs)
             oracle = brute_force_best(model, [int(y) for y in obs])
             assert abs(logp - oracle) <= 1e-9, (
@@ -192,19 +189,18 @@ class TestCriterion5NoiselessLimit:
         t0 = time.time()
         w = gyre["workspace"]
         P = build_stochastic_map(gyre["cell_map"], 1.0)
-        Q = emission_matrix(P)
         n_runs = 0
         for T in (20, 50, 100):
             for run in range(50):
                 rng = np.random.default_rng(np.random.SeedSequence((5, T, run)))
                 x0 = int(w.free_cells[rng.integers(w.n_free)])
                 pi = initial_distribution(w, x0, "deterministic")
-                true_path, obs = sample_trajectory(P, pi, T, seed=rng)
-                model = HmmModel(P=P, Q=Q, pi=pi)
+                true_path, obs = sample_run(P, pi, T, seed=rng)
+                model = HmmModel(P=P, pi=pi)
                 decoded, logp = viterbi(model, obs)
-                rep = error_report(true_path, decoded, w)
-                assert rep.final_error == 0.0, f"T={T} run={run}"
-                assert rep.trajectory_error == 0.0, f"T={T} run={run}"
+                final, traj = error_reports([true_path], [decoded], w)
+                assert final[0] == 0.0, f"T={T} run={run}"
+                assert traj[0] == 0.0, f"T={T} run={run}"
                 n_runs += 1
         elapsed = time.time() - t0
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"

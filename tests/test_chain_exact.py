@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain_reference as ref
-from conftest import packed, random_field
+from conftest import packed, random_field, sample_run
 from driftloc import (
     SLOT_DIRECTIONS,
     VectorField,
     build_cell_map,
     build_stochastic_map,
     initial_distribution,
-    sample_trajectory,
 )
 from test_acceptance import _fixture_suite
 
@@ -103,7 +102,7 @@ class TestSamplerMatchesLoop:
                     seed = np.random.SeedSequence((round(10 * r), run))
                     x0 = int(w.free_cells[np.random.default_rng(seed).integers(w.n_free)])
                     pi = initial_distribution(w, x0, mode)
-                    got = sample_trajectory(smap, pi, 40, seed, obs_noise=obs_noise)
+                    got = sample_run(smap, pi, 40, seed, obs_noise=obs_noise)
                     want = ref.sample_trajectory(rows, pi, 40, seed, obs_noise=obs_noise)
                     assert got == want, (r, mode, run)
 
@@ -118,5 +117,5 @@ class TestSamplerMatchesLoop:
             pi = initial_distribution(w, int(rng.choice(w.free_cells)), "probabilistic")
             noise = 0.3 * (trial % 2)
             seed = int(rng.integers(2**32))
-            got = sample_trajectory(smap, pi, 30, seed, obs_noise=noise)
+            got = sample_run(smap, pi, 30, seed, obs_noise=noise)
             assert got == ref.sample_trajectory(rows, pi, 30, seed, obs_noise=noise), trial

@@ -8,14 +8,13 @@ import pytest
 from driftloc import (
     build_cell_map,
     build_stochastic_map,
-    format_directions,
     initial_distribution,
-    sample_trajectory,
     synthesize_field,
     SyntheticFieldSpec,
 )
 from driftloc.cli import main
-from conftest import CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, REPO_ROOT, SCHEMA_DIR
+from driftloc.gridworld import format_histories
+from conftest import CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, REPO_ROOT, SCHEMA_DIR, sample_run
 
 
 def run_cli(*argv):
@@ -102,9 +101,9 @@ class TestLocalize:
         P = build_stochastic_map(build_cell_map(f), r)
         x0 = w.index(15, 8)
         pi = initial_distribution(w, x0, "deterministic")
-        path, obs = sample_trajectory(P, pi, T, seed=11)
+        path, obs = sample_run(P, pi, T, seed=11)
         obs_path = tmp_path / "obs.txt"
-        obs_path.write_text(format_directions(obs) + "\n")
+        obs_path.write_text(format_histories([obs])[0] + "\n")
         return field_path, obs_path, x0, path
 
     def test_noiseless_roundtrip(self, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_reference as ref
-from conftest import make_field, random_field
+from conftest import components, make_field, random_field
 from driftloc import (
     SyntheticFieldSpec,
     VectorField,
@@ -21,7 +21,6 @@ from driftloc import (
     build_cell_map,
     build_stochastic_map,
     decompose,
-    strongly_connected_components,
     synthesize_field,
 )
 from test_acceptance import _fixture_suite
@@ -50,7 +49,7 @@ def assert_matches_reference(P):
 
 
 def assert_same_sccs(P):
-    sccs, ref_sccs = strongly_connected_components(P), ref.strongly_connected_components(P)
+    sccs, ref_sccs = components(P), ref.strongly_connected_components(P)
     assert len(sccs) == len(ref_sccs)
     for a, b in zip(sccs, ref_sccs):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -159,7 +158,7 @@ class TestDeepGraph:
         assert dec.persistent_groups[0].tolist() == [end + 1]
         assert list(dec.transient_groups) == [(1,)]
         assert np.array_equal(dec.transient_groups[(1,)], np.delete(cells, end))
-        sccs = strongly_connected_components(P)
+        sccs = components(P)
         assert len(sccs) == n
         assert np.array_equal(np.concatenate(sccs), np.arange(n))
 

@@ -4,31 +4,45 @@ import numpy as np
 import pytest
 
 from driftloc import (
-    LandCellError,
     SyntheticFieldSpec,
     VectorField,
     Workspace,
     build_cell_map,
     default_dt,
-    euler_endpoint,
-    neighbors,
     synthesize_field,
 )
 from conftest import make_field
 
 
+def euler_point(f, z, dt):
+    """The Euler endpoint (x, y) that ``build_cell_map`` gives water cell z."""
+    w = f.workspace
+    return tuple(build_cell_map(f, dt).endpoints[w.state_of(z)].tolist())
+
+
+def image(cm, z):
+    """The image cell of water cell z in a cell map."""
+    return int(cm.images[cm.workspace.state_of(z)])
+
+
+def center(w, z):
+    """Cell center in continuous grid coordinates (x = col, y = row)."""
+    row, col = w.rowcol(z)
+    return (float(col), float(row))
+
+
 class TestEulerEndpoint:
     def test_zero_field_fixed_point(self):
         w, f = make_field(3, 3)
-        assert euler_endpoint(f, 5, dt=2.5) == (1.0, 1.0)
+        assert euler_point(f, 5, dt=2.5) == (1.0, 1.0)
 
     def test_unit_advection_east(self):
         w, f = make_field(3, 3, u=1.0)
-        assert euler_endpoint(f, 5, dt=1.0) == (2.0, 1.0)
+        assert euler_point(f, 5, dt=1.0) == (2.0, 1.0)
 
     def test_direct_application(self):
         w, f = make_field(3, 3, u=0.4, v=0.9)
-        x, y = euler_endpoint(f, 5, dt=1.0)
+        x, y = euler_point(f, 5, dt=1.0)
         assert (x, y) == (1.4, 1.9)
 
     def test_land_cell_rejected(self):
@@ -36,15 +50,17 @@ class TestEulerEndpoint:
         mask[0, 0] = True
         w = Workspace(rows=3, cols=3, land_mask=mask)
         f = VectorField(workspace=w, u=np.zeros((3, 3)), v=np.zeros((3, 3)))
-        with pytest.raises(LandCellError):
-            euler_endpoint(f, 1, dt=1.0)
+        # A land cell gets no endpoint: the map has one row per water cell.
+        cm = build_cell_map(f, dt=1.0)
+        assert len(cm.endpoints) == len(cm.images) == w.n_free == 8
+        with pytest.raises(ValueError, match="is land"):
+            w.state_of(1)
 
     def test_scaling_consistency(self):
         # dt * F is what matters: doubling F and halving dt changes nothing.
         w, f1 = make_field(4, 4, u=0.3, v=-0.7)
         _, f2 = make_field(4, 4, u=0.6, v=-1.4)
-        for z in w.free_cells:
-            assert euler_endpoint(f1, int(z), 1.0) == euler_endpoint(f2, int(z), 0.5)
+        assert (build_cell_map(f1, 1.0).endpoints == build_cell_map(f2, 0.5).endpoints).all()
 
 
 class TestMappedCell:
@@ -52,11 +68,11 @@ class TestMappedCell:
         w, f = make_field(3, 3)
         cm = build_cell_map(f, dt=1.0)
         for z in range(1, 10):
-            assert cm.image_of(z) == z
+            assert image(cm, z) == z
 
     def test_strong_east_flow(self):
         w, f = make_field(3, 3, u=0.6)
-        assert build_cell_map(f, dt=1.0).image_of(4) == 5
+        assert image(build_cell_map(f, dt=1.0), 4) == 5
 
     def test_equidistant_tie_prefers_smaller_index(self):
         # Endpoint exactly halfway between the center cell and its east
@@ -64,15 +80,15 @@ class TestMappedCell:
         # wins.  Verified against exact enumeration of candidate distances.
         w, f = make_field(3, 3, u=0.5)
         z = w.index(1, 1)
-        ex, ey = euler_endpoint(f, z, 1.0)
+        ex, ey = euler_point(f, z, 1.0)
         dists = {}
-        for cand in sorted(neighbors(w, z) | {z}):
+        for cand in sorted(w.neighbors(z) | {z}):
             r, c = w.rowcol(cand)
             dists[cand] = (c - ex) ** 2 + (r - ey) ** 2
         best = min(dists.values())
         ties = [cand for cand, d in dists.items() if d == best]
         assert ties == [5, 6]  # exact float tie by construction
-        assert build_cell_map(f, 1.0).image_of(z) == 5
+        assert image(build_cell_map(f, 1.0), z) == 5
 
     def test_land_image_falls_back_to_nearest_water(self):
         # Strong east flow but the east neighbor is land: nearest water
@@ -82,8 +98,8 @@ class TestMappedCell:
         w = Workspace(rows=3, cols=3, land_mask=mask)
         f = VectorField(workspace=w, u=np.full((3, 3), 0.9), v=np.zeros((3, 3)))
         z = w.index(1, 1)
-        img = build_cell_map(f, 1.0).image_of(z)
-        assert img in (neighbors(w, z) | {z})
+        img = image(build_cell_map(f, 1.0), z)
+        assert img in (w.neighbors(z) | {z})
         assert not w.is_land(img)
         assert img == z  # center at distance 0.9 beats the diagonals (~1.345)
 
@@ -95,13 +111,13 @@ class TestBuildCellMap:
         assert cm.dt == 1.0
         for row in range(4):
             for col in range(4):
-                assert cm.image_of(w.index(row, col)) == w.index(row, col + 1)
+                assert image(cm, w.index(row, col)) == w.index(row, col + 1)
 
     def test_zero_field_identity(self):
         w, f = make_field(3, 4)
         cm = build_cell_map(f)
         for z in w.free_cells:
-            assert cm.image_of(int(z)) == int(z)
+            assert image(cm, int(z)) == int(z)
 
     def test_image_locality(self):
         rng = np.random.default_rng(3)
@@ -113,7 +129,7 @@ class TestBuildCellMap:
         )
         cm = build_cell_map(f)
         for z in w.free_cells:
-            assert cm.image_of(int(z)) in (neighbors(w, int(z)) | {int(z)})
+            assert image(cm, int(z)) in (w.neighbors(int(z)) | {int(z)})
 
     def test_shape_mismatch_rejected(self):
         w = Workspace(rows=3, cols=3)
@@ -159,14 +175,14 @@ class TestDoubleGyreOrbits:
         signs = {}
         for side in ("left", "right"):
             z = starts[side]
-            orbit = [w.center(z)]
+            orbit = [center(w, z)]
             for _ in range(n_steps):
-                z = cm.image_of(z)
-                if w.center(z) != orbit[-1]:
-                    orbit.append(w.center(z))
+                z = image(cm, z)
+                if center(w, z) != orbit[-1]:
+                    orbit.append(center(w, z))
             assert len(orbit) >= 4, "orbit did not move"
             # continuous-flow oracle from the same start over the same time
-            x, y = w.center(starts[side])
+            x, y = center(w, starts[side])
             cont = [(x, y)]
             for _ in range(100 * n_steps):
                 r = min(max(int(round(y)), 0), w.rows - 1)

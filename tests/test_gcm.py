@@ -9,11 +9,9 @@ from driftloc import (
     build_cell_map,
     build_stochastic_map,
     decompose,
-    neighbors,
-    strongly_connected_components,
 )
 from closure_reference import reachability
-from conftest import last_live_slot, make_field, random_field
+from conftest import components, last_live_slot, make_field, random_field
 
 
 def chain_from_edges(n, edges, probs=None, dead_ends=()):
@@ -121,7 +119,7 @@ class TestBuildStochasticMap:
         z = w.index(1, 1)  # endpoint (1.9, 1.9): stencil touches land (2, 2)
         s = w.state_of(z)
         assert bool(smap.colliding[s])
-        admissible = sorted(neighbors(w, z) | {z})
+        admissible = sorted(w.neighbors(z) | {z})
         assert smap.mapped_set(z) == {c: 1.0 / len(admissible) for c in admissible}
 
     def test_r_validation(self):
@@ -170,7 +168,7 @@ class TestBuildStochasticMap:
             w, f = random_field(rng, 5, 5, land_prob=0.2, vmax=3.0)
             smap = build_stochastic_map(build_cell_map(f), 0.8)
             for z in w.free_cells:
-                allowed = neighbors(w, int(z)) | {int(z)}
+                allowed = w.neighbors(int(z)) | {int(z)}
                 assert set(smap.mapped_set(int(z))) <= allowed
 
 
@@ -212,12 +210,12 @@ class TestStronglyConnectedComponents:
     def test_identity_gives_singletons(self):
         w, f = make_field(3, 4)
         P = build_stochastic_map(build_cell_map(f), 0.9)
-        sccs = strongly_connected_components(P)
+        sccs = components(P)
         assert [list(c) for c in sccs] == [[s] for s in range(12)]
 
     def test_single_cycle(self):
         P = chain_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        sccs = strongly_connected_components(P)
+        sccs = components(P)
         assert len(sccs) == 1
         assert list(sccs[0]) == [0, 1, 2, 3, 4]
 
@@ -225,7 +223,7 @@ class TestStronglyConnectedComponents:
         # 0-1-2 cycle -> bridge 2->3 -> 3-4-5 cycle
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
         P = chain_from_edges(6, edges)
-        sccs = strongly_connected_components(P)
+        sccs = components(P)
         assert [list(c) for c in sccs] == [[0, 1, 2], [3, 4, 5]]
         # oracle: pairwise mutual reachability from boolean powers
         adj = np.zeros((6, 6), dtype=bool)

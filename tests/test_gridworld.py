@@ -8,10 +8,7 @@ from driftloc import (
     Direction,
     NonAdjacentCellsError,
     Workspace,
-    cell_distance,
     direction_between,
-    format_directions,
-    neighbors,
     parse_directions,
 )
 from driftloc.gridworld import cell_distances, format_histories
@@ -24,6 +21,11 @@ def ws(rows=3, cols=3, land=None):
         for r, c in land:
             mask[r, c] = True
     return Workspace(rows=rows, cols=cols, land_mask=mask)
+
+
+def distance(w, z, z2):
+    """Distance between two cell centers, from a pair of one."""
+    return float(cell_distances(w, z, z2))
 
 
 class TestWorkspace:
@@ -61,34 +63,27 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             w.state_of(1)
 
-    def test_geographic_center(self):
-        w = Workspace(rows=3, cols=3, origin=(-118.0, 33.5), cell_size=(0.02, 0.01))
-        assert w.geographic(1) == (-118.0, 33.5)
-        lon, lat = w.geographic(w.index(2, 1))
-        assert lon == pytest.approx(-118.0 + 0.02)
-        assert lat == pytest.approx(33.5 + 0.02)
-
 
 class TestNeighbors:
     def test_center_full_moore(self):
         w = ws()
-        assert neighbors(w, w.index(1, 1)) == {1, 2, 3, 4, 6, 7, 8, 9}
+        assert w.neighbors(w.index(1, 1)) == {1, 2, 3, 4, 6, 7, 8, 9}
 
     def test_corner_has_three(self):
         w = ws()
-        assert neighbors(w, 1) == {2, 4, 5}
+        assert w.neighbors(1) == {2, 4, 5}
 
     def test_land_excluded(self):
         w = ws(land=[(0, 1)])
-        assert neighbors(w, w.index(1, 1)) == {1, 3, 4, 6, 7, 8, 9}
-        assert len(neighbors(w, w.index(1, 1))) == 7
+        assert w.neighbors(w.index(1, 1)) == {1, 3, 4, 6, 7, 8, 9}
+        assert len(w.neighbors(w.index(1, 1))) == 7
 
     def test_symmetry_over_water(self):
         rng = np.random.default_rng(1)
         w = ws(5, 5, land=[(1, 2), (3, 3)])
         for z in w.free_cells:
-            for z2 in neighbors(w, int(z)):
-                assert int(z) in neighbors(w, z2)
+            for z2 in w.neighbors(int(z)):
+                assert int(z) in w.neighbors(z2)
 
 
 class TestDirections:
@@ -109,15 +104,15 @@ class TestDirections:
         w = ws(4, 4)
         for z in range(1, 17):
             r, c = w.rowcol(z)
-            for z2 in neighbors(w, z) | {z}:
+            for z2 in w.neighbors(z) | {z}:
                 d = direction_between(w, z, z2)
                 dr, dc = d.step
                 assert w.index(r + dr, c + dc) == z2
 
     def test_parse_format_roundtrip(self):
         seq = [Direction.N, Direction.NE, Direction.IDLE, Direction.SW]
-        assert parse_directions(format_directions(seq)) == seq
-        assert format_directions(seq) == "N NE I SW"
+        assert parse_directions(format_histories([seq])[0]) == seq
+        assert format_histories([seq])[0] == "N NE I SW"
         assert parse_directions("n, ne\nI") == [Direction.N, Direction.NE, Direction.IDLE]
 
     def test_parse_rejects_unknown(self):
@@ -127,34 +122,34 @@ class TestDirections:
     def test_format_histories(self):
         assert format_histories(np.array([[0, 8], [5, 2]])) == ["N I", "SW E"]
         assert format_histories([[Direction.W, Direction.SE]]) == ["W SE"]
-        assert format_directions(np.array([], dtype=np.int64)) == ""
-        assert format_directions(d for d in (Direction.NW, Direction.S)) == "NW S"
+        assert format_histories([np.array([], dtype=np.int64)])[0] == ""
+        assert format_histories([(d for d in (Direction.NW, Direction.S))])[0] == "NW S"
 
     def test_format_rejects_what_direction_rejects(self):
         for bad in ([0, 9], np.array([3, -1]), ["N"], [1.5]):
             with pytest.raises(ValueError) as want:
                 [Direction(y) for y in bad]
             with pytest.raises(ValueError) as got:
-                format_directions(bad)
+                format_histories([bad])[0]
             assert str(got.value) == str(want.value)
 
 
 class TestCellDistance:
     def test_identity_unit_diagonal(self):
         w = ws()
-        assert cell_distance(w, 5, 5) == 0.0
-        assert cell_distance(w, 4, 5) == 1.0
-        assert cell_distance(w, 1, 5) == pytest.approx(math.sqrt(2))
+        assert distance(w, 5, 5) == 0.0
+        assert distance(w, 4, 5) == 1.0
+        assert distance(w, 1, 5) == pytest.approx(math.sqrt(2))
 
     def test_metric_properties(self):
         w = ws(6, 7)
         rng = np.random.default_rng(7)
         cells = rng.integers(1, w.n_cells + 1, size=(60, 3))
         for a, b, c in cells:
-            ab = cell_distance(w, a, b)
-            assert ab == cell_distance(w, b, a)
+            ab = distance(w, a, b)
+            assert ab == distance(w, b, a)
             assert (ab == 0.0) == (a == b)
-            assert ab <= cell_distance(w, a, c) + cell_distance(w, c, b) + 1e-12
+            assert ab <= distance(w, a, c) + distance(w, c, b) + 1e-12
 
     def test_matches_hypot_on_every_offset_to_400(self):
         # The root of the exact integer square sum is correctly rounded, as
@@ -174,6 +169,6 @@ class TestCellDistance:
         with pytest.raises(CellIndexError, match="cell index 12 "):
             cell_distances(w, [[1, 2]], [[12, -3]])
         with pytest.raises(CellIndexError, match="cell index 10 "):
-            cell_distance(w, 1, 10)
+            distance(w, 1, 10)
         with pytest.raises(CellIndexError, match="cell index 0 "):
-            cell_distance(w, 0, 1)
+            distance(w, 0, 1)

@@ -17,18 +17,17 @@ from driftloc import (
     build_stochastic_map,
     emission_matrix,
     initial_distribution,
-    sample_trajectory,
     synthesize_field,
     viterbi,
 )
-from conftest import make_field, packed, random_field
+from conftest import make_field, packed, random_field, sample_run
 from dense_reference import dense_viterbi, loop_emission_matrix
 
 
 def model_for(field_pair, r, x_init, mode="deterministic", dt=None):
     w, f = field_pair
     P = build_stochastic_map(build_cell_map(f, dt=dt), r)
-    return HmmModel(P=P, Q=emission_matrix(P), pi=initial_distribution(w, x_init, mode))
+    return HmmModel(P=P, pi=initial_distribution(w, x_init, mode))
 
 
 def log_tables(model):
@@ -156,7 +155,7 @@ class TestViterbi:
         rng = np.random.default_rng(8)
         w, f = random_field(rng, 5, 5, vmax=1.5)
         model = model_for((w, f), 1.0, int(w.free_cells[7]))
-        true_path, obs = sample_trajectory(model.P, model.pi, 12, seed=4)
+        true_path, obs = sample_run(model.P, model.pi, 12, seed=4)
         decoded, logp = viterbi(model, obs)
         assert decoded == true_path
         assert logp == 0.0
@@ -181,7 +180,7 @@ class TestViterbi:
         w, f = make_field(3, 6, u=1.0)
         x0 = w.index(1, 2)
         model = model_for((w, f), 1.0, x0)
-        true_path, obs = sample_trajectory(model.P, model.pi, 5, seed=0)
+        true_path, obs = sample_run(model.P, model.pi, 5, seed=0)
         decoded, _ = viterbi(model, obs)
         assert decoded == true_path
         # east run of 3, then pinned at the east edge
@@ -196,7 +195,7 @@ class TestViterbi:
             mode = "deterministic" if trial % 2 else "probabilistic"
             model = model_for((w, f), r, x0, mode)
             T = int(rng.integers(2, 6))
-            true_path, obs = sample_trajectory(model.P, model.pi, T, seed=trial)
+            true_path, obs = sample_run(model.P, model.pi, T, seed=trial)
             decoded, logp = viterbi(model, obs)
             assert logp == pytest.approx(brute_force_best(model, obs), abs=1e-9)
             assert path_logprob(model, decoded, obs) == pytest.approx(logp, abs=1e-9)
@@ -206,7 +205,7 @@ class TestViterbi:
         w, f = random_field(rng, 6, 6, vmax=1.5)
         model = model_for((w, f), 0.8, int(w.free_cells[10]), "probabilistic")
         for seed in range(5):
-            true_path, obs = sample_trajectory(model.P, model.pi, 15, seed=seed)
+            true_path, obs = sample_run(model.P, model.pi, 15, seed=seed)
             decoded, logp = viterbi(model, obs)
             assert logp >= path_logprob(model, true_path, obs) - 1e-12
 
@@ -214,7 +213,7 @@ class TestViterbi:
         rng = np.random.default_rng(40)
         w, f = random_field(rng, 6, 6, vmax=2.0)
         model = model_for((w, f), 0.8, int(w.free_cells[3]), "probabilistic")
-        true_path, obs = sample_trajectory(model.P, model.pi, 20, seed=2)
+        true_path, obs = sample_run(model.P, model.pi, 20, seed=2)
         decoded, _ = viterbi(model, obs)
         successors, _, _ = log_tables(model)
         for t in range(len(obs)):
@@ -222,22 +221,6 @@ class TestViterbi:
             s2 = model.workspace.state_of(decoded[t + 1])
             assert model.Q[s, int(obs[t])] > 0.0
             assert s2 in successors[s]
-
-    def test_relabeling_invariance(self):
-        # permuting the direction alphabet consistently in Q and the
-        # observations must not change the decoded path
-        rng = np.random.default_rng(77)
-        w, f = random_field(rng, 5, 5, vmax=1.4)
-        model = model_for((w, f), 0.85, int(w.free_cells[5]))
-        _, obs = sample_trajectory(model.P, model.pi, 10, seed=9)
-        perm = rng.permutation(9)
-        Q2 = np.zeros_like(model.Q)
-        Q2[:, perm] = model.Q
-        model2 = HmmModel(P=model.P, Q=Q2, pi=model.pi)
-        decoded1, logp1 = viterbi(model, obs)
-        decoded2, logp2 = viterbi(model2, [int(perm[int(y)]) for y in obs])
-        assert decoded1 == decoded2
-        assert logp1 == pytest.approx(logp2)
 
     def test_zero_probability_carries_step(self):
         w, f = make_field(3, 5, u=1.0)
@@ -255,31 +238,9 @@ class TestViterbi:
     def test_model_validation(self):
         w, f = make_field(3, 3)
         P = build_stochastic_map(build_cell_map(f), 0.9)
-        Q = emission_matrix(P)
-        with pytest.raises(ValueError):
-            HmmModel(P=P, Q=Q[:, :5], pi=initial_distribution(w, 1, "deterministic"))
-        with pytest.raises(ValueError):
-            HmmModel(P=P, Q=Q, pi=np.full(9, 0.2))
-
-    def test_with_prior_shares_chain_views(self, gyre):
-        w, P = gyre["workspace"], gyre["P"]
-        Q = emission_matrix(P)
-        base = HmmModel(P=P, Q=Q, pi=initial_distribution(w, int(w.free_cells[0]),
-                                                          "deterministic"))
-        rng = np.random.default_rng(8)
-        for x0 in rng.choice(w.free_cells, size=6, replace=False).tolist():
-            for mode in ("deterministic", "probabilistic"):
-                pi = initial_distribution(w, x0, mode)
-                model, fresh = base.with_prior(pi), HmmModel(P=P, Q=Q, pi=pi)
-                assert model.pi is pi and base.pi is not pi
-                for view in ("_logP_pad", "_logQ", "_next", "_emits"):
-                    assert getattr(model, view) is getattr(base, view)
-                assert model._logpi.tobytes() == fresh._logpi.tobytes()
-                _, obs = sample_trajectory(P, pi, 30, rng)
-                assert viterbi(model, obs) == viterbi(fresh, obs)
-        for bad in (np.full(w.n_free + 1, 1.0 / (w.n_free + 1)), np.full(w.n_free, 0.5)):
+        for bad in (np.full(9, 0.2), np.full(10, 0.1), np.full(8, 0.125)):
             with pytest.raises(ValueError, match="initial distribution"):
-                base.with_prior(bad)
+                HmmModel(P=P, pi=bad)
 
 
 def decode_outcome(decoder, model, obs):
@@ -300,15 +261,19 @@ class TestDenseReferenceBitExact:
             w, f = random_field(rng, 6, 7, land_prob=0.25, vmax=2.0)
             smaps.append(build_stochastic_map(build_cell_map(f), float(rng.choice([0.6, 0.9]))))
         for smap in smaps:
+            w = smap.workspace
+            model = HmmModel(P=smap, pi=initial_distribution(w, int(w.free_cells[0]),
+                                                             "deterministic"))
             # the frozen loop stops at a row's first empty slot: give it packed rows
-            assert emission_matrix(smap).tobytes() == loop_emission_matrix(packed(smap)).tobytes()
+            want = loop_emission_matrix(packed(smap)).tobytes()
+            assert emission_matrix(smap).tobytes() == want
+            assert model.Q.tobytes() == want
 
     def test_fixture_runs(self, gyre):
         w = gyre["workspace"]
         infeasible = 0
         for r in (0.7, 0.9, 1.0):
             P = build_stochastic_map(gyre["cell_map"], r)
-            Q = emission_matrix(P)
             for mode in ("deterministic", "probabilistic"):
                 for T in (20, 50):
                     for run in range(4):
@@ -317,8 +282,8 @@ class TestDenseReferenceBitExact:
                         x0 = int(w.free_cells[rng.integers(w.n_free)])
                         pi = initial_distribution(w, x0, mode)
                         # odd runs flip symbols, which makes many histories infeasible
-                        _, obs = sample_trajectory(P, pi, T, rng, obs_noise=0.1 * (run % 2))
-                        model = HmmModel(P=P, Q=Q, pi=pi)
+                        _, obs = sample_run(P, pi, T, rng, obs_noise=0.1 * (run % 2))
+                        model = HmmModel(P=P, pi=pi)
                         got = decode_outcome(viterbi, model, obs)
                         assert got == decode_outcome(dense_viterbi, model, obs), (r, mode, T, run)
                         infeasible += got[0] == "infeasible"
@@ -335,7 +300,7 @@ class TestDenseReferenceBitExact:
             model = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
             T = int(rng.integers(1, 30))
             if trial % 3:
-                _, obs = sample_trajectory(model.P, model.pi, T, rng)
+                _, obs = sample_run(model.P, model.pi, T, rng)
             else:
                 obs = [int(y) for y in rng.integers(0, 9, size=T)]
             got = decode_outcome(viterbi, model, obs)
@@ -359,7 +324,7 @@ class TestDenseReferenceBitExact:
         w, f = random_field(rng, *shape, land_prob=land_prob, vmax=1.5)
         model = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
         if sampled:
-            _, obs = sample_trajectory(model.P, model.pi, T, rng)
+            _, obs = sample_run(model.P, model.pi, T, rng)
         else:
             obs = [int(y) for y in rng.integers(0, 9, size=T)]
         best = brute_force_best(model, obs)
@@ -377,12 +342,11 @@ class TestMemory:
         # 4 800 states: a dense log transition table alone would be 184 MB
         w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 60, 80)
         P = build_stochastic_map(build_cell_map(f), 0.9)
-        Q = emission_matrix(P)
         pi = initial_distribution(w, w.index(40, 20), "probabilistic")
-        _, obs = sample_trajectory(P, pi, 50, seed=3)
+        _, obs = sample_run(P, pi, 50, seed=3)
         tracemalloc.start()
         try:
-            cells, _ = viterbi(HmmModel(P=P, Q=Q, pi=pi), obs)
+            cells, _ = viterbi(HmmModel(P=P, pi=pi), obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -42,8 +42,7 @@ class TestLoadField:
         assert (w.rows, w.cols) == (2, 2)
         assert not w.land_mask.any()
         cm = build_cell_map(f)
-        for z in w.free_cells:
-            assert cm.image_of(int(z)) == int(z)  # identity dynamics
+        assert (cm.images == w.free_cells).all()  # identity dynamics
 
     def test_header_defaults_and_labels(self, tmp_path):
         text = MINIMAL.replace(

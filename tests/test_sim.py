@@ -9,19 +9,16 @@ from driftloc import (
     CellIndexError,
     ConfigError,
     Direction,
-    ErrorReport,
     ExperimentConfig,
     build_cell_map,
     build_stochastic_map,
     ZeroProbabilityError,
-    error_report,
     initial_distribution,
     load_field,
     run_experiment,
     sample_runs,
-    sample_trajectory,
 )
-from conftest import CONFIG_DIR, make_field, random_field
+from conftest import CONFIG_DIR, make_field, random_field, sample_run
 from driftloc.sim import error_reports
 
 
@@ -36,7 +33,7 @@ class TestSampleTrajectory:
         w, f = random_field(rng, 5, 5, vmax=1.5)
         w, P = chain_for((w, f), 1.0)
         pi = initial_distribution(w, int(w.free_cells[4]), "deterministic")
-        path, obs = sample_trajectory(P, pi, 10, seed=1)
+        path, obs = sample_run(P, pi, 10, seed=1)
         # every step follows the unique supported transition
         for t in range(10):
             s = w.state_of(path[t])
@@ -47,7 +44,7 @@ class TestSampleTrajectory:
     def test_identity_chain_constant_path(self):
         w, P = chain_for(make_field(4, 4), 0.9)
         pi = initial_distribution(w, 6, "deterministic")
-        path, obs = sample_trajectory(P, pi, 8, seed=3)
+        path, obs = sample_run(P, pi, 8, seed=3)
         assert path == [6] * 9
         assert obs == [Direction.IDLE] * 8
 
@@ -56,9 +53,9 @@ class TestSampleTrajectory:
         w, f = random_field(rng, 5, 6, land_prob=0.1)
         w, P = chain_for((w, f), 0.8)
         pi = initial_distribution(w, int(w.free_cells[0]), "probabilistic")
-        p1, o1 = sample_trajectory(P, pi, 25, seed=42)
-        p2, o2 = sample_trajectory(P, pi, 25, seed=42)
-        p3, _ = sample_trajectory(P, pi, 25, seed=43)
+        p1, o1 = sample_run(P, pi, 25, seed=42)
+        p2, o2 = sample_run(P, pi, 25, seed=42)
+        p3, _ = sample_run(P, pi, 25, seed=43)
         assert len(p1) == 26 and len(o1) == 25
         assert p1 == p2 and o1 == o2
         assert p1 != p3
@@ -73,7 +70,7 @@ class TestSampleTrajectory:
         n = 10_000
         counts = {}
         for i in range(n):
-            path, _ = sample_trajectory(P, pi, 1, seed=(1000, i))
+            path, _ = sample_run(P, pi, 1, seed=(1000, i))
             counts[path[1]] = counts.get(path[1], 0) + 1
         s = w.state_of(z)
         for k in np.flatnonzero(P.targets[s] >= 0):
@@ -85,8 +82,8 @@ class TestSampleTrajectory:
     def test_observation_noise_flips_symbols(self):
         w, P = chain_for(make_field(4, 4), 0.9)
         pi = initial_distribution(w, 6, "deterministic")
-        _, clean = sample_trajectory(P, pi, 200, seed=5)
-        _, noisy = sample_trajectory(P, pi, 200, seed=5, obs_noise=0.3)
+        _, clean = sample_run(P, pi, 200, seed=5)
+        _, noisy = sample_run(P, pi, 200, seed=5, obs_noise=0.3)
         flips = sum(a != b for a, b in zip(clean, noisy))
         assert 30 <= flips <= 90  # ~60 expected
         assert all(0 <= y < 9 for y in noisy)
@@ -95,16 +92,15 @@ class TestSampleTrajectory:
 class TestErrorReport:
     def test_identical_paths(self):
         w, _ = make_field(4, 4)
-        rep = error_report([1, 2, 3], [1, 2, 3], w)
-        assert rep == ErrorReport(0.0, 0.0)
+        assert errors_of([1, 2, 3], [1, 2, 3], w) == (0.0, 0.0)
 
     def test_constant_one_cell_offset(self):
         w, _ = make_field(5, 30)
         true_path = [w.index(2, c) for c in range(21)]
         decoded = [true_path[0]] + [w.index(2, c + 1) for c in range(1, 21)]
-        rep = error_report(true_path, decoded, w)
-        assert rep.final_error == 1.0
-        assert rep.trajectory_error == pytest.approx(20.0)
+        final, traj = errors_of(true_path, decoded, w)
+        assert final == 1.0
+        assert traj == pytest.approx(20.0)
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(14)
@@ -112,28 +108,28 @@ class TestErrorReport:
         for _ in range(20):
             a = rng.integers(1, 26, size=9).tolist()
             b = rng.integers(1, 26, size=9).tolist()
-            rep = error_report(a, b, w)
+            final, traj = errors_of(a, b, w)
             # second route: raw coordinate arithmetic
             dist = []
             for za, zb in zip(a[1:], b[1:]):
                 ra, ca = divmod(za - 1, 5)
                 rb, cb = divmod(zb - 1, 5)
                 dist.append(math.hypot(ra - rb, ca - cb))
-            assert rep.trajectory_error == pytest.approx(sum(dist))
-            assert rep.final_error == pytest.approx(dist[-1])
-            assert rep.trajectory_error >= rep.final_error >= 0.0
+            assert traj == pytest.approx(sum(dist))
+            assert final == pytest.approx(dist[-1])
+            assert traj >= final >= 0.0
 
     def test_length_mismatch(self):
         w, _ = make_field(3, 3)
         with pytest.raises(ValueError):
-            error_report([1, 2], [1, 2, 3], w)
+            errors_of([1, 2], [1, 2, 3], w)
 
     def test_out_of_range_cell(self):
         w, _ = make_field(3, 3)
         with pytest.raises(CellIndexError, match="cell index 10 "):
-            error_report([1, 2, 3], [1, 10, 0], w)
+            errors_of([1, 2, 3], [1, 10, 0], w)
         with pytest.raises(CellIndexError, match="cell index 0 "):
-            error_report([1, 2, 3], [1, 2, 0], w)
+            errors_of([1, 2, 3], [1, 2, 0], w)
 
     def test_trajectory_error_adds_left_to_right(self):
         # These step distances sum to different doubles left to right and
@@ -143,8 +139,8 @@ class TestErrorReport:
         a = [86, 64, 52, 27, 31, 5, 8, 2, 18]
         b = [82, 65, 92, 51, 61, 98, 73, 64, 55]
         want = sequential_report(a, b, 10)
-        assert want.trajectory_error != math.fsum(step_distances(a, b, 10))
-        assert error_report(a, b, w) == want
+        assert want[1] != math.fsum(step_distances(a, b, 10))
+        assert errors_of(a, b, w) == want
 
     def test_group_rows_equal_sequential_recomputation(self):
         rng = np.random.default_rng(15)
@@ -153,7 +149,7 @@ class TestErrorReport:
             a = rng.integers(1, w.n_cells + 1, size=(5, T + 1))
             b = rng.integers(1, w.n_cells + 1, size=(5, T + 1))
             final, traj = error_reports(a, b, w)
-            assert [ErrorReport(f, t) for f, t in zip(final.tolist(), traj.tolist())] == [
+            assert list(zip(final.tolist(), traj.tolist())) == [
                 sequential_report(x, y, w.cols) for x, y in zip(a.tolist(), b.tolist())
             ]
 
@@ -172,7 +168,13 @@ def sequential_report(a, b, cols):
     total = 0.0
     for d in steps:
         total += d
-    return ErrorReport(steps[-1] if steps else 0.0, total)
+    return (steps[-1] if steps else 0.0, total)
+
+
+def errors_of(true_path, decoded_path, w):
+    """The (final, trajectory) errors of one run, from a group of one."""
+    final, traj = error_reports([true_path], [decoded_path], w)
+    return final.item(), traj.item()
 
 
 class TestExperimentConfig:
@@ -289,7 +291,7 @@ class TestSampleRuns:
         )
         assert cells.shape == (len(pis), T + 1) and obs.shape == (len(pis), T)
         for r, (pi, seed) in enumerate(zip(pis, seeds)):
-            single = sample_trajectory(P, pi, T, seed, obs_noise=obs_noise)
+            single = sample_run(P, pi, T, seed, obs_noise=obs_noise)
             assert (cells[r].tolist(), obs[r].tolist()) == single, r
 
     @pytest.mark.parametrize("obs_noise", [0.0, 0.2])

@@ -22,15 +22,13 @@ from driftloc import (
     ZeroProbabilityError,
     build_cell_map,
     build_stochastic_map,
-    emission_matrix,
     initial_distribution,
     load_field,
-    sample_trajectory,
     synthesize_field,
     viterbi,
     viterbi_runs,
 )
-from conftest import FIXTURE_FIELD, make_field, random_field
+from conftest import FIXTURE_FIELD, make_field, random_field, sample_run
 from dense_reference import dense_viterbi
 from viterbi_reference import reference_viterbi
 
@@ -49,7 +47,7 @@ def history(kind, model, T, rng):
     """A sampled, noisy (20% of symbols flipped) or uniformly random history."""
     if kind == "random":
         return [int(y) for y in rng.integers(0, 9, size=T)]
-    _, obs = sample_trajectory(model.P, model.pi, T, rng, obs_noise=0.2 * (kind == "noisy"))
+    _, obs = sample_run(model.P, model.pi, T, rng, obs_noise=0.2 * (kind == "noisy"))
     return obs
 
 
@@ -67,13 +65,12 @@ class TestMatchesOracles:
         steps = []
         for r in (0.5, 0.9, 1.0):
             P = build_stochastic_map(gyre["cell_map"], r)
-            Q = emission_matrix(P)
             for mode in ("deterministic", "probabilistic"):
                 for T in (1, 20, 50):
                     for kind in HISTORIES:
                         rng = np.random.default_rng((round(10 * r), T, HISTORIES.index(kind)))
                         x0 = int(w.free_cells[rng.integers(w.n_free)])
-                        model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode))
+                        model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
                         got = assert_matches_oracles(model, history(kind, model, T, rng))
                         if got[0] == "infeasible":
                             assert kind != "sampled"
@@ -86,13 +83,12 @@ class TestMatchesOracles:
         # table) joins at the shortest history only.
         w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 42, 58)
         P = build_stochastic_map(build_cell_map(f), 0.9)
-        Q = emission_matrix(P)
         for mode in ("deterministic", "probabilistic"):
             for T in (20, 50, 100):
                 for kind in ("sampled", "noisy"):
                     rng = np.random.default_rng((T, HISTORIES.index(kind)))
                     x0 = int(w.free_cells[rng.integers(w.n_free)])
-                    model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode))
+                    model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
                     obs = history(kind, model, T, rng)
                     assert_matches_oracles(model, obs, dense=T == 20 and kind == "sampled")
 
@@ -112,7 +108,7 @@ class TestMatchesOracles:
         w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
         P = build_stochastic_map(build_cell_map(f), r)
         x0 = int(rng.choice(w.free_cells))
-        model = HmmModel(P=P, Q=emission_matrix(P), pi=initial_distribution(w, x0, mode))
+        model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
         assert_matches_oracles(model, history(kind, model, T, rng))
 
 
@@ -122,12 +118,11 @@ class TestMemory:
         # 96 MB.
         w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 150, 200)
         P = build_stochastic_map(build_cell_map(f), 0.9)
-        Q = emission_matrix(P)
         pi = initial_distribution(w, w.index(75, 50), "probabilistic")
-        _, obs = sample_trajectory(P, pi, 400, seed=11)
+        _, obs = sample_run(P, pi, 400, seed=11)
         tracemalloc.start()
         try:
-            cells, _ = viterbi(HmmModel(P=P, Q=Q, pi=pi), obs)
+            cells, _ = viterbi(HmmModel(P=P, pi=pi), obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -153,7 +148,7 @@ class TestLockstepGroups:
     def test_fixture_groups(self, gyre):
         # Sampled histories are feasible, so every run of these groups is
         # decoded and compared; group sizes span one run to a full group.
-        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
+        w, P = gyre["workspace"], gyre["P"]
         rng = np.random.default_rng(90)
         for R in (1, 2, 5, 13):
             for T in (1, 20, 50):
@@ -161,18 +156,18 @@ class TestLockstepGroups:
                 for i in range(R):
                     x0 = int(w.free_cells[rng.integers(w.n_free)])
                     mode = ("deterministic", "probabilistic")[i % 2]
-                    models.append(HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode)))
+                    models.append(HmmModel(P=P, pi=initial_distribution(w, x0, mode)))
                     histories.append(history("sampled", models[-1], T, rng))
                 assert assert_group_matches_oracle(models, histories) == "feasible"
 
     def test_first_infeasible_run_wins(self, gyre):
         # A group whose run 1 dies before its run 0 does: the error is run 0's.
-        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
+        w, P = gyre["workspace"], gyre["P"]
         rng = np.random.default_rng(91)
         late = early = None
         while late is None or early is None:
             x0 = int(w.free_cells[rng.integers(w.n_free)])
-            model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, "deterministic"))
+            model = HmmModel(P=P, pi=initial_distribution(w, x0, "deterministic"))
             obs = history("noisy", model, 30, rng)
             got = outcome(reference_viterbi, model, obs)
             if got[0] == "infeasible" and got[1] > 10:
@@ -180,7 +175,7 @@ class TestLockstepGroups:
             elif got[0] == "infeasible" and got[1] < 5:
                 early = early or (model, obs)
         (m0, h0), (m1, h1) = late, early
-        sampled = HmmModel(P=P, Q=Q, pi=m0.pi)
+        sampled = HmmModel(P=P, pi=m0.pi)
         h2 = history("sampled", sampled, 30, rng)
         assert assert_group_matches_oracle([sampled, m0, m1], [h2, h0, h1]) == "infeasible"
         with pytest.raises(ZeroProbabilityError) as exc:
@@ -188,8 +183,8 @@ class TestLockstepGroups:
         assert exc.value.run == 0 and exc.value.step > 10
 
     def test_group_rejects_mismatched_inputs(self, gyre):
-        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
-        model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
+        w, P = gyre["workspace"], gyre["P"]
+        model = HmmModel(P=P, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
         with pytest.raises(ValueError, match="same length"):
             viterbi_runs(model, [model.pi, model.pi], [[0, 1], [0]])
         with pytest.raises(ValueError, match="priors"):
@@ -219,11 +214,10 @@ class TestLockstepGroups:
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
         P = build_stochastic_map(build_cell_map(f), r)
-        Q = emission_matrix(P)
         models, histories = [], []
         for mode, kind in runs:
             x0 = int(rng.choice(w.free_cells))
-            models.append(HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode)))
+            models.append(HmmModel(P=P, pi=initial_distribution(w, x0, mode)))
             histories.append(history(kind, models[-1], T, rng))
         assert_group_matches_oracle(models, histories)
 
@@ -256,13 +250,13 @@ class TestTableWidths:
     @pytest.mark.parametrize("case", list(width_cases()), ids=lambda c: c[0])
     def test_decodes_equal_oracle(self, case):
         _, P, width = case
-        w, Q = P.workspace, emission_matrix(P)
+        w = P.workspace
         rng = np.random.default_rng(width)
         models, histories = [], []
         for i in range(12):
             x0 = int(w.free_cells[rng.integers(w.n_free)])
             mode = ("deterministic", "probabilistic")[i % 2]
-            model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, x0, mode))
+            model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
             assert model._next.shape == model._logP_pad.shape == (w.n_free + 1, width)
             obs = history(HISTORIES[i % 3], model, 25, rng)
             assert_matches_oracles(model, obs, dense=False)
@@ -275,8 +269,8 @@ class TestTableWidths:
 
 class TestSymbolCheck:
     def test_bad_symbol_raises_as_direction_does(self, gyre):
-        w, P, Q = gyre["workspace"], gyre["P"], gyre["Q"]
-        model = HmmModel(P=P, Q=Q, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
+        w, P = gyre["workspace"], gyre["P"]
+        model = HmmModel(P=P, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
         pis = [model.pi, model.pi]
         # the first bad symbol, run by run, is the one reported
         for histories, bad in (
