@@ -93,22 +93,21 @@ def build_cell_map(field: VectorField, dt: float | None = None) -> CellMap:
         raise ValueError(f"dt must be positive, got {dt}")
 
     free = w.free_cells
-    rows = (free - 1) // w.cols
-    cols = (free - 1) % w.cols
+    rows, cols = np.divmod(free - 1, w.cols)
     ex = cols + dt * field.u[rows, cols]
     ey = rows + dt * field.v[rows, cols]
     endpoints = np.column_stack([ex, ey])
 
     # Nearest admissible cell: a running minimum over the nine candidates in
     # ascending cell index; strict < keeps the first, smallest-index minimum.
-    blocked = np.pad(w.land_mask, 1, constant_values=True)  # land or off-grid
     images = np.zeros(len(free), dtype=np.int64)  # 0: no candidate yet
     best = np.zeros(len(free))
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
             r, c = rows + dr, cols + dc
             d = (c - ex) ** 2 + (r - ey) ** 2
-            take = ~blocked[r + 1, c + 1] & ((images == 0) | (d < best))
+            water = w.state_grid.take(w.padded(r, c)) >= 0  # not land, not off-grid
+            take = water & ((images == 0) | (d < best))
             best[take] = d[take]
             images[take] = free[take] + dr * w.cols + dc
 

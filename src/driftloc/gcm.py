@@ -89,11 +89,6 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     image_slot = (image_rows - rows + 1) * 3 + (image_cols - cols + 1)
     ex, ey = cm.endpoints[:, 0], cm.endpoints[:, 1]
 
-    # state index of every cell; -1 on land and on a one-cell frame off-grid
-    state_grid = np.full(w.n_cells, -1, dtype=np.int64)
-    state_grid[w.free_cells - 1] = states
-    state_grid = np.pad(state_grid.reshape(w.rows, w.cols), 1, constant_values=-1)
-
     # The endpoint stencil: the up-to-four cells whose centers lie within one
     # cell of the endpoint.  One of them on land or off-grid makes the cell
     # colliding; otherwise those in the Moore stencil join A(z) beside the
@@ -104,9 +99,9 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     for ri in (np.floor(ey), np.floor(ey) + 1):
         for ci in (np.floor(ex), np.floor(ex) + 1):
             on = (abs(ey - ri) < 1.0) & (abs(ex - ci) < 1.0)
-            frame_r = np.clip(ri, -1, w.rows).astype(np.int64) + 1
-            frame_c = np.clip(ci, -1, w.cols).astype(np.int64) + 1
-            colliding |= on & (state_grid[frame_r, frame_c] < 0)
+            # the corner cell, or the frame cell beyond it when off-grid
+            corner = w.padded(np.clip(ri, -1, w.rows), np.clip(ci, -1, w.cols))
+            colliding |= on & (w.state_grid.take(corner.astype(np.int64)) < 0)
             if r < 1.0:
                 dr, dc = ri - rows, ci - cols
                 near = on & (abs(dr) <= 1) & (abs(dc) <= 1)
@@ -116,7 +111,7 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
 
     targets = np.full((n, MAX_MAPPED), -1, dtype=np.int64)
     for k, d in enumerate(SLOT_DIRECTIONS):
-        target = state_grid[rows + d.step[0] + 1, cols + d.step[1] + 1]
+        target = w.state_grid.take(w.padded(rows + d.step[0], cols + d.step[1]))
         live = (target >= 0) & (uniform | member[:, k])
         targets[live, k] = target[live]
 
@@ -159,21 +154,22 @@ def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray,
     succ = succ.tolist()
     ends = np.cumsum(counts).tolist()
     cursor = [0, *ends[:-1]]  # next edge of each row to read
-    index = [0] * n  # DFS number, from 1; 0 while unvisited
-    # rindex[v] is the lowest DFS number v reaches while its component is
-    # open, then done + the component's number.  done exceeds every DFS
-    # number, so an edge into a closed component never lowers rindex.
+    # rindex[v] is 0 while v is unvisited, the lowest DFS number (from 1) v
+    # reaches while its component is open, then done + the component's
+    # number.  done exceeds every DFS number, so an edge into a closed
+    # component never lowers rindex.
     rindex = [0] * n
     done = n + 1
     closed = 0
     stack: list[int] = []  # finished states whose component is still open
     count = 0
     for root in range(n):
-        if index[root]:
+        if rindex[root]:
             continue
         count += 1
-        index[root] = rindex[root] = count
+        rindex[root] = count
         path = [root]
+        number = [count]  # the DFS number of each state on the path
         while path:
             v = path[-1]
             rv = rindex[v]
@@ -185,15 +181,16 @@ def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray,
                     cursor[v] = i
                     rindex[v] = rv
                     count += 1
-                    index[u] = rindex[u] = count
+                    rindex[u] = count
                     path.append(u)
+                    number.append(count)
                     break
                 if ru < rv:
                     rv = ru
                 i += 1
             else:
                 path.pop()
-                if rv == index[v]:  # v roots a component: close it
+                if rv == number.pop():  # v roots a component: close it
                     label = done + closed
                     closed += 1
                     rindex[v] = label

@@ -137,17 +137,18 @@ class Workspace:
         object.__setattr__(self, "land_mask", mask)
 
         # Free-cell enumeration: water cells in ascending index order get
-        # contiguous state indices 0..n_free-1; land cells map to -1.
-        water = ~mask.reshape(-1)
-        free = np.flatnonzero(water) + 1
+        # contiguous state indices 0..n_free-1.  ``state_grid`` holds them,
+        # flat and row-major, in the grid framed by one off-grid cell: -1 on
+        # land and on the frame, so no Moore move from a cell leaves it.
+        free = np.flatnonzero(~mask.reshape(-1)) + 1
         if free.size < 1:
             raise ValueError("workspace has no water cells")
-        state_of = np.full(self.rows * self.cols + 1, -1, dtype=np.int64)
-        state_of[free] = np.arange(free.size)
+        grid = np.full((self.rows + 2) * (self.cols + 2), -1, dtype=np.int64)
+        grid[self.padded(*np.divmod(free - 1, self.cols))] = np.arange(free.size)
         free.setflags(write=False)
-        state_of.setflags(write=False)
+        grid.setflags(write=False)
         object.__setattr__(self, "free_cells", free)
-        object.__setattr__(self, "_state_of", state_of)
+        object.__setattr__(self, "state_grid", grid)
 
     # -- indexing -----------------------------------------------------------
 
@@ -179,9 +180,16 @@ class Workspace:
         row, col = self.rowcol(z)
         return bool(self.land_mask[row, col])
 
+    def padded(self, row, col):
+        """Flat index in ``state_grid`` of (row, col), or of arrays of them.
+
+        Row -1 or ``rows`` and column -1 or ``cols`` are the frame.
+        """
+        return (row + 1) * (self.cols + 2) + col + 1
+
     def state_of(self, z: int) -> int:
         """Free-cell state index of a water cell (raises on land)."""
-        s = int(self._state_of[self._check(z)])
+        s = int(self.state_grid[self.padded(*self.rowcol(z))])
         if s < 0:
             raise ValueError(f"cell {z} is land and has no state index")
         return s

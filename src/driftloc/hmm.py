@@ -23,7 +23,8 @@ no n x n or (T + 1) x n array is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,12 +74,12 @@ def _check_prior(pi: np.ndarray, n: int) -> None:
 class HmmModel:
     """lambda = (P, Q, pi) over the free cells and the 9-symbol alphabet.
 
-    Q is derived from the chain: ``emission_matrix(P)``.
+    Q is derived from the chain, ``emission_matrix(P)``, on first read: the
+    decoder reads only its logarithm, kept by symbol.
     """
 
     P: StochasticCellMap
     pi: np.ndarray  # (n_free,)
-    Q: np.ndarray = field(init=False)  # (n_free, 9)
 
     def __post_init__(self):
         n = self.P.n_states
@@ -109,15 +110,18 @@ class HmmModel:
         logP_pad.ravel()[column] = np.log(logp, out=logp)
         nxt.ravel()[column] = self.P.targets.ravel().take(live)
         del live, column, logp  # freed before the emission table is made
-        object.__setattr__(self, "Q", emission_matrix(self.P))
         logQT = np.full((N_DIRECTIONS, n + 1), -np.inf)
         with np.errstate(divide="ignore"):
-            np.log(self.Q.T, out=logQT[:, :n])
+            np.log(emission_matrix(self.P).T, out=logQT[:, :n])
         object.__setattr__(self, "_logP_pad", logP_pad)  # (n + 1, W)
         object.__setattr__(self, "_next", nxt)  # (n + 1, W): target states
         object.__setattr__(self, "_logQT", logQT)  # (9, n + 1): log Q by symbol
         object.__setattr__(self, "_emits", logQT > -np.inf)
         object.__setattr__(self, "_logQ", logQT[:, :n].T)
+
+    @cached_property
+    def Q(self) -> np.ndarray:  # (n_free, 9)
+        return emission_matrix(self.P)
 
     @property
     def workspace(self) -> Workspace:

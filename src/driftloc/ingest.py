@@ -19,16 +19,11 @@ origin/cell_size/depth/time are optional and default to (0, 0) / (1, 1) / "".
 Lines break wherever ``str.splitlines`` breaks them, so a label holds none of
 those characters.
 
-Parse cost: the body is read in blocks of 256 lines.  numpy's text reader
-converts a block in one call; it accepts a subset of what ``int`` and
-``float`` accept, with the same values.  A block it refuses (a comment, no
-records, ``1_0``, an int beyond int64, a malformed record) is split into
-tokens for ``int`` and ``float``.  Record checks are array operations over
-a block, then a sort by cell finds repeats and confirms the records fill
-the grid, which is allocated only then.  A record loop (about 17 MB/s)
-finds a rejected file's first failing record and check.  The 584 KB file
-of a 100x130 grid loads in about 10 ms on a 2-vCPU x86 host (17 ms through
-the tokens), with a tracemalloc peak of 2.5 MiB.
+row, col and land accept what ``int`` accepts, u and v what ``float``
+accepts, with the same values.  Parsing costs O(rows * cols) time and
+memory: array checks over blocks of records, then one sort by cell.  A
+rejected file raises FieldParseError for its first failing record and
+check, found by a loop over the records.
 
 Synthetic kinds stand in for externally produced current slices:
 

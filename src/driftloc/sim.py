@@ -280,10 +280,10 @@ class ExperimentResult:
 
 def _summarize(values: list[float]) -> tuple[float, float, float, float, float]:
     a = np.asarray(values)
-    return (
-        float(a.mean()), float(np.median(a)), float(a.std()),
-        float(a.min()), float(a.max()),
-    )
+    # The median as the middle of the sorted values: np.median imports
+    # numpy.ma for its NaN check.
+    median = np.sort(a)[(len(a) - 1) // 2:len(a) // 2 + 1].mean()
+    return tuple(float(x) for x in (a.mean(), median, a.std(), a.min(), a.max()))
 
 
 def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftloc import (
+    SyntheticFieldSpec,
     VectorField,
     Workspace,
     build_cell_map,
@@ -12,6 +13,7 @@ from driftloc import (
     decompose,
     load_field,
     sample_runs,
+    synthesize_field,
 )
 from driftloc import gcm
 
@@ -28,6 +30,20 @@ def make_field(rows, cols, u=0.0, v=0.0, land=None):
     u_arr = np.broadcast_to(np.asarray(u, dtype=float), (rows, cols)).copy()
     v_arr = np.broadcast_to(np.asarray(v, dtype=float), (rows, cols)).copy()
     return w, VectorField(workspace=w, u=u_arr, v=v_arr)
+
+
+def gyre_with_land(rows, cols, seed):
+    """Double gyre with a three-row coast and seeded 3x3 islands."""
+    _, gyre = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), rows, cols)
+    rng = np.random.default_rng(seed)
+    land = np.zeros((rows, cols), dtype=bool)
+    land[-3:, :] = True
+    for _ in range(8):
+        r0 = int(rng.integers(0, rows - 6))
+        c0 = int(rng.integers(0, cols - 3))
+        land[r0:r0 + 3, c0:c0 + 3] = True
+    w = Workspace(rows=rows, cols=cols, land_mask=land)
+    return VectorField(workspace=w, u=gyre.u, v=gyre.v)
 
 
 def random_field(rng, rows, cols, land_prob=0.0, vmax=1.2):

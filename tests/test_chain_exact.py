@@ -6,13 +6,15 @@ images, endpoints, collision flags and, once each row's live slots are moved
 to its front, the same rows, byte for byte.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain_reference as ref
-from conftest import packed, random_field, sample_run
+from conftest import gyre_with_land, packed, random_field, sample_run
 from driftloc import (
     SLOT_DIRECTIONS,
     VectorField,
@@ -119,3 +121,19 @@ class TestSamplerMatchesLoop:
             seed = int(rng.integers(2**32))
             got = sample_run(smap, pi, 30, seed, obs_noise=noise)
             assert got == ref.sample_trajectory(rows, pi, 30, seed, obs_noise=noise), trial
+
+
+class TestMemory:
+    def test_stochastic_map_peak_near_what_it_keeps(self):
+        # The classify benchmark's size: 100x130 with a coast and islands.
+        # The builder reads the workspace's state grid and keeps its own
+        # scratch to a few (n,) arrays beside the (n, 9) tables it returns.
+        cm = build_cell_map(gyre_with_land(100, 130, 0))
+        tracemalloc.start()
+        try:
+            smap = build_stochastic_map(cm, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = smap.targets.nbytes + smap.probs.nbytes + smap.colliding.nbytes
+        assert peak <= 2.5 * kept, f"peaked at {peak / 2**20:.2f} MiB, keeps {kept / 2**20:.2f}"

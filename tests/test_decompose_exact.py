@@ -13,11 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_reference as ref
-from conftest import components, make_field, random_field
+from conftest import components, gyre_with_land, make_field, random_field
 from driftloc import (
     SyntheticFieldSpec,
-    VectorField,
-    Workspace,
     build_cell_map,
     build_stochastic_map,
     decompose,
@@ -69,20 +67,6 @@ def graphs(draw):
     sources = {i for i, _ in edges}
     edges += [(i, draw(state)) for i in range(n) if i not in dead | sources]
     return n, edges, dead
-
-
-def gyre_with_land(rows, cols, seed):
-    """Double gyre with a three-row coast and seeded 3x3 islands."""
-    _, gyre = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), rows, cols)
-    rng = np.random.default_rng(seed)
-    land = np.zeros((rows, cols), dtype=bool)
-    land[-3:, :] = True
-    for _ in range(8):
-        r0 = int(rng.integers(0, rows - 6))
-        c0 = int(rng.integers(0, cols - 3))
-        land[r0:r0 + 3, c0:c0 + 3] = True
-    w = Workspace(rows=rows, cols=cols, land_mask=land)
-    return VectorField(workspace=w, u=gyre.u, v=gyre.v)
 
 
 class TestMatchesClosureReference:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftloc import (
     CellIndexError,
@@ -11,7 +13,7 @@ from driftloc import (
     direction_between,
     parse_directions,
 )
-from driftloc.gridworld import cell_distances, format_histories
+from driftloc.gridworld import MOORE_OFFSETS, cell_distances, format_histories
 
 
 def ws(rows=3, cols=3, land=None):
@@ -62,6 +64,45 @@ class TestWorkspace:
         assert w.state_of(9) == 6
         with pytest.raises(ValueError):
             w.state_of(1)
+
+
+@st.composite
+def land_masks(draw):
+    """A 2-8 x 2-8 land mask with at least one water cell."""
+    rows, cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                  max_size=rows * cols)))
+    mask[draw(st.integers(0, rows * cols - 1))] = False
+    return mask.reshape(rows, cols)
+
+
+class TestStateGrid:
+    """The padded state grid agrees with state_of and with the independent
+    neighbors loop, which the chain oracle is built from."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(mask=land_masks())
+    def test_grid_matches_state_of_and_neighbors(self, mask):
+        rows, cols = mask.shape
+        w = Workspace(rows=rows, cols=cols, land_mask=mask)
+        grid = w.state_grid
+        framed = grid.reshape(rows + 2, cols + 2)
+        inner = np.zeros(framed.shape, dtype=bool)
+        inner[1:-1, 1:-1] = True
+        assert (framed[~inner] == -1).all()
+        row, col = np.divmod(np.arange(w.n_cells), cols)  # cells 1..n_cells
+        at_cells = w.padded(row, col)
+        assert grid[at_cells].tolist() == framed[1:-1, 1:-1].ravel().tolist()
+        for z in range(1, w.n_cells + 1):
+            at = w.padded(*w.rowcol(z))
+            assert at == at_cells[z - 1]
+            if w.is_land(z):
+                assert grid[at] == -1
+                continue
+            assert grid[at] == w.state_of(z)
+            moves = [grid[at + dr * (cols + 2) + dc] for dr, dc in MOORE_OFFSETS]
+            near = {int(w.free_cells[s]) for s in moves if s >= 0}
+            assert near == w.neighbors(z)
 
 
 class TestNeighbors:

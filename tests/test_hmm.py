@@ -20,7 +20,7 @@ from driftloc import (
     synthesize_field,
     viterbi,
 )
-from conftest import make_field, packed, random_field, sample_run
+from conftest import gyre_with_land, make_field, packed, random_field, sample_run
 from dense_reference import dense_viterbi, loop_emission_matrix
 
 
@@ -352,3 +352,24 @@ class TestMemory:
             tracemalloc.stop()
         assert len(cells) == 51
         assert peak < 16 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
+
+    def test_model_derives_q_only_when_read(self):
+        # The decoder reads only log Q by symbol, so the model keeps no
+        # (n, 9) emission table until Q itself is asked for.
+        P = build_stochastic_map(build_cell_map(gyre_with_land(100, 130, 0)), 0.9)
+        pi = np.full(P.n_states, 1.0 / P.n_states)
+        table = P.n_states * 9 * 8
+        tracemalloc.start()
+        try:
+            model = HmmModel(P, pi)
+            built, _ = tracemalloc.get_traced_memory()
+            Q = model.Q
+            read, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = sum(a.nbytes for name, a in vars(model).items()
+                  if name != "Q" and isinstance(a, np.ndarray) and a.base is None and a is not pi)
+        assert built < own + table // 2, f"holds {built / 2**20:.2f} MiB, tables {own / 2**20:.2f}"
+        assert read - built >= table
+        assert model.Q is Q
+        assert Q.tobytes() == emission_matrix(P).tobytes()

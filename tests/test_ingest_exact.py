@@ -16,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as ref
-from conftest import FIXTURE_FIELD, random_field
+from conftest import FIXTURE_FIELD, gyre_with_land, random_field
 from driftloc import FieldParseError, ingest, load_field, save_field
 from driftloc.ingest import _BLOCK_LINES
-from test_decompose_exact import gyre_with_land
 
 ROWS, COLS = 46, 50  # 2 300 records, several blocks
 HEADER_LINES = 8  # save_field's header, "cells" included

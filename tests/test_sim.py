@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,7 @@ from driftloc import (
     run_experiment,
     sample_runs,
 )
-from conftest import CONFIG_DIR, make_field, random_field, sample_run
+from conftest import CONFIG_DIR, REPO_ROOT, make_field, random_field, sample_run
 from driftloc.sim import error_reports
 
 
@@ -279,6 +282,28 @@ class TestRunExperiment:
         cfg.field = {"path": "nonexistent.field"}
         with pytest.raises(Exception):
             run_experiment(cfg)
+
+    def test_summary_leaves_numpy_ma_unimported(self):
+        # np.median would import numpy.ma (about 1.2 MiB) for its NaN check.
+        code = (
+            "import sys\n"
+            "from driftloc import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig(field={'synthetic': {'kind': 'double_gyre',"
+            " 'rows': 9, 'cols': 13}}, T_list=(5, 6), runs=4))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("runs", [1, 2, 5, 6])
+    def test_summary_median_matches_numpy(self, runs):
+        res = run_experiment(self.cfg(T_list=(12,), runs=runs))
+        for column, key in (("final_median", "final_error"), ("traj_median", "trajectory_error")):
+            errors = [rec[key] for rec in res.runs]
+            assert res.summary[0][column] == float(np.median(errors))
 
 
 class TestSampleRuns:
