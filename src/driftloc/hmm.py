@@ -15,10 +15,11 @@ smallest sequence.  All scoring happens in log space on the chain's rows,
 only those of D_t: the states reachable after t observations that can emit
 the next one.  The decoder tables keep each row's live slots in W columns,
 W the most live slots of any row: 6 on the fixture and on the 42 x 58 gyre,
-1 at r = 1, and at most 9 (with a shorter Euler step, or beside land).  A
-decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory, 5 bytes a
-state (an int32 index and a uint8 slot), besides an O(n) mask pass per step;
-no n x n or (T + 1) x n array is ever built.
+1 at r = 1, and at most 9 (with a shorter Euler step, or beside land); log Q
+is read from the log P table by column, so a model keeps (16 W + 9) bytes a
+state.  A decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory,
+5 bytes a state (an int32 index and a uint8 slot), besides an O(n) mask pass
+per step; no n x n or (T + 1) x n array is ever built.
 """
 
 from __future__ import annotations
@@ -66,16 +67,19 @@ def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
 def _check_prior(pi: np.ndarray, n: int) -> None:
     if pi.shape != (n,):
         raise ValueError(f"initial distribution shape {pi.shape} != ({n},)")
-    if abs(pi.sum() - 1.0) > 1e-12:
-        raise ValueError("initial distribution does not sum to 1")
+    # pi >= 0 is False on NaN, and an infinite entry makes the sum miss 1.
+    if not (pi >= 0.0).all() or abs(pi.sum() - 1.0) > 1e-12:
+        raise ValueError("initial distribution is not nonnegative with sum 1")
 
 
 @dataclass(frozen=True, eq=False)
 class HmmModel:
     """lambda = (P, Q, pi) over the free cells and the 9-symbol alphabet.
 
-    Q is derived from the chain, ``emission_matrix(P)``, on first read: the
-    decoder reads only its logarithm, kept by symbol.
+    The decoder reads three tables, (16 W + 9) bytes a state: ``_logP_pad``
+    and ``_next`` hold each row's live slots in W columns, and ``_col[y, s]``
+    is the column of the slot of s with heading y, so log Q[s, y] is
+    ``_logP_pad[s, _col[y, s]]``.  Q is derived from P on first read.
     """
 
     P: StochasticCellMap
@@ -84,40 +88,30 @@ class HmmModel:
     def __post_init__(self):
         n = self.P.n_states
         _check_prior(self.pi, n)
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_logpi", np.log(self.pi))
         # Decoder tables of W columns, W the most live slots of any row: row
         # s holds the live slots of state s first, in slot (ascending target)
         # order, so on a row with a finite maximum argmax's first-maximum
         # rule picks the target it would pick over all nine slots, those off
         # A(z) scoring -inf.  A row is padded, and a sink state n added, with
         # the target n, which reaches only itself, scores log 0 and emits
-        # nothing.  The tables are shared by every decode against this
-        # model; _logQ is a view of the first n states of _logQT.
-        probs = self.P.probs
-        live = np.flatnonzero(probs > 0.0)  # the live slots, row by row
-        state = live // probs.shape[1]
-        count = np.bincount(state, minlength=n)
-        width = int(count.max())
-        # Each live slot's place in the tables: its row, at its rank there.
-        column = np.arange(len(live))
-        column += state * width
-        column -= (np.cumsum(count) - count)[state]
-        del state
+        # nothing; _col is W where a state does not emit the symbol.  Each
+        # live slot goes to its row's running rank, one slot column at a time.
+        probs, targets = self.P.probs, self.P.targets
+        width = int(np.count_nonzero(probs, axis=1).max())
         logP_pad = np.full((n + 1, width), -np.inf)
         nxt = np.full((n + 1, width), n)
-        logp = probs.ravel().take(live)
-        logP_pad.ravel()[column] = np.log(logp, out=logp)
-        nxt.ravel()[column] = self.P.targets.ravel().take(live)
-        del live, column, logp  # freed before the emission table is made
-        logQT = np.full((N_DIRECTIONS, n + 1), -np.inf)
-        with np.errstate(divide="ignore"):
-            np.log(emission_matrix(self.P).T, out=logQT[:, :n])
+        col = np.full((N_DIRECTIONS, n + 1), width, dtype=np.uint8)
+        rank = np.zeros(n, dtype=np.uint8)
+        for k, y in enumerate(SLOT_DIRECTIONS):
+            s = np.flatnonzero(probs[:, k])
+            c = rank.take(s)
+            col[y, s] = c
+            logP_pad[s, c] = np.log(probs[s, k])
+            nxt[s, c] = targets[s, k]
+            rank[s] += 1
         object.__setattr__(self, "_logP_pad", logP_pad)  # (n + 1, W)
         object.__setattr__(self, "_next", nxt)  # (n + 1, W): target states
-        object.__setattr__(self, "_logQT", logQT)  # (9, n + 1): log Q by symbol
-        object.__setattr__(self, "_emits", logQT > -np.inf)
-        object.__setattr__(self, "_logQ", logQT[:, :n].T)
+        object.__setattr__(self, "_col", col)  # (9, n + 1): column by symbol
 
     @cached_property
     def Q(self) -> np.ndarray:  # (n_free, 9)
@@ -173,6 +167,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     # by repeated subtraction: negligible on chains of hundreds of states, it
     # dominates a step on a chain of a few states with hundreds of runs.
     R, N = len(obs), n + 1
+    width = model._logP_pad.shape[1]
     index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
     pis = np.array(priors, dtype=float)
     logpi = np.full((R, N), -np.inf)
@@ -204,7 +199,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     reached = reached.ravel()
     departing = []
     for t in range(T):
-        here = (reached & rows_at(model._emits, t)).nonzero()[0]
+        here = (reached & (rows_at(model._col, t) < width)).nonzero()[0]
         departing.append(here.astype(index, copy=False))
         if not len(here):
             break
@@ -230,15 +225,19 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     slots = [None] * T  # the winning slot of each state of D_t
     for t in range(T - 1, -1, -1):
         here = departing[t].astype(np.intp, copy=False)
+        logp = model._logP_pad.take(here, axis=0, mode="wrap")
         cont = best.take(targets(here))
-        cont += model._logP_pad.take(here, axis=0, mode="wrap")
+        cont += logp
         k = cont.argmax(axis=1)
         slots[t] = k.astype(np.uint8)
         # Each row's maximum, read at its argmax: a reduction over rows of
-        # nine is several times slower than argmax plus this gather.
-        k += np.arange(0, cont.size, cont.shape[1])
+        # nine is several times slower than argmax plus this gather.  The
+        # emission log Q[s, y_t] is the same rows' entry in column _col.
+        rows = np.arange(0, cont.size, width)
+        k += rows
+        rows += rows_at(model._col, t).take(here)
         best = np.full(R * N, -np.inf)
-        best[here] = rows_at(model._logQT, t).take(here) + cont.ravel().take(k)
+        best[here] = logp.ravel().take(rows) + cont.ravel().take(k)
 
     # Per run: the best start score over its block of D_0, and the first
     # state that attains it.

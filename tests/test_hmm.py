@@ -238,7 +238,9 @@ class TestViterbi:
     def test_model_validation(self):
         w, f = make_field(3, 3)
         P = build_stochastic_map(build_cell_map(f), 0.9)
-        for bad in (np.full(9, 0.2), np.full(10, 0.1), np.full(8, 0.125)):
+        nan, negative = np.full(9, np.nan), np.zeros(9)
+        negative[:2] = 1.5, -0.5
+        for bad in (np.full(9, 0.2), np.full(10, 0.1), np.full(8, 0.125), nan, negative):
             with pytest.raises(ValueError, match="initial distribution"):
                 HmmModel(P=P, pi=bad)
 
@@ -354,22 +356,27 @@ class TestMemory:
         assert peak < 16 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
 
     def test_model_derives_q_only_when_read(self):
-        # The decoder reads only log Q by symbol, so the model keeps no
-        # (n, 9) emission table until Q itself is asked for.
+        # The decoder reads log Q through the log P table, so the model keeps
+        # (n + 1) * (16 W + 9) bytes, peaks near that while building, and
+        # makes no (n, 9) emission table until Q itself is asked for.
         P = build_stochastic_map(build_cell_map(gyre_with_land(100, 130, 0)), 0.9)
         pi = np.full(P.n_states, 1.0 / P.n_states)
         table = P.n_states * 9 * 8
         tracemalloc.start()
         try:
             model = HmmModel(P, pi)
-            built, _ = tracemalloc.get_traced_memory()
+            built, peak = tracemalloc.get_traced_memory()
             Q = model.Q
             read, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        width = model._logP_pad.shape[1]
         own = sum(a.nbytes for name, a in vars(model).items()
-                  if name != "Q" and isinstance(a, np.ndarray) and a.base is None and a is not pi)
-        assert built < own + table // 2, f"holds {built / 2**20:.2f} MiB, tables {own / 2**20:.2f}"
+                  if name != "Q" and isinstance(a, np.ndarray) and a is not pi)
+        kept = (P.n_states + 1) * (16 * width + 9)
+        assert own == kept, f"holds {own / 2**20:.2f} MiB, three tables {kept / 2**20:.2f}"
+        assert built <= kept + 2**12, f"traced {built / 2**20:.2f} MiB after building"
+        assert peak <= 1.5 * kept, f"peaked at {peak / 2**20:.2f} MiB for {kept / 2**20:.2f}"
         assert read - built >= table
         assert model.Q is Q
         assert Q.tobytes() == emission_matrix(P).tobytes()

@@ -191,8 +191,12 @@ class TestLockstepGroups:
             viterbi_runs(model, [model.pi], [[0], [1]])
         with pytest.raises(ValueError, match="at least one symbol"):
             viterbi_runs(model, [], [])
-        with pytest.raises(ValueError, match="initial distribution"):
-            viterbi_runs(model, [np.full(w.n_free, 0.5)], [[0]])
+        negative = np.zeros(w.n_free)
+        negative[:2] = 1.5, -0.5
+        for bad in (np.full(w.n_free, 0.5), np.full(w.n_free, np.nan), negative):
+            for priors in ([bad], [model.pi, bad]):
+                with pytest.raises(ValueError, match="initial distribution"):
+                    viterbi_runs(model, priors, [[0]] * len(priors))
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
@@ -243,9 +247,38 @@ def width_cases():
     yield "land", build_stochastic_map(build_cell_map(land, dt=1.0), 0.9), 9
 
 
+def assert_column_table(model):
+    """``_col[y, s]`` is the column of ``_logP_pad`` that holds log Q[s, y],
+    bit for bit, and W where Q[s, y] is 0 and on the sink state n."""
+    n, width = model.P.n_states, model._logP_pad.shape[1]
+    col = model._col
+    assert col.shape == (9, n + 1) and col.dtype == np.uint8
+    emits = col[:, :n].T < width
+    assert (emits == (model.Q > 0.0)).all()
+    assert (col[:, n] == width).all()
+    s, y = np.nonzero(emits)
+    got = model._logP_pad[s, col[y, s]]
+    assert got.tobytes() == np.log(model.Q[s, y]).tobytes()
+
+
 class TestTableWidths:
     """The decoder tables hold W columns, the most live slots of any row;
     decodes at every width equal the oracle's, which reads all nine."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(3, 8),
+        cols=st.integers(3, 8),
+        land_prob=st.sampled_from([0.0, 0.15, 0.3]),
+        r=st.sampled_from([0.5, 0.8, 0.95, 1.0]),
+    )
+    def test_column_table_on_random_fields_with_land(self, seed, rows, cols, land_prob, r):
+        rng = np.random.default_rng(seed)
+        w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
+        P = build_stochastic_map(build_cell_map(f), r)
+        assert_column_table(HmmModel(P=P, pi=initial_distribution(w, int(w.free_cells[0]),
+                                                                  "deterministic")))
 
     @pytest.mark.parametrize("case", list(width_cases()), ids=lambda c: c[0])
     def test_decodes_equal_oracle(self, case):
@@ -258,6 +291,8 @@ class TestTableWidths:
             mode = ("deterministic", "probabilistic")[i % 2]
             model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
             assert model._next.shape == model._logP_pad.shape == (w.n_free + 1, width)
+            if i == 0:
+                assert_column_table(model)
             obs = history(HISTORIES[i % 3], model, 25, rng)
             assert_matches_oracles(model, obs, dense=False)
             if i % 3 == 0:  # sampled, hence feasible

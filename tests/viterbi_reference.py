@@ -19,6 +19,18 @@ def reference_log_chain(model) -> np.ndarray:
         return np.log(model.P.probs)
 
 
+def reference_log_emission(model) -> np.ndarray:
+    """log Q, (n, 9): the table the decoder kept as ``model._logQ``."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.Q)
+
+
+def reference_log_prior(model) -> np.ndarray:
+    """log pi: the vector the decoder kept as ``model._logpi``."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.pi)
+
+
 def reference_check_feasible(model, obs: np.ndarray) -> None:
     """Forward sweep of reachable-state sets; raises at the first dead step."""
     live = np.isfinite(reference_log_chain(model))
@@ -38,7 +50,8 @@ def reference_viterbi(model, observations) -> tuple[list[int], float]:
         raise ValueError("observation history must contain at least one symbol")
     reference_check_feasible(model, obs)
 
-    logP, logQ, logpi = reference_log_chain(model), model._logQ, model._logpi
+    logP, logQ, logpi = (reference_log_chain(model), reference_log_emission(model),
+                         reference_log_prior(model))
     targets = model.P.targets
 
     best = np.empty((T + 1, model.P.n_states))
