@@ -52,12 +52,6 @@ class VectorField:
     def speed(self) -> np.ndarray:
         return np.hypot(self.u, self.v)
 
-    def max_speed(self) -> float:
-        water = ~self.workspace.land_mask
-        if not water.any():
-            return 0.0
-        return float(self.speed()[water].max())
-
 
 def default_dt(field: VectorField) -> float:
     """Time for the fastest current in the field to traverse one cell.
@@ -65,7 +59,7 @@ def default_dt(field: VectorField) -> float:
     With this step no Euler endpoint lies more than one cell away from its
     origin.  Falls back to 1.0 for an everywhere-zero field.
     """
-    vmax = field.max_speed()
+    vmax = float(field.speed().max())
     return 1.0 / vmax if vmax > 0.0 else 1.0
 
 

@@ -20,10 +20,12 @@ Lines break wherever ``str.splitlines`` breaks them, so a label holds none of
 those characters.
 
 row, col and land accept what ``int`` accepts, u and v what ``float``
-accepts, with the same values.  Parsing costs O(rows * cols) time and
-memory: array checks over blocks of records, then one sort by cell.  A
-rejected file raises FieldParseError for its first failing record and
-check, found by a loop over the records.
+accepts, with the same values.  The body is read in blocks of lines, each by
+one of two paths: numpy's reader with array checks, or, for a block that
+numpy refuses (a comment, say) or that fails a check, a loop over its
+records.  Parsing costs O(rows * cols) time and memory.  A rejected file
+raises FieldParseError for its first failing record and check, found by the
+record loop over the whole body.
 
 Synthetic kinds stand in for externally produced current slices:
 
@@ -45,7 +47,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -101,63 +102,23 @@ def _parse_floats(parts, count, lineno, what):
         raise FieldParseError(lineno, f"{what}: {parts!r} is not numeric") from None
 
 
-# Body lines parsed per pass.  The process keeps the memory that the tokens
-# of a block numpy refuses took: through the tokens, loading a 2 436-cell
-# file grew the resident size by 0.4 MiB at 256 lines and 1.3 MiB at 2 048.
+# Body lines parsed per pass.  A block that numpy refuses goes through the
+# record loop, which holds Python objects for each of its records: with a
+# comment every 100 records, loading a 2 436-cell file peaked (tracemalloc) at
+# 0.45 MiB at 256 lines and 0.74 MiB at 2 048, and without comments at 0.45.
 _BLOCK_LINES = 256
-_RECORD = np.dtype("i8,i8,i8,f8,f8")  # row, col, land, u, v
+_RECORD = np.dtype([("row", "i8"), ("col", "i8"), ("land", "i8"), ("u", "f8"), ("v", "f8")])
 
 
-class _Rejected(Exception):
-    """A cell record fails a check; the record loop finds which one."""
+def _check_records(lines, start, stop, rows, cols):
+    """The (row, col, land, u, v) records of ``lines[start:stop]``, checked.
 
-
-def _parse_block(lines, rows, cols):
-    """The row, col, land, u and v arrays of the records in ``lines``, or None.
-
-    Raises _Rejected if any record fails a check that needs no other record.
+    Checks one record at a time, in the order the file gives them, and raises
+    the FieldParseError of the first failing record and its first failing
+    check.  A duplicate is found only among the records of this range.
     """
-    try:
-        # numpy accepts a subset of int() and float(); the filter makes it refuse
-        # a block without records and, before numpy 2, a float in an int column.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = np.loadtxt(lines, _RECORD, comments=None, ndmin=1)
-        r, c, land, u, v = (records[name] for name in _RECORD.names)
-    except (ValueError, Warning):
-        # A line splits to no tokens iff it is blank, and its first token
-        # starts with "#" iff it is a comment.
-        tokens = [t for t in map(str.split, lines) if t and t[0][0] != "#"]
-        if not tokens:
-            return None
-        if set(map(len, tokens)) != {5}:
-            raise _Rejected
-        n = len(tokens)
-        columns = list(zip(*tokens))
-        try:
-            r, c, land = (np.fromiter(map(int, col), np.int64, n) for col in columns[:3])
-            u, v = (np.fromiter(map(float, col), np.float64, n) for col in columns[3:])
-        except (ValueError, OverflowError):  # OverflowError: beyond int64
-            raise _Rejected from None
-    bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | ((land != 0) & (land != 1))
-    land = land == 1
-    bad |= land & ((u != 0.0) | (v != 0.0))
-    bad |= ~land & ~(np.isfinite(u) & np.isfinite(v))
-    if bad.any():
-        raise _Rejected
-    return r, c, land, u, v
-
-
-def _raise_first_error(lines, start, rows, cols, seen) -> NoReturn:
-    """Raise the FieldParseError of the first failing cell record.
-
-    Checks one record at a time from the line after ``start``, in the order
-    the file gives them, so that the error names the first failing record
-    and its first failing check.  ``seen`` holds the (row, col) cells of the
-    records before that line, which must all have passed their checks.
-    Runs only on files the bulk parse rejected.
-    """
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    records, seen = [], set()
+    for lineno, line in enumerate(lines[start:stop], start=start + 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -183,9 +144,33 @@ def _raise_first_error(lines, start, rows, cols, seen) -> NoReturn:
                 lineno, f"non-finite velocity ({u}, {v}) on water cell ({r}, {c})"
             )
         seen.add((r, c))
-    raise FieldParseError(
-        len(lines), f"expected {rows * cols} cell records, found {len(seen)}"
-    )
+        records.append((r, c, land, u, v))
+    return records
+
+
+def _parse_block(lines, lo, rows, cols):
+    """The records of the block of lines from ``lines[lo]``, as a _RECORD array.
+
+    numpy's reader and the array checks take a block that they accept; the
+    record loop takes any other block, and raises for its first bad record.
+    Raises OverflowError for an integer beyond int64.
+    """
+    stop = lo + _BLOCK_LINES
+    try:
+        # numpy accepts a subset of int() and float(); the filter makes it refuse
+        # a block without records and, before numpy 2, a float in an int column.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(lines[lo:stop], _RECORD, comments=None, ndmin=1)
+        r, c, land, u, v = (records[name] for name in _RECORD.names)
+        bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | ((land != 0) & (land != 1))
+        bad |= (land == 1) & ((u != 0.0) | (v != 0.0))
+        bad |= (land == 0) & ~(np.isfinite(u) & np.isfinite(v))
+        if not bad.any():
+            return records
+    except (ValueError, Warning):
+        pass
+    return np.array(_check_records(lines, lo, stop, rows, cols), _RECORD)
 
 
 def _load_cells(lines, body_start, rows, cols):
@@ -194,33 +179,30 @@ def _load_cells(lines, body_start, rows, cols):
     Raises the FieldParseError of the first failing record, or the record
     count error; the grids are allocated only once the records fill them.
     """
-    blocks = []
+    n = rows * cols
     try:
-        for lo in range(body_start, len(lines), _BLOCK_LINES):
-            block = _parse_block(lines[lo:lo + _BLOCK_LINES], rows, cols)
-            if block is not None:
-                blocks.append(block)
-    except _Rejected:
-        # Every record before line lo passed its own checks, so unless two of
-        # them share a cell the first error is at line lo or after it.
-        seen = {cell for r, c, *_ in blocks for cell in zip(r.tolist(), c.tolist())}
-        if len(seen) < sum(len(r) for r, *_ in blocks):
-            seen, lo = set(), body_start
-        _raise_first_error(lines, lo, rows, cols, seen)
-    try:
-        if not blocks:
-            raise _Rejected
-        r, c, land, u, v = (np.concatenate(column) for column in zip(*blocks))
-        order = np.lexsort((c, r))
-        r, c = r[order], c[order]
-        if len(order) != rows * cols or ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
-            raise _Rejected
-    except _Rejected:
-        _raise_first_error(lines, body_start, rows, cols, set())
-    # rows * cols distinct cells in range: the sorted records are the grid in
-    # row-major order.
-    shape = (rows, cols)
-    return land[order].reshape(shape), u[order].reshape(shape), v[order].reshape(shape)
+        # "+ 1": an empty body is one empty block.
+        blocks = [_parse_block(lines, lo, rows, cols)
+                  for lo in range(body_start, len(lines) + 1, _BLOCK_LINES)]
+        # Joined one field at a time: np.concatenate takes ten times as long on
+        # the structured blocks.
+        r, c, land, u, v = (np.concatenate([b[name] for b in blocks]) for name in _RECORD.names)
+        del blocks  # freed before the grids are allocated
+        if len(r) == n:
+            cell = r * cols + c
+            filled = np.zeros(n, bool)
+            filled[cell] = True
+            if filled.all():  # n records in range, no two for one cell
+                grids = np.empty(n, bool), np.empty(n), np.empty(n)
+                for grid, column in zip(grids, (land, u, v)):
+                    grid[cell] = column
+                return [grid.reshape(rows, cols) for grid in grids]
+    except (FieldParseError, OverflowError):
+        pass
+    # Some record fails a check, two share a cell, or the count is wrong: the
+    # record loop over the whole body raises the first error in file order.
+    found = len(_check_records(lines, body_start, len(lines), rows, cols))
+    raise FieldParseError(len(lines), f"expected {n} cell records, found {found}")
 
 
 def load_field(path) -> tuple[Workspace, VectorField]:
@@ -338,12 +320,6 @@ class SyntheticFieldSpec:
         if self.decay < 0.0:
             raise ValueError("decay must be >= 0")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticFieldSpec":
-        spec = cls(**d)
-        spec.validate()
-        return spec
-
 
 def _gyre_velocity(x, y, amplitude, decay):
     """Rotation + inward spiral of psi = A sin(pi x) sin(pi y).
@@ -400,4 +376,4 @@ def resolve_field(source: dict) -> tuple[Workspace, VectorField]:
     synth = dict(source["synthetic"])
     rows = synth.pop("rows")
     cols = synth.pop("cols")
-    return synthesize_field(SyntheticFieldSpec.from_dict(synth), rows, cols)
+    return synthesize_field(SyntheticFieldSpec(**synth), rows, cols)

@@ -149,6 +149,15 @@ class TestBuildCellMap:
         w, f = make_field(4, 4)
         assert default_dt(f) == 1.0
 
+    def test_default_dt_ignores_the_speed_given_on_land(self):
+        land = np.zeros((4, 4), dtype=bool)
+        land[0, :] = True
+        w, f = make_field(4, 4, u=np.where(land, 30.0, 3.0), v=np.where(land, -40.0, 4.0),
+                          land=land)
+        assert default_dt(f) == pytest.approx(1 / 5.0)
+        w, f = make_field(4, 4, u=np.where(land, 30.0, 0.0), land=land)
+        assert default_dt(f) == 1.0
+
 
 def _orbit_rotation_sign(points, center):
     """Accumulated signed winding of a polyline around a center."""

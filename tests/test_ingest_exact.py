@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ingest_reference as ref
 from conftest import FIXTURE_FIELD, gyre_with_land, random_field
 from driftloc import FieldParseError, ingest, load_field, save_field
-from driftloc.ingest import _BLOCK_LINES
+from driftloc.ingest import _BLOCK_LINES, _check_records
 
 ROWS, COLS = 46, 50  # 2 300 records, several blocks
 HEADER_LINES = 8  # save_field's header, "cells" included
@@ -60,9 +60,10 @@ def base_lines(tmp_path_factory):
 
 # -- mutations ---------------------------------------------------------------
 
-# The bulk parse converts a block with numpy's reader and falls back to
-# int() and float() when numpy refuses it, so the alphabets hold spellings
-# where the two could differ: forms numpy refuses, and forms both accept.
+# The bulk parse converts a block with numpy's reader and falls back to the
+# record loop's int() and float() when numpy refuses it, so the alphabets hold
+# spellings where the two could differ: forms numpy refuses, and forms both
+# accept.
 TOKENS = ["1.0", "x", "nan", "inf", "-inf", "+1", "1_0", "-1", "0", "1", "2",
           str(ROWS), str(COLS), "1e3", "0x1", "\u0661", "99999999999999999999", "-0.0",
           "1.", "1e0", "00", "-0", "+.5", ".5", "1e400", "infinity", "-nan",
@@ -169,16 +170,31 @@ class TestValidFiles:
 
 
 class TestValidFilesStayOnTheBulkPath(TestValidFiles):
-    """The same valid files, with the record loop made to fail the test: the
-    bulk parse alone accepts every valid file, and the loop runs only to
-    report why a file was rejected."""
+    """The same valid files, with the record loop made to fail the test: numpy
+    and the array checks alone accept every block that holds no comment and no
+    blank line."""
 
     @pytest.fixture(autouse=True)
     def no_record_loop(self, monkeypatch):
         def fail(*args):
-            pytest.fail("a valid file fell to the record loop")
+            pytest.fail("a valid block fell to the record loop")
 
-        monkeypatch.setattr(ingest, "_raise_first_error", fail)
+        monkeypatch.setattr(ingest, "_check_records", fail)
+
+    def test_crlf_comments_blanks_and_shuffled_records(self, tmp_path, base_lines, monkeypatch):
+        """Here the loop reads some blocks, and each of them holds a comment
+        or a blank line."""
+        blocks = []
+
+        def spy(lines, start, stop, rows, cols):
+            blocks.append(lines[start:stop])
+            return _check_records(lines, start, stop, rows, cols)
+
+        monkeypatch.setattr(ingest, "_check_records", spy)
+        super().test_crlf_comments_blanks_and_shuffled_records(tmp_path, base_lines)
+        assert blocks
+        for block in blocks:
+            assert any(not line.strip() or line.lstrip().startswith("#") for line in block)
 
 
 class TestFirstError:
@@ -214,6 +230,14 @@ class TestFirstError:
                                     ("insert", HEADER_LINES + 30, base_lines[HEADER_LINES + 2])])
         got = assert_same(write(tmp_path, lines))
         assert got[2] == HEADER_LINES + 31 and "duplicate" in got[3]
+
+    def test_repeat_of_a_record_the_loop_accepted(self, tmp_path, base_lines):
+        # The comment sends the first block to the record loop, which accepts
+        # it; the repeat of its record sits in a later block that numpy takes.
+        lines = mutate(base_lines, [("insert", BOUNDARY + 40, base_lines[HEADER_LINES + 2]),
+                                    ("insert", HEADER_LINES + 10, "# comment")])
+        got = assert_same(write(tmp_path, lines))
+        assert got[2] == BOUNDARY + 42 and "duplicate" in got[3]
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("change", [
@@ -285,6 +309,12 @@ class TestHugeHeader:
         p = self.file(tmp_path, 3, 2, "0 0 0 0.0 0.0", f"{big} 0 0 0.0 0.0")
         got = assert_same(p)
         assert got[2] == 6 and f"cell ({big}, 0) outside grid" in got[3]
+
+    def test_record_beyond_int64_that_passes_its_checks(self, tmp_path):
+        p = self.file(tmp_path, 10**30, 2, "99999999999999999999 0 0 0.0 0.0", "0 0 0 0.0 0.0")
+        with pytest.raises(FieldParseError) as exc:
+            load_field(p)
+        assert str(exc.value) == f"line 6: expected {2 * 10**30} cell records, found 2"
 
 
 class TestMemory:
