@@ -16,6 +16,7 @@ from driftloc import (
     HmmModel,
     build_cell_map,
     build_stochastic_map,
+    emission_matrix,
     initial_distribution,
     load_field,
     sample_runs,
@@ -29,6 +30,7 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "double_gyre_21x
 
 w, field = load_field(FIXTURE)
 P = build_stochastic_map(build_cell_map(field), r=0.9)
+model = HmmModel(P)
 
 x_deploy = w.index(16, 10)
 T = 40
@@ -38,7 +40,7 @@ modes = ("deterministic", "probabilistic")
 pis = [initial_distribution(w, x_deploy, mode) for mode in modes]
 rngs = [np.random.default_rng((2026, i)) for i in range(len(modes))]
 true_paths, histories = sample_runs(P, pis, T, rngs)
-decodes = viterbi_runs(HmmModel(P=P, pi=pis[0]), pis, histories)
+decodes = viterbi_runs(model, pis, histories)
 finals, trajs = error_reports(true_paths, [decoded for decoded, _ in decodes], w)
 
 for mode, true_path, obs, (decoded, logp), final, traj in zip(
@@ -54,17 +56,17 @@ for mode, true_path, obs, (decoded, logp), final, traj in zip(
 # The decoder dominates the truth: no feasible path scores better than the
 # decoded one, including the path the drifter actually took.
 pi = initial_distribution(w, x_deploy, "deterministic")
-model = HmmModel(P=P, pi=pi)
 cells, histories = sample_runs(P, [pi], T, [np.random.default_rng(7)])
 true_path, obs = cells[0].tolist(), histories[0].tolist()
-decoded, logp = viterbi(model, obs)
+decoded, logp = viterbi(model, pi, obs)
+Q = emission_matrix(P)
 
 
 def score(cells):
     s = np.log(pi[w.state_of(cells[0])])
     for t, y in enumerate(obs):
         a, b = cells[t], cells[t + 1]
-        s += np.log(model.Q[w.state_of(a), int(y)]) + np.log(P.mapped_set(a)[b])
+        s += np.log(Q[w.state_of(a), int(y)]) + np.log(P.mapped_set(a)[b])
     return float(s)
 
 

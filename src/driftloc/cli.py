@@ -101,8 +101,8 @@ def cmd_localize(args) -> int:
     if not obs:
         raise DriftlocError(f"observation file {args.obs} is empty")
     mode = {"det": "deterministic", "prob": "probabilistic"}[args.pi]
-    model = HmmModel(P=smap, pi=initial_distribution(w, args.x0, mode))
-    cells, logp = viterbi(model, obs)
+    pi = initial_distribution(w, args.x0, mode)
+    cells, logp = viterbi(HmmModel(smap), pi, obs)
     payload = {"path": cells, "final": cells[-1], "log_prob": logp}
     print(f"decoded {len(obs)} observations; final cell {cells[-1]}, "
           f"log probability {logp:.6f}")

@@ -1,10 +1,9 @@
 """Per-cell current velocities and the deterministic Euler flow-line cell map.
 
-Velocities are expressed in cell units per unit time (u eastward along
-columns, v northward along rows).  A single Euler step of length ``dt``
-advects a cell center to a continuous endpoint; the deterministic image of
-the cell is the nearest admissible cell to that endpoint, where admissible
-means the cell itself or one of its in-grid water Moore neighbors.
+Velocities are in cell units per unit time (u eastward, v northward).
+``build_cell_map(field, dt)`` maps each water cell to the admissible cell (the
+cell itself or an in-grid water Moore neighbor) nearest to the endpoint of
+one Euler step of length dt from its center.  O(n * 9) time.
 """
 
 from __future__ import annotations
@@ -83,8 +82,9 @@ def build_cell_map(field: VectorField, dt: float | None = None) -> CellMap:
     w = field.workspace
     if dt is None:
         dt = default_dt(field)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    # Also false on NaN, and on an inf that default_dt gives for a near-zero field.
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     free = w.free_cells
     rows, cols = np.divmod(free - 1, w.cols)

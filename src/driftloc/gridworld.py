@@ -1,10 +1,8 @@
 """Discretized 2-D cell workspace: indexing, land mask, neighborhoods, compass geometry.
 
-Cells are numbered 1..N in row-major order starting from the south-west
-corner (row 0 = southernmost, col 0 = westernmost).  Row index increases
-northward, column index increases eastward; compass N therefore means
-"+1 row".  All distances are measured in cell units (index space), not
-degrees or meters.
+Cells are numbered 1..N row-major from the south-west corner: row 0 is the
+southernmost, col 0 the westernmost, and compass N is "+1 row".  Distances
+are in cell units, not degrees or meters.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Hidden Markov model over the cell chain and Viterbi trajectory decoding.
 
-The model is (P, Q, pi): the chain, a compass emission matrix, and an initial
-state distribution.  The compass reports the heading of the move the drifter
-takes next, so the observation at step t is emitted by the departing state:
-Q[z][y] is the probability of the move of z in direction y.  Every slot of a
-chain row is one Moore move, hence one compass symbol, so Q is a fixed column
-permutation of the chain's probabilities.  A decoded trajectory for T
+A model holds one chain P and the decoder tables derived from it; each decode
+brings its own initial state distribution pi.  The compass reports the
+heading of the move the drifter takes next, so the observation at step t is
+emitted by the departing state: Q[z][y] is the probability of the move of z
+in direction y.  Every slot of a chain row is one Moore move, hence one
+compass symbol, so Q is a fixed column permutation of the chain's
+probabilities (``emission_matrix``).  A decoded trajectory for T
 observations has T + 1 states and maximizes
 
     pi[x_0] * prod_t Q[x_{t-1}][y_t] * P[x_{t-1}][x_t]
@@ -23,9 +24,6 @@ per step; no n x n or (T + 1) x n array is ever built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,30 +62,17 @@ def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
     return pi
 
 
-def _check_prior(pi: np.ndarray, n: int) -> None:
-    if pi.shape != (n,):
-        raise ValueError(f"initial distribution shape {pi.shape} != ({n},)")
-    # pi >= 0 is False on NaN, and an infinite entry makes the sum miss 1.
-    if not (pi >= 0.0).all() or abs(pi.sum() - 1.0) > 1e-12:
-        raise ValueError("initial distribution is not nonnegative with sum 1")
-
-
-@dataclass(frozen=True, eq=False)
 class HmmModel:
-    """lambda = (P, Q, pi) over the free cells and the 9-symbol alphabet.
+    """The decoder tables of one chain, over its free cells and the 9 symbols.
 
-    The decoder reads three tables, (16 W + 9) bytes a state: ``_logP_pad``
-    and ``_next`` hold each row's live slots in W columns, and ``_col[y, s]``
-    is the column of the slot of s with heading y, so log Q[s, y] is
-    ``_logP_pad[s, _col[y, s]]``.  Q is derived from P on first read.
+    ``_logP_pad`` and ``_next`` hold each row's live slots in W columns, and
+    ``_col[y, s]`` is the column of the slot of s with heading y, so log
+    Q[s, y] is ``_logP_pad[s, _col[y, s]]``: (16 W + 9) bytes a state.
     """
 
-    P: StochasticCellMap
-    pi: np.ndarray  # (n_free,)
-
-    def __post_init__(self):
-        n = self.P.n_states
-        _check_prior(self.pi, n)
+    def __init__(self, P: StochasticCellMap):
+        self.P = P
+        n = P.n_states
         # Decoder tables of W columns, W the most live slots of any row: row
         # s holds the live slots of state s first, in slot (ascending target)
         # order, so on a row with a finite maximum argmax's first-maximum
@@ -96,48 +81,39 @@ class HmmModel:
         # the target n, which reaches only itself, scores log 0 and emits
         # nothing; _col is W where a state does not emit the symbol.  Each
         # live slot goes to its row's running rank, one slot column at a time.
-        probs, targets = self.P.probs, self.P.targets
+        probs, targets = P.probs, P.targets
         width = int(np.count_nonzero(probs, axis=1).max())
-        logP_pad = np.full((n + 1, width), -np.inf)
-        nxt = np.full((n + 1, width), n)
-        col = np.full((N_DIRECTIONS, n + 1), width, dtype=np.uint8)
+        self._logP_pad = np.full((n + 1, width), -np.inf)  # (n + 1, W)
+        self._next = np.full((n + 1, width), n)  # (n + 1, W): target states
+        self._col = np.full((N_DIRECTIONS, n + 1), width, dtype=np.uint8)  # (9, n + 1)
         rank = np.zeros(n, dtype=np.uint8)
         for k, y in enumerate(SLOT_DIRECTIONS):
             s = np.flatnonzero(probs[:, k])
             c = rank.take(s)
-            col[y, s] = c
-            logP_pad[s, c] = np.log(probs[s, k])
-            nxt[s, c] = targets[s, k]
+            self._col[y, s] = c
+            self._logP_pad[s, c] = np.log(probs[s, k])
+            self._next[s, c] = targets[s, k]
             rank[s] += 1
-        object.__setattr__(self, "_logP_pad", logP_pad)  # (n + 1, W)
-        object.__setattr__(self, "_next", nxt)  # (n + 1, W): target states
-        object.__setattr__(self, "_col", col)  # (9, n + 1): column by symbol
-
-    @cached_property
-    def Q(self) -> np.ndarray:  # (n_free, 9)
-        return emission_matrix(self.P)
-
-    @property
-    def workspace(self) -> Workspace:
-        return self.P.workspace
 
 
-def viterbi(model: HmmModel, observations) -> tuple[list[int], float]:
-    """Most likely state trajectory for a compass observation history.
+def viterbi(model: HmmModel, pi: np.ndarray, observations) -> tuple[list[int], float]:
+    """Most likely state trajectory for a compass observation history, under
+    the initial distribution pi over the free cells.
 
     Returns (trajectory, log probability); the trajectory is a list of T + 1
     cell indices.  Raises ZeroProbabilityError (carrying the 1-based step) if
     no state sequence is consistent with the observations.
     """
-    return viterbi_runs(model, [model.pi], [list(observations)])[0]
+    return viterbi_runs(model, [pi], [list(observations)])[0]
 
 
 def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], float]]:
     """Decode a group of runs on one chain: history r under initial distribution r.
 
-    Every history must have the same length T >= 1; ``model.pi`` is not read.
-    ``histories`` may be an (R, T) integer array, checked by one range test;
-    a symbol that is no direction raises the ValueError of ``Direction(y)``.
+    Every history must have the same length T >= 1, and every prior is an
+    (n_free,) nonnegative vector with sum 1.  ``histories`` may be an (R, T)
+    integer array, checked by one range test; a symbol that is no direction
+    raises the ValueError of ``Direction(y)``.
     Returns one (trajectory, log probability) per run, each equal to what
     ``viterbi`` gives for that run alone.  If some history is infeasible,
     raises the ZeroProbabilityError of the first such run, whose ``run`` is
@@ -154,7 +130,12 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
 
     n = model.P.n_states
     for pi in priors:
-        _check_prior(pi, n)
+        pi = np.asarray(pi, dtype=float)
+        if pi.shape != (n,):
+            raise ValueError(f"initial distribution shape {pi.shape} != ({n},)")
+        # pi >= 0 is False on NaN, and an infinite entry makes the sum miss 1.
+        if not (pi >= 0.0).all() or abs(pi.sum() - 1.0) > 1e-12:
+            raise ValueError("initial distribution is not nonnegative with sum 1")
     # Run r's state s is index r * N + s; the blocks of N = n + 1 keep each
     # run's part of a sorted index set contiguous and in run order.  The
     # chain tables are read in take's "wrap" mode (index mod N), and a
@@ -255,5 +236,5 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         k = slots[t][departing[t].searchsorted(path[:, t] + base)]
         path[:, t + 1] = model._next[path[:, t], k]
 
-    cells = model.workspace.free_cells[path]
+    cells = model.P.workspace.free_cells[path]
     return [(c.tolist(), float(total)) for c, total in zip(cells, totals)]

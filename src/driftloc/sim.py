@@ -1,31 +1,19 @@
 """Ground-truth chain simulation and Monte-Carlo localization error studies.
 
-Trajectories are sampled from the chain; the compass history is the symbol
-of each sampled slot (optionally corrupted by symbol-flip noise).  Experiments
-run seeded batches over observation lengths, prior modes and start regions,
-decode each run with Viterbi, and aggregate two error metrics:
+``sample_runs`` samples trajectories from the chain; the compass history is
+the symbol of each sampled slot, optionally corrupted by symbol-flip noise.
+``run_experiment`` runs seeded batches over observation lengths, prior modes
+and start regions, decodes each run with Viterbi, and reports two errors in
+cell units:
 
   final error      distance between true and decoded final cells
   trajectory error summed per-step distance between the two paths
 
 Every run draws its generator from SeedSequence((base_seed, condition_index,
-run_index)), so results are reproducible run-by-run and independent of
-execution order.  Within a run the stream is consumed in a fixed order:
-start-cell draw (if randomized), initial-state draw, one draw per step, then
-the noise draws (if obs_noise > 0).
-
-An experiment draws the start cells of a condition's runs first, then samples
-and decodes them in lockstep groups of about 8 192 states in all (13 runs on
-the 609-state fixture): one array step of ``sample_runs`` and one of
-``viterbi_runs`` serve every run of a group.  Sampling a group costs O(T)
-array calls over R x 9 cumulative probabilities, plus R initial-state draws
-and R T noise draws in Python when obs_noise > 0.  Decoding it costs
-O(sum_t |D_t| * W) over the runs' summed feasible sets D_t, W being the most
-live slots of any chain row (6 on the fixture; see ``hmm``).  The errors and
-observation strings of a group come from a few array calls over its
-(R, T + 1) paths and (R, T) symbols.  The trajectory error adds a run's step
-distances left to right, so a report does not depend on how a Python
-version's ``sum()`` rounds.
+run_index)) and consumes it in a fixed order: start-cell draw (if
+randomized), initial-state draw, one draw per step, then the noise draws (if
+obs_noise > 0).  A run's result therefore depends neither on execution order
+nor on the lockstep group it is sampled and decoded in.
 """
 
 from __future__ import annotations
@@ -166,7 +154,7 @@ class ExperimentConfig:
     ingest.SyntheticFieldSpec).  ``initial`` is "random" (uniform over water
     cells per run) or a fixed cell index.  With ``group_by_region`` each
     (T, mode) condition is repeated per decomposition region, drawing start
-    cells from that region.
+    cells from that region, so ``initial`` must be "random".
     """
 
     field: dict
@@ -202,12 +190,16 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {what}, got {getattr(self, key)!r}")
+        if len(field) != 1:
+            raise ConfigError(
+                f"field must hold exactly one of 'path' and 'synthetic', got keys {list(field)}"
+            )
         if "synthetic" in field:
             _check_synthetic(field["synthetic"])
         if not 0.0 < self.r <= 1.0:
             raise ConfigError(f"r must be in (0, 1], got {self.r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"unknown mode {m!r}; expected one of {MODES}")
@@ -221,6 +213,8 @@ class ExperimentConfig:
             raise ConfigError("obs_noise must be in [0, 1)")
         if self.regions is not None and not self.group_by_region:
             raise ConfigError("regions given without group_by_region")
+        if self.initial != "random" and self.group_by_region:
+            raise ConfigError(f"initial cell {self.initial} given with group_by_region")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -324,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
 
     summary = []
     run_records = []
-    model = None  # built once per chain; each run brings its own prior
+    model = HmmModel(smap)
     group = max(1, _GROUP_STATES // smap.n_states)
     for cond_idx, (mode, T, region) in enumerate(conditions):
         pool = dec.region_cells(region) if region is not None else w.free_cells
@@ -332,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
         for run_idx in range(cfg.runs):
             seed = np.random.SeedSequence((cfg.base_seed, cond_idx, run_idx))
             rng = np.random.default_rng(seed)
-            if isinstance(cfg.initial, int) and region is None:
+            if isinstance(cfg.initial, int):
                 x_init = cfg.initial
             else:
                 x_init = int(pool[rng.integers(len(pool))])
@@ -343,8 +337,6 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
         for lo in range(0, cfg.runs, group):
             runs = range(lo, min(lo + group, cfg.runs))
             priors = [initial_distribution(w, starts[i], mode) for i in runs]
-            if model is None:
-                model = HmmModel(P=smap, pi=priors[0])
             true_paths, histories = sample_runs(
                 smap, priors, T, rngs[lo:runs.stop], cfg.obs_noise
             )

@@ -1,16 +1,19 @@
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from driftloc import (
+    HmmModel,
     SyntheticFieldSpec,
     VectorField,
     Workspace,
     build_cell_map,
     build_stochastic_map,
     decompose,
+    emission_matrix,
     load_field,
     sample_runs,
     synthesize_field,
@@ -72,6 +75,12 @@ def packed(smap):
     )
 
 
+def oracle_model(P, pi):
+    """The (P, Q, pi) model that the frozen oracles and the enumeration read:
+    the chain, its emission matrix, one prior and the chain's workspace."""
+    return SimpleNamespace(P=P, Q=emission_matrix(P), pi=pi, workspace=P.workspace)
+
+
 def sample_run(P, pi, T, seed, obs_noise=0.0):
     """One run of ``sample_runs`` from ``default_rng(seed)``: its T + 1 cells
     and T direction indices, as lists."""
@@ -96,7 +105,8 @@ def last_live_slot(P):
 
 @pytest.fixture(scope="session")
 def gyre():
-    """The shipped 21x29 double-gyre fixture with its chain at r = 0.9."""
+    """The shipped 21x29 double-gyre fixture with its chain at r = 0.9 and
+    that chain's decoder model."""
     w, field = load_field(FIXTURE_FIELD)
     cm = build_cell_map(field)
     smap = build_stochastic_map(cm, 0.9)
@@ -106,5 +116,6 @@ def gyre():
         "cell_map": cm,
         "smap": smap,
         "P": smap,
+        "model": HmmModel(smap),
         "decomposition": decompose(smap),
     }

@@ -27,7 +27,7 @@ from driftloc.sim import error_reports
 from closure_reference import reachability
 from conftest import (
     CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, last_live_slot, make_field,
-    random_field, sample_run,
+    oracle_model, random_field, sample_run,
 )
 from test_gcm import bool_power_closure
 from test_hmm import brute_force_best, path_logprob
@@ -49,15 +49,16 @@ class TestCriterion1ViterbiOracle:
             P = build_stochastic_map(build_cell_map(f), r)
             x0 = int(rng.choice(w.free_cells))
             mode = "deterministic" if rng.random() < 0.5 else "probabilistic"
-            model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
+            pi = initial_distribution(w, x0, mode)
             T = int(rng.integers(3, 7))
-            _, obs = sample_run(P, model.pi, T, seed=rng)
-            decoded, logp = viterbi(model, obs)
-            oracle = brute_force_best(model, [int(y) for y in obs])
+            _, obs = sample_run(P, pi, T, seed=rng)
+            decoded, logp = viterbi(HmmModel(P), pi, obs)
+            ref = oracle_model(P, pi)
+            oracle = brute_force_best(ref, [int(y) for y in obs])
             assert abs(logp - oracle) <= 1e-9, (
                 f"instance {n_instances}: viterbi {logp} != oracle {oracle}"
             )
-            assert abs(path_logprob(model, decoded, obs) - logp) <= 1e-9
+            assert abs(path_logprob(ref, decoded, obs) - logp) <= 1e-9
             n_instances += 1
         elapsed = time.time() - t0
         assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
@@ -189,6 +190,7 @@ class TestCriterion5NoiselessLimit:
         t0 = time.time()
         w = gyre["workspace"]
         P = build_stochastic_map(gyre["cell_map"], 1.0)
+        model = HmmModel(P)
         n_runs = 0
         for T in (20, 50, 100):
             for run in range(50):
@@ -196,8 +198,7 @@ class TestCriterion5NoiselessLimit:
                 x0 = int(w.free_cells[rng.integers(w.n_free)])
                 pi = initial_distribution(w, x0, "deterministic")
                 true_path, obs = sample_run(P, pi, T, seed=rng)
-                model = HmmModel(P=P, pi=pi)
-                decoded, logp = viterbi(model, obs)
+                decoded, logp = viterbi(model, pi, obs)
                 final, traj = error_reports([true_path], [decoded], w)
                 assert final[0] == 0.0, f"T={T} run={run}"
                 assert traj[0] == 0.0, f"T={T} run={run}"

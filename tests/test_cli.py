@@ -77,6 +77,16 @@ class TestClassify:
         assert code == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt_fails_with_diagnostics(self, tmp_path, dt):
+        proc = run_cli_process(
+            "classify", "--field", str(FIXTURE_FIELD), "--dt", dt,
+            "--out", str(tmp_path / "d.json"),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: dt must be positive and finite, got {dt}\n"
+        assert not (tmp_path / "d.json").exists()
+
     def test_fixture_report_matches_golden(self, tmp_path):
         out = tmp_path / "dec.json"
         assert run_cli("classify", "--field", str(FIXTURE_FIELD), "--out", str(out)) == 0
@@ -259,6 +269,8 @@ class TestBadConfigValues:
          "field.synthetic.u must be a number, got '1'"),
         ({"field": {"synthetic": {"kind": "gyre", "rows": 6, "cols": 6}}},
          "field.synthetic.kind must be one of"),
+        ({"field": {"path": "f", "synthetic": {"kind": "uniform", "rows": 6, "cols": 6}}},
+         "field must hold exactly one of 'path' and 'synthetic', got keys ['path', 'synthetic']"),
     ])
     def test_wrongly_typed_value(self, tmp_path, change, needle):
         cfg = tmp_path / "bad.json"

@@ -158,6 +158,18 @@ class TestBuildCellMap:
         w, f = make_field(4, 4, u=np.where(land, 30.0, 0.0), land=land)
         assert default_dt(f) == 1.0
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_dt_outside_zero_to_inf_rejected(self, dt):
+        _, f = make_field(3, 3, u=1.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            build_cell_map(f, dt)
+
+    def test_default_dt_that_overflows_rejected(self):
+        _, f = make_field(3, 3, u=1e-320)
+        assert default_dt(f) == math.inf
+        with pytest.raises(ValueError, match="dt must be positive and finite, got inf"):
+            build_cell_map(f)
+
 
 def _orbit_rotation_sign(points, center):
     """Accumulated signed winding of a polyline around a center."""

@@ -20,18 +20,19 @@ from driftloc import (
     synthesize_field,
     viterbi,
 )
-from conftest import gyre_with_land, make_field, packed, random_field, sample_run
+from conftest import gyre_with_land, make_field, oracle_model, packed, random_field, sample_run
 from dense_reference import dense_viterbi, loop_emission_matrix
 
 
 def model_for(field_pair, r, x_init, mode="deterministic", dt=None):
+    """The model of the field's chain and the prior of one start cell."""
     w, f = field_pair
     P = build_stochastic_map(build_cell_map(f, dt=dt), r)
-    return HmmModel(P=P, pi=initial_distribution(w, x_init, mode))
+    return HmmModel(P), initial_distribution(w, x_init, mode)
 
 
 def log_tables(model):
-    """Log tables built from the model's public arrays only.
+    """Log tables built from the public arrays of an ``oracle_model``.
 
     Returns ({successor state: log P} per state, log Q, log pi); the
     successors are the positive-probability slots of P's rows.
@@ -45,7 +46,8 @@ def log_tables(model):
 
 
 def brute_force_best(model, obs):
-    """Oracle: exhaustive enumeration of every feasible state sequence."""
+    """Oracle: exhaustive enumeration of every feasible state sequence of an
+    ``oracle_model``."""
     logP, logQ, logpi = log_tables(model)
     T = len(obs)
     best = -math.inf
@@ -67,7 +69,7 @@ def brute_force_best(model, obs):
 
 
 def path_logprob(model, cells, obs):
-    """Log score of one explicit trajectory under the model."""
+    """Log score of one explicit trajectory under an ``oracle_model``."""
     logP, logQ, logpi = log_tables(model)
     w = model.workspace
     states = [w.state_of(z) for z in cells]
@@ -154,34 +156,34 @@ class TestViterbi:
     def test_noiseless_chain_recovers_truth(self):
         rng = np.random.default_rng(8)
         w, f = random_field(rng, 5, 5, vmax=1.5)
-        model = model_for((w, f), 1.0, int(w.free_cells[7]))
-        true_path, obs = sample_run(model.P, model.pi, 12, seed=4)
-        decoded, logp = viterbi(model, obs)
+        model, pi = model_for((w, f), 1.0, int(w.free_cells[7]))
+        true_path, obs = sample_run(model.P, pi, 12, seed=4)
+        decoded, logp = viterbi(model, pi, obs)
         assert decoded == true_path
         assert logp == 0.0
 
     def test_single_step_point_mass(self):
         w, f = make_field(4, 4, u=1.0)
         x0 = w.index(1, 1)
-        model = model_for((w, f), 1.0, x0)
-        decoded, logp = viterbi(model, [Direction.E])
+        model, pi = model_for((w, f), 1.0, x0)
+        decoded, logp = viterbi(model, pi, [Direction.E])
         assert decoded == [x0, w.index(1, 2)]
         assert logp == 0.0
 
     def test_identity_chain_all_idle(self):
         w, f = make_field(4, 4)
         x0 = w.index(2, 2)
-        model = model_for((w, f), 0.9, x0)
-        decoded, _ = viterbi(model, [Direction.IDLE] * 6)
+        model, pi = model_for((w, f), 0.9, x0)
+        decoded, _ = viterbi(model, pi, [Direction.IDLE] * 6)
         assert decoded == [x0] * 7
         assert decoded[-1] == x0
 
     def test_uniform_east_shifts_then_clamps(self):
         w, f = make_field(3, 6, u=1.0)
         x0 = w.index(1, 2)
-        model = model_for((w, f), 1.0, x0)
-        true_path, obs = sample_run(model.P, model.pi, 5, seed=0)
-        decoded, _ = viterbi(model, obs)
+        model, pi = model_for((w, f), 1.0, x0)
+        true_path, obs = sample_run(model.P, pi, 5, seed=0)
+        decoded, _ = viterbi(model, pi, obs)
         assert decoded == true_path
         # east run of 3, then pinned at the east edge
         assert decoded[-1] == w.index(1, 5)
@@ -193,62 +195,68 @@ class TestViterbi:
             r = float(rng.choice([0.7, 0.9]))
             x0 = int(rng.choice(w.free_cells))
             mode = "deterministic" if trial % 2 else "probabilistic"
-            model = model_for((w, f), r, x0, mode)
+            model, pi = model_for((w, f), r, x0, mode)
+            ref = oracle_model(model.P, pi)
             T = int(rng.integers(2, 6))
-            true_path, obs = sample_run(model.P, model.pi, T, seed=trial)
-            decoded, logp = viterbi(model, obs)
-            assert logp == pytest.approx(brute_force_best(model, obs), abs=1e-9)
-            assert path_logprob(model, decoded, obs) == pytest.approx(logp, abs=1e-9)
+            true_path, obs = sample_run(model.P, pi, T, seed=trial)
+            decoded, logp = viterbi(model, pi, obs)
+            assert logp == pytest.approx(brute_force_best(ref, obs), abs=1e-9)
+            assert path_logprob(ref, decoded, obs) == pytest.approx(logp, abs=1e-9)
 
     def test_dominates_ground_truth(self):
         rng = np.random.default_rng(12)
         w, f = random_field(rng, 6, 6, vmax=1.5)
-        model = model_for((w, f), 0.8, int(w.free_cells[10]), "probabilistic")
+        model, pi = model_for((w, f), 0.8, int(w.free_cells[10]), "probabilistic")
         for seed in range(5):
-            true_path, obs = sample_run(model.P, model.pi, 15, seed=seed)
-            decoded, logp = viterbi(model, obs)
-            assert logp >= path_logprob(model, true_path, obs) - 1e-12
+            true_path, obs = sample_run(model.P, pi, 15, seed=seed)
+            decoded, logp = viterbi(model, pi, obs)
+            assert logp >= path_logprob(oracle_model(model.P, pi), true_path, obs) - 1e-12
 
     def test_decoded_transitions_feasible(self):
         rng = np.random.default_rng(40)
         w, f = random_field(rng, 6, 6, vmax=2.0)
-        model = model_for((w, f), 0.8, int(w.free_cells[3]), "probabilistic")
-        true_path, obs = sample_run(model.P, model.pi, 20, seed=2)
-        decoded, _ = viterbi(model, obs)
-        successors, _, _ = log_tables(model)
+        model, pi = model_for((w, f), 0.8, int(w.free_cells[3]), "probabilistic")
+        true_path, obs = sample_run(model.P, pi, 20, seed=2)
+        decoded, _ = viterbi(model, pi, obs)
+        ref = oracle_model(model.P, pi)
+        successors, _, _ = log_tables(ref)
         for t in range(len(obs)):
-            s = model.workspace.state_of(decoded[t])
-            s2 = model.workspace.state_of(decoded[t + 1])
-            assert model.Q[s, int(obs[t])] > 0.0
+            s = w.state_of(decoded[t])
+            s2 = w.state_of(decoded[t + 1])
+            assert ref.Q[s, int(obs[t])] > 0.0
             assert s2 in successors[s]
 
     def test_zero_probability_carries_step(self):
         w, f = make_field(3, 5, u=1.0)
-        model = model_for((w, f), 1.0, w.index(1, 0))
+        model, pi = model_for((w, f), 1.0, w.index(1, 0))
         with pytest.raises(ZeroProbabilityError) as exc:
-            viterbi(model, [Direction.E, Direction.E, Direction.W])
+            viterbi(model, pi, [Direction.E, Direction.E, Direction.W])
         assert exc.value.step == 3
 
     def test_empty_history_rejected(self):
         w, f = make_field(3, 3)
-        model = model_for((w, f), 0.9, 1)
+        model, pi = model_for((w, f), 0.9, 1)
         with pytest.raises(ValueError):
-            viterbi(model, [])
+            viterbi(model, pi, [])
 
-    def test_model_validation(self):
+    def test_prior_validation(self):
         w, f = make_field(3, 3)
-        P = build_stochastic_map(build_cell_map(f), 0.9)
+        model = HmmModel(build_stochastic_map(build_cell_map(f), 0.9))
         nan, negative = np.full(9, np.nan), np.zeros(9)
         negative[:2] = 1.5, -0.5
         for bad in (np.full(9, 0.2), np.full(10, 0.1), np.full(8, 0.125), nan, negative):
             with pytest.raises(ValueError, match="initial distribution"):
-                HmmModel(P=P, pi=bad)
+                viterbi(model, bad, [Direction.IDLE])
+            with pytest.raises(ValueError, match="initial distribution"):
+                viterbi(model, bad.tolist(), [Direction.IDLE])
+        pi = initial_distribution(w, 5, "deterministic")
+        assert viterbi(model, pi.tolist(), [Direction.IDLE]) == viterbi(model, pi, [Direction.IDLE])
 
 
-def decode_outcome(decoder, model, obs):
+def decode_outcome(decoder, *args):
     """(path, log prob), or ("infeasible", step) if the decoder raises."""
     try:
-        return decoder(model, obs)
+        return decoder(*args)
     except ZeroProbabilityError as exc:
         return ("infeasible", exc.step)
 
@@ -263,19 +271,16 @@ class TestDenseReferenceBitExact:
             w, f = random_field(rng, 6, 7, land_prob=0.25, vmax=2.0)
             smaps.append(build_stochastic_map(build_cell_map(f), float(rng.choice([0.6, 0.9]))))
         for smap in smaps:
-            w = smap.workspace
-            model = HmmModel(P=smap, pi=initial_distribution(w, int(w.free_cells[0]),
-                                                             "deterministic"))
             # the frozen loop stops at a row's first empty slot: give it packed rows
             want = loop_emission_matrix(packed(smap)).tobytes()
             assert emission_matrix(smap).tobytes() == want
-            assert model.Q.tobytes() == want
 
     def test_fixture_runs(self, gyre):
         w = gyre["workspace"]
         infeasible = 0
         for r in (0.7, 0.9, 1.0):
             P = build_stochastic_map(gyre["cell_map"], r)
+            model = HmmModel(P)
             for mode in ("deterministic", "probabilistic"):
                 for T in (20, 50):
                     for run in range(4):
@@ -285,9 +290,9 @@ class TestDenseReferenceBitExact:
                         pi = initial_distribution(w, x0, mode)
                         # odd runs flip symbols, which makes many histories infeasible
                         _, obs = sample_run(P, pi, T, rng, obs_noise=0.1 * (run % 2))
-                        model = HmmModel(P=P, pi=pi)
-                        got = decode_outcome(viterbi, model, obs)
-                        assert got == decode_outcome(dense_viterbi, model, obs), (r, mode, T, run)
+                        got = decode_outcome(viterbi, model, pi, obs)
+                        want = decode_outcome(dense_viterbi, oracle_model(P, pi), obs)
+                        assert got == want, (r, mode, T, run)
                         infeasible += got[0] == "infeasible"
         assert 0 < infeasible < 24
 
@@ -299,14 +304,14 @@ class TestDenseReferenceBitExact:
             w, f = random_field(rng, rows, cols, land_prob=0.25, vmax=2.0)
             r = float(rng.choice([0.6, 0.8, 0.95, 1.0]))
             mode = "deterministic" if trial % 2 else "probabilistic"
-            model = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
+            model, pi = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
             T = int(rng.integers(1, 30))
             if trial % 3:
-                _, obs = sample_run(model.P, model.pi, T, rng)
+                _, obs = sample_run(model.P, pi, T, rng)
             else:
                 obs = [int(y) for y in rng.integers(0, 9, size=T)]
-            got = decode_outcome(viterbi, model, obs)
-            assert got == decode_outcome(dense_viterbi, model, obs), trial
+            got = decode_outcome(viterbi, model, pi, obs)
+            assert got == decode_outcome(dense_viterbi, oracle_model(model.P, pi), obs), trial
             if got[0] == "infeasible":
                 steps.add(got[1])
         assert len(steps) >= 2
@@ -324,19 +329,20 @@ class TestDenseReferenceBitExact:
     def test_decode_equals_exhaustive_enumeration(self, seed, shape, land_prob, r, mode, T, sampled):
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, *shape, land_prob=land_prob, vmax=1.5)
-        model = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
+        model, pi = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
+        ref = oracle_model(model.P, pi)
         if sampled:
-            _, obs = sample_run(model.P, model.pi, T, rng)
+            _, obs = sample_run(model.P, pi, T, rng)
         else:
             obs = [int(y) for y in rng.integers(0, 9, size=T)]
-        best = brute_force_best(model, obs)
+        best = brute_force_best(ref, obs)
         if best == -math.inf:
             with pytest.raises(ZeroProbabilityError):
-                viterbi(model, obs)
+                viterbi(model, pi, obs)
         else:
-            decoded, logp = viterbi(model, obs)
+            decoded, logp = viterbi(model, pi, obs)
             assert logp == pytest.approx(best, abs=1e-9)
-            assert path_logprob(model, decoded, obs) == pytest.approx(logp, abs=1e-9)
+            assert path_logprob(ref, decoded, obs) == pytest.approx(logp, abs=1e-9)
 
 
 class TestMemory:
@@ -348,35 +354,26 @@ class TestMemory:
         _, obs = sample_run(P, pi, 50, seed=3)
         tracemalloc.start()
         try:
-            cells, _ = viterbi(HmmModel(P=P, pi=pi), obs)
+            cells, _ = viterbi(HmmModel(P), pi, obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(cells) == 51
         assert peak < 16 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
 
-    def test_model_derives_q_only_when_read(self):
+    def test_model_keeps_three_tables(self):
         # The decoder reads log Q through the log P table, so the model keeps
-        # (n + 1) * (16 W + 9) bytes, peaks near that while building, and
-        # makes no (n, 9) emission table until Q itself is asked for.
+        # (n + 1) * (16 W + 9) bytes and peaks near that while building.
         P = build_stochastic_map(build_cell_map(gyre_with_land(100, 130, 0)), 0.9)
-        pi = np.full(P.n_states, 1.0 / P.n_states)
-        table = P.n_states * 9 * 8
         tracemalloc.start()
         try:
-            model = HmmModel(P, pi)
+            model = HmmModel(P)
             built, peak = tracemalloc.get_traced_memory()
-            Q = model.Q
-            read, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         width = model._logP_pad.shape[1]
-        own = sum(a.nbytes for name, a in vars(model).items()
-                  if name != "Q" and isinstance(a, np.ndarray) and a is not pi)
+        own = sum(a.nbytes for a in vars(model).values() if isinstance(a, np.ndarray))
         kept = (P.n_states + 1) * (16 * width + 9)
         assert own == kept, f"holds {own / 2**20:.2f} MiB, three tables {kept / 2**20:.2f}"
         assert built <= kept + 2**12, f"traced {built / 2**20:.2f} MiB after building"
         assert peak <= 1.5 * kept, f"peaked at {peak / 2**20:.2f} MiB for {kept / 2**20:.2f}"
-        assert read - built >= table
-        assert model.Q is Q
-        assert Q.tobytes() == emission_matrix(P).tobytes()

@@ -198,6 +198,11 @@ class TestExperimentConfig:
         {"field": {}},
         {"regions": ["B_1"]},
         {"obs_noise": 1.0},
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"initial": 50, "group_by_region": True},
+        {"field": {"path": "x.field", "synthetic": {"kind": "uniform", "rows": 4, "cols": 4}}},
+        {"field": {"synthetic": {"kind": "uniform", "rows": 4, "cols": 4}, "pth": "typo"}},
     ])
     def test_invalid_configs_rejected(self, patch):
         base = {

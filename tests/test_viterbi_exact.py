@@ -4,8 +4,10 @@
 case here compares its path, log probability and ``ZeroProbabilityError.step``
 with ``==`` against two frozen oracles: ``viterbi_reference`` (the decoder
 that scored all n states at every step) and ``dense_reference`` (the dense
-n x n decoder before it).  ``viterbi_runs`` decodes a group of histories in
-lockstep and must give each run what the oracle gives it alone.
+n x n decoder before it), each given ``conftest.oracle_model`` of the chain
+and the prior.  Every test builds one ``HmmModel`` per chain.
+``viterbi_runs`` decodes a group of histories in lockstep and must give each
+run what the oracle gives it alone.
 """
 
 import tracemalloc
@@ -22,40 +24,42 @@ from driftloc import (
     ZeroProbabilityError,
     build_cell_map,
     build_stochastic_map,
+    emission_matrix,
     initial_distribution,
     load_field,
     synthesize_field,
     viterbi,
     viterbi_runs,
 )
-from conftest import FIXTURE_FIELD, make_field, random_field, sample_run
+from conftest import FIXTURE_FIELD, make_field, oracle_model, random_field, sample_run
 from dense_reference import dense_viterbi
 from viterbi_reference import reference_viterbi
 
 HISTORIES = ("sampled", "noisy", "random")
 
 
-def outcome(decoder, model, obs):
+def outcome(decoder, *args):
     """(path, log prob), or ("infeasible", step) if the decoder raises."""
     try:
-        return decoder(model, obs)
+        return decoder(*args)
     except ZeroProbabilityError as exc:
         return ("infeasible", exc.step)
 
 
-def history(kind, model, T, rng):
+def history(kind, P, pi, T, rng):
     """A sampled, noisy (20% of symbols flipped) or uniformly random history."""
     if kind == "random":
         return [int(y) for y in rng.integers(0, 9, size=T)]
-    _, obs = sample_run(model.P, model.pi, T, rng, obs_noise=0.2 * (kind == "noisy"))
+    _, obs = sample_run(P, pi, T, rng, obs_noise=0.2 * (kind == "noisy"))
     return obs
 
 
-def assert_matches_oracles(model, obs, dense=True):
-    got = outcome(viterbi, model, obs)
-    assert got == outcome(reference_viterbi, model, obs)
+def assert_matches_oracles(model, pi, obs, dense=True):
+    got = outcome(viterbi, model, pi, obs)
+    ref = oracle_model(model.P, pi)
+    assert got == outcome(reference_viterbi, ref, obs)
     if dense:
-        assert got == outcome(dense_viterbi, model, obs)
+        assert got == outcome(dense_viterbi, ref, obs)
     return got
 
 
@@ -65,13 +69,14 @@ class TestMatchesOracles:
         steps = []
         for r in (0.5, 0.9, 1.0):
             P = build_stochastic_map(gyre["cell_map"], r)
+            model = HmmModel(P)
             for mode in ("deterministic", "probabilistic"):
                 for T in (1, 20, 50):
                     for kind in HISTORIES:
                         rng = np.random.default_rng((round(10 * r), T, HISTORIES.index(kind)))
                         x0 = int(w.free_cells[rng.integers(w.n_free)])
-                        model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
-                        got = assert_matches_oracles(model, history(kind, model, T, rng))
+                        pi = initial_distribution(w, x0, mode)
+                        got = assert_matches_oracles(model, pi, history(kind, P, pi, T, rng))
                         if got[0] == "infeasible":
                             assert kind != "sampled"
                             steps.append(got[1])
@@ -83,14 +88,15 @@ class TestMatchesOracles:
         # table) joins at the shortest history only.
         w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 42, 58)
         P = build_stochastic_map(build_cell_map(f), 0.9)
+        model = HmmModel(P)
         for mode in ("deterministic", "probabilistic"):
             for T in (20, 50, 100):
                 for kind in ("sampled", "noisy"):
                     rng = np.random.default_rng((T, HISTORIES.index(kind)))
                     x0 = int(w.free_cells[rng.integers(w.n_free)])
-                    model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
-                    obs = history(kind, model, T, rng)
-                    assert_matches_oracles(model, obs, dense=T == 20 and kind == "sampled")
+                    pi = initial_distribution(w, x0, mode)
+                    obs = history(kind, P, pi, T, rng)
+                    assert_matches_oracles(model, pi, obs, dense=T == 20 and kind == "sampled")
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
@@ -107,9 +113,8 @@ class TestMatchesOracles:
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
         P = build_stochastic_map(build_cell_map(f), r)
-        x0 = int(rng.choice(w.free_cells))
-        model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
-        assert_matches_oracles(model, history(kind, model, T, rng))
+        pi = initial_distribution(w, int(rng.choice(w.free_cells)), mode)
+        assert_matches_oracles(HmmModel(P), pi, history(kind, P, pi, T, rng))
 
 
 class TestMemory:
@@ -122,7 +127,7 @@ class TestMemory:
         _, obs = sample_run(P, pi, 400, seed=11)
         tracemalloc.start()
         try:
-            cells, _ = viterbi(HmmModel(P=P, pi=pi), obs)
+            cells, _ = viterbi(HmmModel(P), pi, obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -130,12 +135,13 @@ class TestMemory:
         assert peak < 32 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
 
 
-def assert_group_matches_oracle(models, histories):
+def assert_group_matches_oracle(model, priors, histories):
     """viterbi_runs on the group equals reference_viterbi run by run; an
     infeasible group raises at its first infeasible run's step."""
-    want = [outcome(reference_viterbi, m, h) for m, h in zip(models, histories)]
+    want = [outcome(reference_viterbi, oracle_model(model.P, pi), h)
+            for pi, h in zip(priors, histories)]
     try:
-        got = viterbi_runs(models[0], [m.pi for m in models], histories)
+        got = viterbi_runs(model, priors, histories)
     except ZeroProbabilityError as exc:
         first = next(i for i, w in enumerate(want) if w[0] == "infeasible")
         assert (exc.run, exc.step) == (first, want[first][1])
@@ -148,53 +154,52 @@ class TestLockstepGroups:
     def test_fixture_groups(self, gyre):
         # Sampled histories are feasible, so every run of these groups is
         # decoded and compared; group sizes span one run to a full group.
-        w, P = gyre["workspace"], gyre["P"]
+        w, P, model = gyre["workspace"], gyre["P"], gyre["model"]
         rng = np.random.default_rng(90)
         for R in (1, 2, 5, 13):
             for T in (1, 20, 50):
-                models, histories = [], []
+                priors, histories = [], []
                 for i in range(R):
                     x0 = int(w.free_cells[rng.integers(w.n_free)])
                     mode = ("deterministic", "probabilistic")[i % 2]
-                    models.append(HmmModel(P=P, pi=initial_distribution(w, x0, mode)))
-                    histories.append(history("sampled", models[-1], T, rng))
-                assert assert_group_matches_oracle(models, histories) == "feasible"
+                    priors.append(initial_distribution(w, x0, mode))
+                    histories.append(history("sampled", P, priors[-1], T, rng))
+                assert assert_group_matches_oracle(model, priors, histories) == "feasible"
 
     def test_first_infeasible_run_wins(self, gyre):
         # A group whose run 1 dies before its run 0 does: the error is run 0's.
-        w, P = gyre["workspace"], gyre["P"]
+        w, P, model = gyre["workspace"], gyre["P"], gyre["model"]
         rng = np.random.default_rng(91)
         late = early = None
         while late is None or early is None:
             x0 = int(w.free_cells[rng.integers(w.n_free)])
-            model = HmmModel(P=P, pi=initial_distribution(w, x0, "deterministic"))
-            obs = history("noisy", model, 30, rng)
-            got = outcome(reference_viterbi, model, obs)
+            pi = initial_distribution(w, x0, "deterministic")
+            obs = history("noisy", P, pi, 30, rng)
+            got = outcome(reference_viterbi, oracle_model(P, pi), obs)
             if got[0] == "infeasible" and got[1] > 10:
-                late = late or (model, obs)
+                late = late or (pi, obs)
             elif got[0] == "infeasible" and got[1] < 5:
-                early = early or (model, obs)
-        (m0, h0), (m1, h1) = late, early
-        sampled = HmmModel(P=P, pi=m0.pi)
-        h2 = history("sampled", sampled, 30, rng)
-        assert assert_group_matches_oracle([sampled, m0, m1], [h2, h0, h1]) == "infeasible"
+                early = early or (pi, obs)
+        (p0, h0), (p1, h1) = late, early
+        h2 = history("sampled", P, p0, 30, rng)
+        assert assert_group_matches_oracle(model, [p0, p0, p1], [h2, h0, h1]) == "infeasible"
         with pytest.raises(ZeroProbabilityError) as exc:
-            viterbi_runs(m0, [m0.pi, m1.pi], [h0, h1])
+            viterbi_runs(model, [p0, p1], [h0, h1])
         assert exc.value.run == 0 and exc.value.step > 10
 
     def test_group_rejects_mismatched_inputs(self, gyre):
-        w, P = gyre["workspace"], gyre["P"]
-        model = HmmModel(P=P, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
+        w, model = gyre["workspace"], gyre["model"]
+        pi = initial_distribution(w, int(w.free_cells[0]), "deterministic")
         with pytest.raises(ValueError, match="same length"):
-            viterbi_runs(model, [model.pi, model.pi], [[0, 1], [0]])
+            viterbi_runs(model, [pi, pi], [[0, 1], [0]])
         with pytest.raises(ValueError, match="priors"):
-            viterbi_runs(model, [model.pi], [[0], [1]])
+            viterbi_runs(model, [pi], [[0], [1]])
         with pytest.raises(ValueError, match="at least one symbol"):
             viterbi_runs(model, [], [])
         negative = np.zeros(w.n_free)
         negative[:2] = 1.5, -0.5
         for bad in (np.full(w.n_free, 0.5), np.full(w.n_free, np.nan), negative):
-            for priors in ([bad], [model.pi, bad]):
+            for priors in ([bad], [pi, bad]):
                 with pytest.raises(ValueError, match="initial distribution"):
                     viterbi_runs(model, priors, [[0]] * len(priors))
 
@@ -218,12 +223,11 @@ class TestLockstepGroups:
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
         P = build_stochastic_map(build_cell_map(f), r)
-        models, histories = [], []
+        priors, histories = [], []
         for mode, kind in runs:
-            x0 = int(rng.choice(w.free_cells))
-            models.append(HmmModel(P=P, pi=initial_distribution(w, x0, mode)))
-            histories.append(history(kind, models[-1], T, rng))
-        assert_group_matches_oracle(models, histories)
+            priors.append(initial_distribution(w, int(rng.choice(w.free_cells)), mode))
+            histories.append(history(kind, P, priors[-1], T, rng))
+        assert_group_matches_oracle(HmmModel(P), priors, histories)
 
 
 def land_field_of_full_width():
@@ -251,14 +255,14 @@ def assert_column_table(model):
     """``_col[y, s]`` is the column of ``_logP_pad`` that holds log Q[s, y],
     bit for bit, and W where Q[s, y] is 0 and on the sink state n."""
     n, width = model.P.n_states, model._logP_pad.shape[1]
-    col = model._col
+    col, Q = model._col, emission_matrix(model.P)
     assert col.shape == (9, n + 1) and col.dtype == np.uint8
     emits = col[:, :n].T < width
-    assert (emits == (model.Q > 0.0)).all()
+    assert (emits == (Q > 0.0)).all()
     assert (col[:, n] == width).all()
     s, y = np.nonzero(emits)
     got = model._logP_pad[s, col[y, s]]
-    assert got.tobytes() == np.log(model.Q[s, y]).tobytes()
+    assert got.tobytes() == np.log(Q[s, y]).tobytes()
 
 
 class TestTableWidths:
@@ -276,37 +280,34 @@ class TestTableWidths:
     def test_column_table_on_random_fields_with_land(self, seed, rows, cols, land_prob, r):
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
-        P = build_stochastic_map(build_cell_map(f), r)
-        assert_column_table(HmmModel(P=P, pi=initial_distribution(w, int(w.free_cells[0]),
-                                                                  "deterministic")))
+        assert_column_table(HmmModel(build_stochastic_map(build_cell_map(f), r)))
 
     @pytest.mark.parametrize("case", list(width_cases()), ids=lambda c: c[0])
     def test_decodes_equal_oracle(self, case):
         _, P, width = case
         w = P.workspace
         rng = np.random.default_rng(width)
-        models, histories = [], []
+        model = HmmModel(P)
+        assert model._next.shape == model._logP_pad.shape == (w.n_free + 1, width)
+        assert_column_table(model)
+        priors, histories = [], []
         for i in range(12):
             x0 = int(w.free_cells[rng.integers(w.n_free)])
-            mode = ("deterministic", "probabilistic")[i % 2]
-            model = HmmModel(P=P, pi=initial_distribution(w, x0, mode))
-            assert model._next.shape == model._logP_pad.shape == (w.n_free + 1, width)
-            if i == 0:
-                assert_column_table(model)
-            obs = history(HISTORIES[i % 3], model, 25, rng)
-            assert_matches_oracles(model, obs, dense=False)
+            pi = initial_distribution(w, x0, ("deterministic", "probabilistic")[i % 2])
+            obs = history(HISTORIES[i % 3], P, pi, 25, rng)
+            assert_matches_oracles(model, pi, obs, dense=False)
             if i % 3 == 0:  # sampled, hence feasible
-                models.append(model)
+                priors.append(pi)
                 histories.append(obs)
-        assert assert_group_matches_oracle(models, histories) == "feasible"
-        assert assert_group_matches_oracle(models, np.array(histories)) == "feasible"
+        assert assert_group_matches_oracle(model, priors, histories) == "feasible"
+        assert assert_group_matches_oracle(model, priors, np.array(histories)) == "feasible"
 
 
 class TestSymbolCheck:
     def test_bad_symbol_raises_as_direction_does(self, gyre):
-        w, P = gyre["workspace"], gyre["P"]
-        model = HmmModel(P=P, pi=initial_distribution(w, int(w.free_cells[0]), "deterministic"))
-        pis = [model.pi, model.pi]
+        w, model = gyre["workspace"], gyre["model"]
+        pi = initial_distribution(w, int(w.free_cells[0]), "deterministic")
+        pis = [pi, pi]
         # the first bad symbol, run by run, is the one reported
         for histories, bad in (
             ([[0, 1], [-1, 9]], -1),
@@ -320,4 +321,4 @@ class TestSymbolCheck:
                 viterbi_runs(model, pis, histories)
             assert str(got.value) == str(want.value)
         with pytest.raises(ValueError, match="'N' is not a valid Direction"):
-            viterbi(model, ["N"])
+            viterbi(model, pi, ["N"])
