@@ -6,13 +6,16 @@ stencil, with probabilities summing to one.  The perfect-motion image carries
 probability r and the other cells around the continuous Euler endpoint share
 1 - r uniformly; a "colliding" cell, whose endpoint stencil touches land or
 leaves the grid, moves uniformly to any admissible neighbor.  At r = 1 the
-chain is the deterministic map.  O(n * 9) time and memory.
+chain is the deterministic map.  O(n * 9) time and memory: the chain keeps
+109 bytes a state (int32 targets, float64 probabilities, a collision flag),
+and the build holds only (n,) scratch beside them, peaking near 1.6 times that.
 
 ``decompose(P)`` partitions the water cells into attractors (closed, mutually
 communicating sets, numbered B_1..B_g by smallest member) and transient
 groups keyed by the attractors their cells reach, single domiciles first and
 then by domicile tuple, cells ascending in each.  O(n * 9) time and memory,
-plus the unions of domicile sets formed; no n x n table is built.
+plus the unions of domicile sets formed; no n x n table is built, and Tarjan
+reads its successor arrays in place rather than as lists of Python ints.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ MAX_MAPPED = 9  # |A(z)| can never exceed the nine-action neighborhood
 # emission matrix is a fixed column permutation of the probabilities.  This
 # module is the only one that knows the layout.
 SLOT_DIRECTIONS = tuple(sorted(Direction, key=lambda d: d.step))
+# Bit k marks slot k in a mask of slots; index MAX_MAPPED, for a stencil
+# corner outside the Moore stencil, marks none.
+_SLOT_BIT = np.array([1 << k for k in range(MAX_MAPPED)] + [0], dtype=np.uint16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +55,7 @@ class StochasticCellMap:
     workspace: Workspace
     r: float
     dt: float
-    targets: np.ndarray  # (n_free, MAX_MAPPED) int64 state indices, -1 off A(z)
+    targets: np.ndarray  # (n_free, MAX_MAPPED) int32 state indices, -1 off A(z)
     probs: np.ndarray  # (n_free, MAX_MAPPED) float64, 0.0 off A(z)
     colliding: np.ndarray  # (n_free,) bool
 
@@ -82,44 +88,28 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     if not 0.0 < r <= 1.0:
         raise ValueError(f"perfect-motion probability r must be in (0, 1], got {r}")
     w = cm.workspace
-    n = len(cm.images)
-    states = np.arange(n)
     rows, cols = np.divmod(w.free_cells - 1, w.cols)
-    image_rows, image_cols = np.divmod(cm.images - 1, w.cols)
-    image_slot = (image_rows - rows + 1) * 3 + (image_cols - cols + 1)
-    ex, ey = cm.endpoints[:, 0], cm.endpoints[:, 1]
-
-    # The endpoint stencil: the up-to-four cells whose centers lie within one
-    # cell of the endpoint.  One of them on land or off-grid makes the cell
-    # colliding; otherwise those in the Moore stencil join A(z) beside the
-    # image.  Column MAX_MAPPED of ``member`` takes the corners outside it.
-    member = np.zeros((n, MAX_MAPPED + 1), dtype=bool)
-    member[states, image_slot] = True
-    colliding = np.zeros(n, dtype=bool)
-    for ri in (np.floor(ey), np.floor(ey) + 1):
-        for ci in (np.floor(ex), np.floor(ex) + 1):
-            on = (abs(ey - ri) < 1.0) & (abs(ex - ci) < 1.0)
-            # the corner cell, or the frame cell beyond it when off-grid
-            corner = w.padded(np.clip(ri, -1, w.rows), np.clip(ci, -1, w.cols))
-            colliding |= on & (w.state_grid.take(corner.astype(np.int64)) < 0)
-            if r < 1.0:
-                dr, dc = ri - rows, ci - cols
-                near = on & (abs(dr) <= 1) & (abs(dc) <= 1)
-                slot = np.where(near, (dr + 1) * 3 + (dc + 1), MAX_MAPPED)
-                member[states, slot.astype(np.int64)] = True
+    base = w.padded(rows, cols)  # each state's index in the framed state grid
+    image_slot, member, colliding = _stencil_slots(cm, rows, cols, r)
+    del rows, cols  # beside the two tables, only (n,) arrays stay
     uniform = colliding & (r < 1.0)
 
-    targets = np.full((n, MAX_MAPPED), -1, dtype=np.int64)
+    # Slot k of state s moves to the state grid entry at base[s] plus the
+    # slot's fixed offset in the framed grid: -1 on land and off the grid.
+    n = len(base)
+    targets = np.empty((n, MAX_MAPPED), dtype=np.int32)
+    count = np.zeros(n, dtype=np.int8)  # |A(z)|
     for k, d in enumerate(SLOT_DIRECTIONS):
-        target = w.state_grid.take(w.padded(rows + d.step[0], cols + d.step[1]))
-        live = (target >= 0) & (uniform | member[:, k])
-        targets[live, k] = target[live]
+        target = w.state_grid.take(base + (w.padded(*d.step) - w.padded(0, 0)))
+        live = (target >= 0) & (uniform | ((member & _SLOT_BIT[k]) != 0))
+        targets[:, k] = np.where(live, target, -1)
+        count += live
+    del base, member
 
-    count = (targets >= 0).sum(axis=1)
     uniform_p = 1.0 / count
     image_p = np.where(count == 1, 1.0, r)
     spread = (1.0 - r) / np.maximum(count - 1, 1)
-    probs = np.zeros((n, MAX_MAPPED), dtype=np.float64)
+    probs = np.empty((n, MAX_MAPPED), dtype=np.float64)
     for k in range(MAX_MAPPED):
         p = np.where(uniform, uniform_p, np.where(image_slot == k, image_p, spread))
         probs[:, k] = np.where(targets[:, k] >= 0, p, 0.0)
@@ -132,12 +122,41 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     )
 
 
+def _stencil_slots(cm: CellMap, rows, cols, r: float):
+    """Each state's image slot (int8), the mask of slots its image and
+    endpoint stencils cover (bit k for slot k), and its collision flag.
+
+    The endpoint stencil is the up-to-four cells whose centers lie within one
+    cell of the endpoint.  One of them on land or off-grid makes the cell
+    colliding; otherwise those in the Moore stencil join A(z) beside the
+    image when r < 1.
+    """
+    w = cm.workspace
+    image_rows, image_cols = np.divmod(cm.images - 1, w.cols)
+    image_slot = ((image_rows - rows + 1) * 3 + (image_cols - cols + 1)).astype(np.int8)
+    member = _SLOT_BIT[image_slot]
+    colliding = np.zeros(len(image_slot), dtype=bool)
+    ex, ey = cm.endpoints[:, 0], cm.endpoints[:, 1]
+    for ri in (np.floor(ey), np.floor(ey) + 1):
+        for ci in (np.floor(ex), np.floor(ex) + 1):
+            on = (abs(ey - ri) < 1.0) & (abs(ex - ci) < 1.0)
+            # the corner cell, or the frame cell beyond it when off-grid
+            corner = w.padded(np.clip(ri, -1, w.rows), np.clip(ci, -1, w.cols))
+            colliding |= on & (w.state_grid.take(corner.astype(np.int64)) < 0)
+            if r < 1.0:
+                dr, dc = ri - rows, ci - cols
+                near = on & (abs(dr) <= 1) & (abs(dc) <= 1)
+                slot = np.where(near, (dr + 1) * 3 + (dc + 1), MAX_MAPPED)
+                member |= _SLOT_BIT[slot.astype(np.int64)]
+    return image_slot, member, colliding
+
+
 def _successors(P: StochasticCellMap) -> tuple[np.ndarray, np.ndarray]:
     """Each state's number of successors other than itself, and those
     successors as int32, row by row with the slots in order.  A self-loop
     never changes which component a state belongs to."""
     live = (P.targets >= 0) & (P.targets != np.arange(P.n_states)[:, None])
-    return live.sum(axis=1), P.targets[live].astype(np.int32)
+    return live.sum(axis=1), P.targets[live].astype(np.int32, copy=False)
 
 
 def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray, int]:
@@ -151,9 +170,11 @@ def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray,
     and the number of components.
     """
     n = len(counts)
-    succ = succ.tolist()
-    ends = np.cumsum(counts).tolist()
-    cursor = [0, *ends[:-1]]  # next edge of each row to read
+    ends = np.cumsum(counts)
+    cursor = ends - counts  # next edge of each row to read
+    # Memoryviews index the arrays in place as Python ints; lists of them
+    # would hold an int object per entry.
+    succ, ends, cursor = memoryview(succ), memoryview(ends), memoryview(cursor)
     # rindex[v] is 0 while v is unvisited, the lowest DFS number (from 1) v
     # reaches while its component is open, then done + the component's
     # number.  done exceeds every DFS number, so an edge into a closed

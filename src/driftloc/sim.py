@@ -213,6 +213,8 @@ class ExperimentConfig:
             raise ConfigError("obs_noise must be in [0, 1)")
         if self.regions is not None and not self.group_by_region:
             raise ConfigError("regions given without group_by_region")
+        if self.regions is not None and not self.regions:
+            raise ConfigError("regions must name at least one region")
         if self.initial != "random" and self.group_by_region:
             raise ConfigError(f"initial cell {self.initial} given with group_by_region")
 

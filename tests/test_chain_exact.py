@@ -36,7 +36,8 @@ def assert_matches_reference(field, dt, rs):
     for r in rs:
         smap, want = build_stochastic_map(cm, r), ref.build_stochastic_map(want_cm, r)
         rows = packed(smap)
-        assert rows.targets.tobytes() == want.targets.tobytes(), r
+        assert smap.targets.dtype == np.int32
+        assert rows.targets.tobytes() == want.targets.astype(np.int32).tobytes(), r
         assert rows.probs.tobytes() == want.probs.tobytes(), r
         assert smap.colliding.tobytes() == want.colliding.tobytes(), r
         assert_moore_slots(smap)
@@ -127,7 +128,8 @@ class TestMemory:
     def test_stochastic_map_peak_near_what_it_keeps(self):
         # The classify benchmark's size: 100x130 with a coast and islands.
         # The builder reads the workspace's state grid and keeps its own
-        # scratch to a few (n,) arrays beside the (n, 9) tables it returns.
+        # scratch to a few (n,) arrays beside the (n, 9) tables it returns,
+        # about 1.56x what it keeps; an (n, 9) int64 scratch table made 2.2x.
         cm = build_cell_map(gyre_with_land(100, 130, 0))
         tracemalloc.start()
         try:
@@ -136,4 +138,4 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         kept = smap.targets.nbytes + smap.probs.nbytes + smap.colliding.nbytes
-        assert peak <= 2.5 * kept, f"peaked at {peak / 2**20:.2f} MiB, keeps {kept / 2**20:.2f}"
+        assert peak <= 1.75 * kept, f"peaked at {peak / 2**20:.2f} MiB, keeps {kept / 2**20:.2f}"

@@ -20,6 +20,7 @@ from driftloc import (
     load_field,
     run_experiment,
     sample_runs,
+    save_field,
 )
 from conftest import CONFIG_DIR, REPO_ROOT, make_field, random_field, sample_run
 from driftloc.sim import error_reports
@@ -203,6 +204,7 @@ class TestExperimentConfig:
         {"initial": 50, "group_by_region": True},
         {"field": {"path": "x.field", "synthetic": {"kind": "uniform", "rows": 4, "cols": 4}}},
         {"field": {"synthetic": {"kind": "uniform", "rows": 4, "cols": 4}, "pth": "typo"}},
+        {"regions": [], "group_by_region": True},
     ])
     def test_invalid_configs_rejected(self, patch):
         base = {
@@ -282,10 +284,13 @@ class TestRunExperiment:
         res = run_experiment(self.cfg(initial=50, T_list=(4,), runs=3))
         assert all(rec["x_init"] == 50 for rec in res.runs)
 
-    def test_land_initial_rejected(self):
-        cfg = self.cfg(initial=1)
-        cfg.field = {"path": "nonexistent.field"}
-        with pytest.raises(Exception):
+    def test_land_initial_rejected(self, tmp_path):
+        land = np.zeros((5, 6), dtype=bool)
+        land[0, :2] = True  # cells 1 and 2
+        _, field = make_field(5, 6, u=0.4, v=-0.3, land=land)
+        save_field(tmp_path / "coast.field", field)
+        cfg = self.cfg(initial=2, field={"path": str(tmp_path / "coast.field")})
+        with pytest.raises(ConfigError, match=r"initial cell .* is land"):
             run_experiment(cfg)
 
     def test_summary_leaves_numpy_ma_unimported(self):
