@@ -20,7 +20,10 @@ W the most live slots of any row: 6 on the fixture and on the 42 x 58 gyre,
 is read from the log P table by column, so a model keeps (16 W + 9) bytes a
 state.  A decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory,
 5 bytes a state (an int32 index and a uint8 slot), besides an O(n) mask pass
-per step; no n x n or (T + 1) x n array is ever built.
+per step; no n x n or (T + 1) x n array is ever built.  A group of R runs
+decoded in lockstep reads every step's targets with one take from an
+(R (n + 1), W) table of absolute targets that it builds per call: 8 W bytes
+a run-state, 0.36 MiB for 13 runs on the 609-state fixture.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     Returns one (trajectory, log probability) per run, each equal to what
     ``viterbi`` gives for that run alone.  If some history is infeasible,
     raises the ZeroProbabilityError of the first such run, whose ``run`` is
-    that run's index in the group.
+    that run's index in the group.  Besides the O(R n) rows of its per-step
+    masks, a group of R > 1 runs holds an (R (n + 1), W) int64 table of
+    targets for the call, 8 W bytes a run-state.
     """
     if len(histories) != len(priors):
         raise ValueError(f"{len(histories)} histories but {len(priors)} priors")
@@ -137,16 +142,17 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         if not (pi >= 0.0).all() or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution is not nonnegative with sum 1")
     # Run r's state s is index r * N + s; the blocks of N = n + 1 keep each
-    # run's part of a sorted index set contiguous and in run order.  The
-    # chain tables are read in take's "wrap" mode (index mod N), and a
-    # state's targets are its index plus its hops (targets relative to the
-    # state), so no table is repeated per run.  The feasible sets, the bulk
-    # of a decode's memory, are kept as int32.  One run reads the tables in
-    # place: its step makes the array calls of a one-run decode, with no
-    # gather or add.  rows_at(table, t) is the row of a (9, N) table for
-    # each run's symbol at step t, run after run.  Wrap mode reduces an index
-    # by repeated subtraction: negligible on chains of hundreds of states, it
-    # dominates a step on a chain of a few states with hundreds of runs.
+    # run's part of a sorted index set contiguous and in run order.  A step
+    # reads its targets with one plain take from nxt: _next itself for one
+    # run, and for a group _next plus each block's offset r * N, built per
+    # call (a padded slot then points at its own block's sink).  The log P
+    # rows are read from the one table in take's "wrap" mode (index mod N):
+    # repeating that table per run too made group decodes slower.  Wrap mode
+    # reduces an index by repeated subtraction: negligible on chains of
+    # hundreds of states, it dominates a step on a chain of a few states with
+    # hundreds of runs.  The feasible sets, the bulk of a decode's memory,
+    # are kept as int32.  rows_at(table, t) is the row of a (9, N) table for
+    # each run's symbol at step t, run after run.
     R, N = len(obs), n + 1
     width = model._logP_pad.shape[1]
     index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
@@ -154,24 +160,17 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     logpi = np.full((R, N), -np.inf)
     with np.errstate(divide="ignore"):
         logpi[:, :n] = np.log(pis)
+    base = np.arange(0, R * N, N, dtype=index)
     if R == 1:
+        nxt = model._next
 
         def rows_at(table, t):
             return table[obs[0, t]]
-
-        def targets(here):
-            return model._next.take(here, axis=0)
     else:
-        hop = model._next - np.arange(N)[:, None]
+        nxt = (model._next + base[:, None, None]).reshape(R * N, width)
 
         def rows_at(table, t):
             return table[obs[:, t]].ravel()
-
-        def targets(here):
-            nx = hop.take(here, axis=0, mode="wrap")
-            nx += here[:, None]
-            return nx
-    base = np.arange(0, R * N, N, dtype=index)
 
     # Forward sweep: departing[t] is D_t, the states reachable after t
     # observations that can emit y_{t+1}, ascending; dead slots mark a sink.
@@ -185,7 +184,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         if not len(here):
             break
         reached[:] = False
-        reached[targets(here)] = True
+        reached[nxt.take(here, axis=0)] = True
     # A run whose D_t is empty has empty sets after it, so the runs absent
     # from the last set are the infeasible ones.
     alive = np.zeros(R, dtype=bool)
@@ -207,7 +206,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     for t in range(T - 1, -1, -1):
         here = departing[t].astype(np.intp, copy=False)
         logp = model._logP_pad.take(here, axis=0, mode="wrap")
-        cont = best.take(targets(here))
+        cont = best.take(nxt.take(here, axis=0))
         cont += logp
         k = cont.argmax(axis=1)
         slots[t] = k.astype(np.uint8)

@@ -42,10 +42,11 @@ MODES = ("deterministic", "probabilistic")
 _SLOT_SYMBOLS = np.array(SLOT_DIRECTIONS, dtype=np.int64)
 
 # An experiment samples and decodes its runs in groups of about this many
-# states in all.  A group's per-step arrays hold R n entries and its feasible
-# sets grow with R.  On the fixture at T = 100, one group of all 50 runs was
-# no faster than groups of 13 and peaked at 7.8 MiB of traced memory against
-# 3.5 MiB; groups of 6 (4096 states) were about 15% slower.
+# states in all.  A group's per-step arrays hold R n entries, its table of
+# absolute targets 8 W bytes a run-state (at most about 0.6 MiB at W = 9),
+# and its feasible sets grow with R.  On the fixture at T = 100, one group of
+# all 50 runs was no faster than groups of 13 and peaked at 7.8 MiB of traced
+# memory against 3.5 MiB; groups of 6 (4096 states) were about 15% slower.
 _GROUP_STATES = 8192
 
 
@@ -180,7 +181,8 @@ class ExperimentConfig:
             ("modes", _is_list(self.modes, str), "a list of mode names"),
             ("T_list", _is_list(self.T_list, int), "a list of integers"),
             ("runs", _is_a(self.runs, int), "an integer"),
-            ("base_seed", _is_a(self.base_seed, int), "an integer"),
+            ("base_seed", _is_a(self.base_seed, int) and self.base_seed >= 0,
+             "a non-negative integer"),
             ("initial", _is_a(self.initial, int) or self.initial == "random",
              "a cell index or 'random'"),
             ("group_by_region", isinstance(self.group_by_region, bool), "true or false"),

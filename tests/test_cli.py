@@ -209,6 +209,15 @@ class TestExperiment:
         assert "runs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        # run_experiment validates the config again after --seed replaces its seed.
+        cfg = self._mini_config(tmp_path)
+        code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                       "--seed", "-1")
+        assert code == 1
+        assert capsys.readouterr().err == "error: base_seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_schema_valid(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         cfg = self._mini_config(tmp_path)

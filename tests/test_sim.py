@@ -215,6 +215,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base)
 
+    def test_negative_seed_rejected_by_name(self):
+        # SeedSequence rejects a negative entropy only inside run_experiment,
+        # with a message that names no key.
+        with pytest.raises(ConfigError, match="^base_seed must be a non-negative integer, got -1$"):
+            ExperimentConfig.from_dict({"field": {"path": "x.field"}, "base_seed": -1})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"field": {"path": "x"}, "bogus": 1})

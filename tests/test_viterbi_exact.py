@@ -27,6 +27,7 @@ from driftloc import (
     emission_matrix,
     initial_distribution,
     load_field,
+    sample_runs,
     synthesize_field,
     viterbi,
     viterbi_runs,
@@ -165,6 +166,26 @@ class TestLockstepGroups:
                     priors.append(initial_distribution(w, x0, mode))
                     histories.append(history("sampled", P, priors[-1], T, rng))
                 assert assert_group_matches_oracle(model, priors, histories) == "feasible"
+
+    def test_group_target_table_memory(self, gyre):
+        # The first group of fig5's T = 100 condition (base seed 501,
+        # condition 4, runs 0-12).  A group builds one (R (n + 1), W) int64
+        # table of absolute targets per call, 8 W bytes a run-state: 0.36 MiB
+        # for 13 runs on the fixture.  This group peaks at 2.18 MiB, 1.84 MiB
+        # of it the feasible sets and per-step rows.
+        w, P, model = gyre["workspace"], gyre["P"], gyre["model"]
+        rngs = [np.random.default_rng(np.random.SeedSequence((501, 4, i))) for i in range(13)]
+        priors = [initial_distribution(w, int(w.free_cells[rng.integers(w.n_free)]),
+                                       "deterministic") for rng in rngs]
+        _, histories = sample_runs(P, priors, 100, rngs)
+        tracemalloc.start()
+        try:
+            got = viterbi_runs(model, priors, histories)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == [viterbi(model, pi, h) for pi, h in zip(priors, histories)]
+        assert peak < 2.5 * 2**20, f"a group of 13 peaked at {peak / 2**20:.2f} MiB"
 
     def test_first_infeasible_run_wins(self, gyre):
         # A group whose run 1 dies before its run 0 does: the error is run 0's.
