@@ -116,9 +116,9 @@ def cmd_experiment(args) -> int:
         raw = json.loads(cfg_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {cfg_path}: {exc}") from None
+    if args.seed is not None and isinstance(raw, dict):
+        raw["base_seed"] = args.seed  # validated with the rest, before the field loads
     cfg = ExperimentConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg.base_seed = args.seed
 
     # A field path is relative to the config file; the report keeps it as given.
     field = cfg.field

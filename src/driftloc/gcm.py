@@ -6,9 +6,11 @@ stencil, with probabilities summing to one.  The perfect-motion image carries
 probability r and the other cells around the continuous Euler endpoint share
 1 - r uniformly; a "colliding" cell, whose endpoint stencil touches land or
 leaves the grid, moves uniformly to any admissible neighbor.  At r = 1 the
-chain is the deterministic map.  O(n * 9) time and memory: the chain keeps
-109 bytes a state (int32 targets, float64 probabilities, a collision flag),
-and the build holds only (n,) scratch beside them, peaking near 1.6 times that.
+chain is the deterministic map.  The chain is kept in the decoder's layout:
+each row holds its state's moves in W columns, W the largest |A(z)|, so it
+keeps (16 W + 9) bytes a state (int64 targets, float64 probabilities, a uint8
+column per compass symbol).  O(n * 9) time; the build holds only (n,) scratch
+beside what it keeps, peaking near 1.4 times that.
 
 ``decompose(P)`` partitions the water cells into attractors (closed, mutually
 communicating sets, numbered B_1..B_g by smallest member) and transient
@@ -27,15 +29,13 @@ import numpy as np
 
 from .errors import CellIndexError
 from .flowfield import CellMap
-from .gridworld import Direction, Workspace
+from .gridworld import N_DIRECTIONS, Direction, Workspace
 
 MAX_MAPPED = 9  # |A(z)| can never exceed the nine-action neighborhood
 
-# Every chain row has nine fixed slots: slot k = (drow + 1) * 3 + (dcol + 1)
-# holds the move by the Moore offset (drow, dcol), so the slots run in
-# ascending cell index.  Each slot reads as one compass symbol, so the compass
-# emission matrix is a fixed column permutation of the probabilities.  This
-# module is the only one that knows the layout.
+# The nine Moore moves in slot order: slot k = (drow + 1) * 3 + (dcol + 1) is
+# the move by the offset (drow, dcol), so the slots run in ascending cell
+# index, and each reads as one compass symbol.
 SLOT_DIRECTIONS = tuple(sorted(Direction, key=lambda d: d.step))
 # Bit k marks slot k in a mask of slots; index MAX_MAPPED, for a stencil
 # corner outside the Moore stencil, marks none.
@@ -44,36 +44,40 @@ _SLOT_BIT = np.array([1 << k for k in range(MAX_MAPPED)] + [0], dtype=np.uint16)
 
 @dataclass(frozen=True, eq=False)
 class StochasticCellMap:
-    """The chain: mapped sets A(z) with probabilities, in fixed Moore slots.
+    """The chain: mapped sets A(z) with probabilities, in W columns a state.
 
-    ``targets[s, k]`` / ``probs[s, k]`` are the state index and probability
-    of the move of state s by the Moore offset of slot k, or -1 / 0.0 when
-    that cell is not in A(z).  ``colliding[s]`` flags cells handled by the
-    uniform boundary rule.
+    Row s of ``targets`` / ``probs`` lists the moves of state s in A(z)
+    first, in slot order (ascending target), then pads: the sink state n
+    with probability 0.0.  W is the largest |A(z)|: 6 on the fixture, 1 at
+    r = 1, at most 9 (with a shorter Euler step, or beside land).  Row n is
+    the sink's, all pads.  ``col[y, s]`` is the column of the move of s with
+    heading y, or W if s has none, so the emission probability Q[s, y] is
+    ``probs[s, col[y, s]]`` once a 0.0 column is appended.
     """
 
     workspace: Workspace
     r: float
     dt: float
-    targets: np.ndarray  # (n_free, MAX_MAPPED) int32 state indices, -1 off A(z)
-    probs: np.ndarray  # (n_free, MAX_MAPPED) float64, 0.0 off A(z)
-    colliding: np.ndarray  # (n_free,) bool
+    targets: np.ndarray  # (n_free + 1, W) int64 state indices, n_free off A(z)
+    probs: np.ndarray  # (n_free + 1, W) float64, 0.0 off A(z)
+    col: np.ndarray  # (9, n_free + 1) uint8 columns, W where no move has the heading
 
     @property
     def n_states(self) -> int:
-        return len(self.targets)
+        return len(self.targets) - 1
 
     def mapped_set(self, z: int) -> dict[int, float]:
-        """A(z) as {cell index: probability} for one water cell."""
+        """A(z) as {cell index: probability} for one water cell, cells ascending."""
         s = self.workspace.state_of(z)
-        live = self.targets[s] >= 0
+        live = self.targets[s] < self.n_states
         cells = self.workspace.free_cells[self.targets[s, live]]
         return {int(c): float(p) for c, p in zip(cells, self.probs[s, live])}
 
     def adjacency(self) -> list[list[int]]:
         """Successor state lists (the support graph), one list per state."""
-        live = self.targets >= 0
-        flat = self.targets[live].tolist()  # row by row, slots in order
+        targets = self.targets[:-1]
+        live = targets < self.n_states
+        flat = targets[live].tolist()  # row by row, ascending
         ends = np.cumsum(live.sum(axis=1)).tolist()
         return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
@@ -90,35 +94,47 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     w = cm.workspace
     rows, cols = np.divmod(w.free_cells - 1, w.cols)
     base = w.padded(rows, cols)  # each state's index in the framed state grid
-    image_slot, member, colliding = _stencil_slots(cm, rows, cols, r)
-    del rows, cols  # beside the two tables, only (n,) arrays stay
-    uniform = colliding & (r < 1.0)
+    image_slot, member, uniform = _stencil_slots(cm, rows, cols, r)
+    del rows, cols  # beside the three tables, only (n,) arrays stay
+    uniform &= r < 1.0  # a colliding cell moves uniformly, unless r = 1
 
     # Slot k of state s moves to the state grid entry at base[s] plus the
     # slot's fixed offset in the framed grid: -1 on land and off the grid.
+    # member becomes the mask of live slots, those in A(z).
+    steps = [w.padded(*d.step) - w.padded(0, 0) for d in SLOT_DIRECTIONS]
+    member[uniform] = (1 << MAX_MAPPED) - 1  # every admissible move
     n = len(base)
-    targets = np.empty((n, MAX_MAPPED), dtype=np.int32)
     count = np.zeros(n, dtype=np.int8)  # |A(z)|
-    for k, d in enumerate(SLOT_DIRECTIONS):
-        target = w.state_grid.take(base + (w.padded(*d.step) - w.padded(0, 0)))
-        live = (target >= 0) & (uniform | ((member & _SLOT_BIT[k]) != 0))
-        targets[:, k] = np.where(live, target, -1)
-        count += live
-    del base, member
+    for k, step in enumerate(steps):
+        member[w.state_grid.take(base + step) < 0] &= ~_SLOT_BIT[k]
+        count += (member & _SLOT_BIT[k]) != 0
 
-    uniform_p = 1.0 / count
-    image_p = np.where(count == 1, 1.0, r)
-    spread = (1.0 - r) / np.maximum(count - 1, 1)
-    probs = np.empty((n, MAX_MAPPED), dtype=np.float64)
-    for k in range(MAX_MAPPED):
-        p = np.where(uniform, uniform_p, np.where(image_slot == k, image_p, spread))
-        probs[:, k] = np.where(targets[:, k] >= 0, p, 0.0)
+    # A move's probability by its row's count m and its kind: a share of the
+    # spread, the image, or a share of the uniform rule.
+    m = np.arange(MAX_MAPPED + 1)
+    share = np.array([(1.0 - r) / np.maximum(m - 1, 1), np.where(m == 1, 1.0, r),
+                      1.0 / np.maximum(m, 1)])
 
-    for a in (targets, probs, colliding):
+    # Each live slot goes to its row's running rank, one slot at a time, so
+    # a row lists its moves in slot order.
+    width = int(count.max())
+    targets = np.full((n + 1, width), n, dtype=np.int64)
+    probs = np.zeros((n + 1, width))
+    col = np.full((N_DIRECTIONS, n + 1), width, dtype=np.uint8)
+    rank = np.zeros(n, dtype=np.uint8)
+    for k, (y, step) in enumerate(zip(SLOT_DIRECTIONS, steps)):
+        s = np.flatnonzero(member & _SLOT_BIT[k])
+        c = rank.take(s)
+        targets[s, c] = w.state_grid.take(base.take(s) + step)
+        kind = np.where(uniform.take(s), 2, image_slot.take(s) == k)
+        probs[s, c] = share[kind, count.take(s)]
+        col[y, s] = c
+        rank[s] += 1
+
+    for a in (targets, probs, col):
         a.setflags(write=False)
     return StochasticCellMap(
-        workspace=w, r=float(r), dt=cm.dt, targets=targets, probs=probs,
-        colliding=colliding,
+        workspace=w, r=float(r), dt=cm.dt, targets=targets, probs=probs, col=col
     )
 
 
@@ -153,10 +169,10 @@ def _stencil_slots(cm: CellMap, rows, cols, r: float):
 
 def _successors(P: StochasticCellMap) -> tuple[np.ndarray, np.ndarray]:
     """Each state's number of successors other than itself, and those
-    successors as int32, row by row with the slots in order.  A self-loop
+    successors as int32, row by row in ascending order.  A self-loop
     never changes which component a state belongs to."""
-    live = (P.targets >= 0) & (P.targets != np.arange(P.n_states)[:, None])
-    return live.sum(axis=1), P.targets[live].astype(np.int32, copy=False)
+    live = (P.targets < P.n_states) & (P.targets != np.arange(P.n_states + 1)[:, None])
+    return live[:-1].sum(axis=1), P.targets[live].astype(np.int32, copy=False)
 
 
 def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray, int]:
@@ -324,7 +340,7 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
     starts = np.concatenate([[0], np.cumsum(sizes)])
     by_label = np.argsort(labels, kind="stable")  # states ascending per label
     cyclic = sizes > 1
-    cyclic[labels[(P.targets == np.arange(P.n_states)[:, None]).any(axis=1)]] = True
+    cyclic[labels[(P.targets[:-1] == np.arange(P.n_states)[:, None]).any(axis=1)]] = True
     is_attractor = cyclic & ~exits
     attractors = np.flatnonzero(is_attractor)
     attractors = attractors[np.argsort(by_label[starts[attractors]])]  # B_1..B_g

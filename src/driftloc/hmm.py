@@ -1,12 +1,12 @@
 """Hidden Markov model over the cell chain and Viterbi trajectory decoding.
 
-A model holds one chain P and the decoder tables derived from it; each decode
+A model holds one chain P and the log of its probabilities; each decode
 brings its own initial state distribution pi.  The compass reports the
 heading of the move the drifter takes next, so the observation at step t is
 emitted by the departing state: Q[z][y] is the probability of the move of z
-in direction y.  Every slot of a chain row is one Moore move, hence one
-compass symbol, so Q is a fixed column permutation of the chain's
-probabilities (``emission_matrix``).  A decoded trajectory for T
+in direction y.  Every move of a chain row is one Moore move, hence one
+compass symbol, so Q is the chain's probabilities read through its column
+table (``emission_matrix``).  A decoded trajectory for T
 observations has T + 1 states and maximizes
 
     pi[x_0] * prod_t Q[x_{t-1}][y_t] * P[x_{t-1}][x_t]
@@ -14,13 +14,13 @@ observations has T + 1 states and maximizes
 over all state sequences, with ties broken toward the lexicographically
 smallest sequence.  All scoring happens in log space on the chain's rows,
 only those of D_t: the states reachable after t observations that can emit
-the next one.  The decoder tables keep each row's live slots in W columns,
-W the most live slots of any row: 6 on the fixture and on the 42 x 58 gyre,
-1 at r = 1, and at most 9 (with a shorter Euler step, or beside land); log Q
-is read from the log P table by column, so a model keeps (16 W + 9) bytes a
-state.  A decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory,
-5 bytes a state (an int32 index and a uint8 slot), besides an O(n) mask pass
-per step; no n x n or (T + 1) x n array is ever built.  A group of R runs
+the next one.  The chain keeps each row's moves in W columns, W the most
+moves of any row (6 on the fixture and on the 42 x 58 gyre); the model adds
+log P in the same columns, 8 W bytes a state, and reads log Q from it
+through the chain's column table.  A decode costs O(sum_t |D_t| * W) time
+and O(sum_t |D_t|) memory, 5 bytes a state (an int32 index and a uint8
+slot), besides an O(n) mask pass per step; no n x n or (T + 1) x n array is
+ever built.  A group of R runs
 decoded in lockstep reads every step's targets with one take from an
 (R (n + 1), W) table of absolute targets that it builds per call: 8 W bytes
 a run-state, 0.36 MiB for 13 runs on the 609-state fixture.
@@ -31,17 +31,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LandCellError, ZeroProbabilityError
-from .gcm import SLOT_DIRECTIONS, StochasticCellMap
-from .gridworld import N_DIRECTIONS, Workspace, direction_array
+from .gcm import StochasticCellMap
+from .gridworld import Workspace, direction_array
 
 
 def emission_matrix(smap: StochasticCellMap) -> np.ndarray:
     """(n_free, 9) row-stochastic matrix of compass-symbol probabilities.
 
     Q[s, y] is the probability of the move of state s in direction y: the
-    chain's slot columns reordered from slot order to direction order.
+    chain's column ``col[y, s]``, 0.0 where s has no such move.
     """
-    return smap.probs[:, np.argsort(SLOT_DIRECTIONS)]
+    probs = np.pad(smap.probs, ((0, 0), (0, 1)))  # column W reads 0.0
+    return np.take_along_axis(probs, smap.col.T, axis=1)[:-1]
 
 
 def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
@@ -66,37 +67,17 @@ def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
 
 
 class HmmModel:
-    """The decoder tables of one chain, over its free cells and the 9 symbols.
+    """The decoder table of one chain, over its free cells and the 9 symbols.
 
-    ``_logP_pad`` and ``_next`` hold each row's live slots in W columns, and
-    ``_col[y, s]`` is the column of the slot of s with heading y, so log
-    Q[s, y] is ``_logP_pad[s, _col[y, s]]``: (16 W + 9) bytes a state.
+    ``_logP_pad`` is log P in the chain's W columns, -inf on the pads and on
+    the sink row, so log Q[s, y] is ``_logP_pad[s, P.col[y, s]]``: 8 W bytes
+    a state besides the chain.
     """
 
     def __init__(self, P: StochasticCellMap):
         self.P = P
-        n = P.n_states
-        # Decoder tables of W columns, W the most live slots of any row: row
-        # s holds the live slots of state s first, in slot (ascending target)
-        # order, so on a row with a finite maximum argmax's first-maximum
-        # rule picks the target it would pick over all nine slots, those off
-        # A(z) scoring -inf.  A row is padded, and a sink state n added, with
-        # the target n, which reaches only itself, scores log 0 and emits
-        # nothing; _col is W where a state does not emit the symbol.  Each
-        # live slot goes to its row's running rank, one slot column at a time.
-        probs, targets = P.probs, P.targets
-        width = int(np.count_nonzero(probs, axis=1).max())
-        self._logP_pad = np.full((n + 1, width), -np.inf)  # (n + 1, W)
-        self._next = np.full((n + 1, width), n)  # (n + 1, W): target states
-        self._col = np.full((N_DIRECTIONS, n + 1), width, dtype=np.uint8)  # (9, n + 1)
-        rank = np.zeros(n, dtype=np.uint8)
-        for k, y in enumerate(SLOT_DIRECTIONS):
-            s = np.flatnonzero(probs[:, k])
-            c = rank.take(s)
-            self._col[y, s] = c
-            self._logP_pad[s, c] = np.log(probs[s, k])
-            self._next[s, c] = targets[s, k]
-            rank[s] += 1
+        with np.errstate(divide="ignore"):
+            self._logP_pad = np.log(P.probs)  # (n + 1, W)
 
 
 def viterbi(model: HmmModel, pi: np.ndarray, observations) -> tuple[list[int], float]:
@@ -143,18 +124,19 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
             raise ValueError("initial distribution is not nonnegative with sum 1")
     # Run r's state s is index r * N + s; the blocks of N = n + 1 keep each
     # run's part of a sorted index set contiguous and in run order.  A step
-    # reads its targets with one plain take from nxt: _next itself for one
-    # run, and for a group _next plus each block's offset r * N, built per
+    # reads its targets with one plain take from nxt: the chain's targets for
+    # one run, and for a group those plus each block's offset r * N, built per
     # call (a padded slot then points at its own block's sink).  The log P
     # rows are read from the one table in take's "wrap" mode (index mod N):
     # repeating that table per run too made group decodes slower.  Wrap mode
     # reduces an index by repeated subtraction: negligible on chains of
     # hundreds of states, it dominates a step on a chain of a few states with
     # hundreds of runs.  The feasible sets, the bulk of a decode's memory,
-    # are kept as int32.  rows_at(table, t) is the row of a (9, N) table for
-    # each run's symbol at step t, run after run.
+    # are kept as int32.  cols_at(t) is the row of the chain's (9, N) column
+    # table for each run's symbol at step t, run after run.
     R, N = len(obs), n + 1
-    width = model._logP_pad.shape[1]
+    targets, col = model.P.targets, model.P.col
+    width = targets.shape[1]
     index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
     pis = np.array(priors, dtype=float)
     logpi = np.full((R, N), -np.inf)
@@ -162,15 +144,15 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         logpi[:, :n] = np.log(pis)
     base = np.arange(0, R * N, N, dtype=index)
     if R == 1:
-        nxt = model._next
+        nxt = targets
 
-        def rows_at(table, t):
-            return table[obs[0, t]]
+        def cols_at(t):
+            return col[obs[0, t]]
     else:
-        nxt = (model._next + base[:, None, None]).reshape(R * N, width)
+        nxt = (targets + base[:, None, None]).reshape(R * N, width)
 
-        def rows_at(table, t):
-            return table[obs[:, t]].ravel()
+        def cols_at(t):
+            return col[obs[:, t]].ravel()
 
     # Forward sweep: departing[t] is D_t, the states reachable after t
     # observations that can emit y_{t+1}, ascending; dead slots mark a sink.
@@ -179,7 +161,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     reached = reached.ravel()
     departing = []
     for t in range(T):
-        here = (reached & (rows_at(model._col, t) < width)).nonzero()[0]
+        here = (reached & (cols_at(t) < width)).nonzero()[0]
         departing.append(here.astype(index, copy=False))
         if not len(here):
             break
@@ -212,10 +194,10 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         slots[t] = k.astype(np.uint8)
         # Each row's maximum, read at its argmax: a reduction over rows of
         # nine is several times slower than argmax plus this gather.  The
-        # emission log Q[s, y_t] is the same rows' entry in column _col.
+        # emission log Q[s, y_t] is the same rows' entry in column col.
         rows = np.arange(0, cont.size, width)
         k += rows
-        rows += rows_at(model._col, t).take(here)
+        rows += cols_at(t).take(here)
         best = np.full(R * N, -np.inf)
         best[here] = logp.ravel().take(rows) + cont.ravel().take(k)
 
@@ -233,7 +215,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     path[:, 0] = here[top[top.searchsorted(first)]] - base
     for t in range(T):
         k = slots[t][departing[t].searchsorted(path[:, t] + base)]
-        path[:, t + 1] = model._next[path[:, t], k]
+        path[:, t + 1] = targets[path[:, t], k]
 
     cells = model.P.workspace.free_cells[path]
     return [(c.tolist(), float(total)) for c, total in zip(cells, totals)]

@@ -1,7 +1,7 @@
 """Ground-truth chain simulation and Monte-Carlo localization error studies.
 
 ``sample_runs`` samples trajectories from the chain; the compass history is
-the symbol of each sampled slot, optionally corrupted by symbol-flip noise.
+the heading of each sampled move, optionally corrupted by symbol-flip noise.
 ``run_experiment`` runs seeded batches over observation lengths, prior modes
 and start regions, decodes each run with Viterbi, and reports two errors in
 cell units:
@@ -38,7 +38,7 @@ from .report import report_json
 
 MODES = ("deterministic", "probabilistic")
 
-# The compass symbol of each chain slot, as an index array.
+# The compass symbol of the move by (drow, dcol), at (drow + 1) * 3 + (dcol + 1).
 _SLOT_SYMBOLS = np.array(SLOT_DIRECTIONS, dtype=np.int64)
 
 # An experiment samples and decodes its runs in groups of about this many
@@ -94,16 +94,16 @@ def sample_runs(
     one with that probability.  Each generator is drawn from in the same
     order: initial state, T step uniforms, then the noise draws, so row r
     does not depend on the other runs.  The steps cost O(T) array calls over
-    R runs and 9 slots.
+    R runs and the chain's W columns.
     """
     if T < 1:
         raise ValueError("trajectory length T must be >= 1")
     if len(pis) != len(rngs):
         raise ValueError(f"{len(pis)} initial distributions but {len(rngs)} generators")
-    # Slots off A(z) add 0.0, so they never end the search; a draw past the
-    # row's rounded total falls back to its last live slot.
+    # Pads add 0.0, so they never end the search; a draw past the row's
+    # rounded total falls back to its last move.
     cum = np.cumsum(P.probs, axis=1)
-    last_live = P.targets.shape[1] - 1 - np.argmax(P.targets[:, ::-1] >= 0, axis=1)
+    last_live = np.count_nonzero(P.probs, axis=1) - 1
 
     R = len(rngs)
     states = np.empty((R, T + 1), dtype=np.int64)
@@ -111,21 +111,21 @@ def sample_runs(
     for r, (pi, rng) in enumerate(zip(pis, rngs)):
         states[r, 0] = rng.choice(len(pi), p=pi)
         u[r] = rng.random(T)
-    slots = np.empty((R, T), dtype=np.int64)
     for t in range(T):
         s = states[:, t]
         # The count of a row's cumulative totals <= u is searchsorted(side="right").
         k = np.minimum((cum[s] <= u[:, t, None]).sum(axis=1), last_live[s])
-        slots[:, t] = k
         states[:, t + 1] = P.targets[s, k]
 
-    obs = _SLOT_SYMBOLS[slots]
+    cells = P.workspace.free_cells[states]
+    rows, cols = np.divmod(cells - 1, P.workspace.cols)
+    obs = _SLOT_SYMBOLS[(np.diff(rows) + 1) * 3 + np.diff(cols) + 1]
     if obs_noise > 0.0:
         for r, rng in enumerate(rngs):
             for t in range(T):
                 if rng.random() < obs_noise:
                     obs[r, t] = (obs[r, t] + 1 + rng.integers(N_DIRECTIONS - 1)) % N_DIRECTIONS
-    return P.workspace.free_cells[states], obs
+    return cells, obs
 
 
 def error_reports(true_paths, decoded_paths, w: Workspace) -> tuple[np.ndarray, np.ndarray]:

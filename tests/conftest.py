@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,7 +5,9 @@ import numpy as np
 import pytest
 
 from driftloc import (
+    SLOT_DIRECTIONS,
     HmmModel,
+    StochasticCellMap,
     SyntheticFieldSpec,
     VectorField,
     Workspace,
@@ -19,6 +20,7 @@ from driftloc import (
     synthesize_field,
 )
 from driftloc import gcm
+from driftloc.gcm import MAX_MAPPED
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_FIELD = REPO_ROOT / "fixtures" / "double_gyre_21x29.field"
@@ -61,24 +63,56 @@ def random_field(rng, rows, cols, land_prob=0.0, vmax=1.2):
     return w, VectorField(workspace=w, u=u, v=v)
 
 
-def packed(smap):
-    """The chain with each row's live slots moved to its front, in slot order.
-
-    This is the packed row layout of the earlier chain, which the frozen
-    reference code reads.
-    """
-    order = np.argsort(smap.targets < 0, axis=1, kind="stable")
-    return replace(
-        smap,
-        targets=np.take_along_axis(smap.targets, order, axis=1),
-        probs=np.take_along_axis(smap.probs, order, axis=1),
+def slot_layout(P, packed=False):
+    """The chain in the nine-slot rows of its earlier layout, which the
+    frozen reference code and the slot-level tests read: (n, 9) int64
+    targets, -1 off A(z), and probabilities, 0.0 there.  Slot k holds the
+    move with heading ``SLOT_DIRECTIONS[k]``; with ``packed``, each row's
+    moves come first instead, in slot order."""
+    n, width = P.n_states, P.targets.shape[1]
+    # One dead column more than nine, so that column W reads -1 / 0.0.
+    targets = np.full((n, MAX_MAPPED + 1), -1, dtype=np.int64)
+    probs = np.zeros((n, MAX_MAPPED + 1))
+    targets[:, :width] = np.where(P.targets[:n] < n, P.targets[:n], -1)
+    probs[:, :width] = P.probs[:n]
+    if not packed:
+        cols = P.col[list(SLOT_DIRECTIONS), :n].T.astype(np.int64)
+        targets = np.take_along_axis(targets, cols, axis=1)
+        probs = np.take_along_axis(probs, cols, axis=1)
+    return SimpleNamespace(
+        workspace=P.workspace, r=P.r, dt=P.dt, n_states=n,
+        targets=targets[:, :MAX_MAPPED], probs=probs[:, :MAX_MAPPED],
     )
+
+
+def from_slots(workspace, targets, probs, r=1.0, dt=1.0):
+    """A chain from (n, 9) slot rows, -1 / 0.0 off A(z): the inverse of
+    ``slot_layout``.  Slot k reads as the heading ``SLOT_DIRECTIONS[k]``."""
+    n = len(targets)
+    live = targets >= 0
+    width = int(live.sum(axis=1).max())
+    s, k = np.nonzero(live)
+    c = (np.cumsum(live, axis=1) - 1)[s, k]  # each live slot's rank in its row
+    out = np.full((n + 1, width), n, dtype=np.int64)
+    out[s, c] = targets[s, k]
+    p = np.zeros((n + 1, width))
+    p[s, c] = probs[s, k]
+    col = np.full((MAX_MAPPED, n + 1), width, dtype=np.uint8)
+    col[np.array(SLOT_DIRECTIONS)[k], s] = c
+    return StochasticCellMap(workspace=workspace, r=r, dt=dt, targets=out, probs=p, col=col)
+
+
+def colliding(cm, r):
+    """Each state's collision flag, from the chain builder's stencil pass."""
+    rows, cols = np.divmod(cm.workspace.free_cells - 1, cm.workspace.cols)
+    return gcm._stencil_slots(cm, rows, cols, r)[2]
 
 
 def oracle_model(P, pi):
     """The (P, Q, pi) model that the frozen oracles and the enumeration read:
-    the chain, its emission matrix, one prior and the chain's workspace."""
-    return SimpleNamespace(P=P, Q=emission_matrix(P), pi=pi, workspace=P.workspace)
+    the chain in nine slots, its emission matrix, one prior and the chain's
+    workspace."""
+    return SimpleNamespace(P=slot_layout(P), Q=emission_matrix(P), pi=pi, workspace=P.workspace)
 
 
 def sample_run(P, pi, T, seed, obs_noise=0.0):
@@ -96,11 +130,6 @@ def components(P):
     by_label = np.argsort(labels, kind="stable")
     comps = np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1)
     return sorted(comps, key=lambda c: int(c[0]))
-
-
-def last_live_slot(P):
-    """Per row, the last slot that holds a mapped cell."""
-    return P.targets.shape[1] - 1 - np.argmax(P.targets[:, ::-1] >= 0, axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -26,8 +26,8 @@ from driftloc.cli import main as cli_main
 from driftloc.sim import error_reports
 from closure_reference import reachability
 from conftest import (
-    CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, last_live_slot, make_field,
-    oracle_model, random_field, sample_run,
+    CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, make_field,
+    oracle_model, random_field, sample_run, slot_layout,
 )
 from test_gcm import bool_power_closure
 from test_hmm import brute_force_best, path_logprob
@@ -78,7 +78,7 @@ class TestCriterion2ReachabilityOracle:
             dec = decompose(P)
             n = P.n_states
             adj = np.zeros((n, n), dtype=bool)
-            for s, row in enumerate(P.targets):
+            for s, row in enumerate(slot_layout(P).targets):
                 adj[s, row[row >= 0]] = True
             C = bool_power_closure(adj)
 
@@ -141,7 +141,7 @@ class TestCriterion3StochasticityAndPartition:
             for r in (0.9, 0.5):
                 P = build_stochastic_map(build_cell_map(f), r)
                 Q = emission_matrix(P)
-                assert np.abs(P.probs.sum(axis=1) - 1.0).max() < 1e-12, name
+                assert np.abs(slot_layout(P).probs.sum(axis=1) - 1.0).max() < 1e-12, name
                 assert np.abs(Q.sum(axis=1) - 1.0).max() < 1e-12, name
 
                 dec = decompose(P)
@@ -303,7 +303,7 @@ class TestCriterion8Absorption:
         trials = 1000
         max_steps = 1000
         cum = np.cumsum(P.probs, axis=1)
-        last = last_live_slot(P)
+        last = np.count_nonzero(P.probs, axis=1) - 1  # each row's last move
 
         state = np.repeat(trans_states, trials)
         reached = np.zeros(len(state), dtype=np.int64)

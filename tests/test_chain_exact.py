@@ -2,8 +2,8 @@
 
 ``chain_reference`` builds the cell map and the packed chain cell by cell and
 reads compass symbols off the sampled moves; the package must give the same
-images, endpoints, collision flags and, once each row's live slots are moved
-to its front, the same rows, byte for byte.
+images, endpoints, collision flags and, once its W columns are widened to
+nine, the same rows, byte for byte.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain_reference as ref
-from conftest import gyre_with_land, packed, random_field, sample_run
+from conftest import colliding, gyre_with_land, random_field, sample_run, slot_layout
 from driftloc import (
     SLOT_DIRECTIONS,
     VectorField,
@@ -35,12 +35,12 @@ def assert_matches_reference(field, dt, rs):
     assert cm.endpoints.tobytes() == want_cm.endpoints.tobytes()
     for r in rs:
         smap, want = build_stochastic_map(cm, r), ref.build_stochastic_map(want_cm, r)
-        rows = packed(smap)
-        assert smap.targets.dtype == np.int32
-        assert rows.targets.tobytes() == want.targets.astype(np.int32).tobytes(), r
+        rows = slot_layout(smap, packed=True)
+        assert smap.targets.dtype == np.int64
+        assert rows.targets.tobytes() == want.targets.tobytes(), r
         assert rows.probs.tobytes() == want.probs.tobytes(), r
-        assert smap.colliding.tobytes() == want.colliding.tobytes(), r
-        assert_moore_slots(smap)
+        assert colliding(cm, r).tobytes() == want.colliding.tobytes(), r
+        assert_moore_slots(slot_layout(smap))
 
 
 def assert_moore_slots(smap):
@@ -128,8 +128,8 @@ class TestMemory:
     def test_stochastic_map_peak_near_what_it_keeps(self):
         # The classify benchmark's size: 100x130 with a coast and islands.
         # The builder reads the workspace's state grid and keeps its own
-        # scratch to a few (n,) arrays beside the (n, 9) tables it returns,
-        # about 1.56x what it keeps; an (n, 9) int64 scratch table made 2.2x.
+        # scratch to a few (n,) arrays beside the (n + 1, W) tables it
+        # returns; an (n, 9) int64 scratch table made 2.2x what it keeps.
         cm = build_cell_map(gyre_with_land(100, 130, 0))
         tracemalloc.start()
         try:
@@ -137,5 +137,5 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = smap.targets.nbytes + smap.probs.nbytes + smap.colliding.nbytes
+        kept = smap.targets.nbytes + smap.probs.nbytes + smap.col.nbytes
         assert peak <= 1.75 * kept, f"peaked at {peak / 2**20:.2f} MiB, keeps {kept / 2**20:.2f}"

@@ -210,9 +210,19 @@ class TestExperiment:
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
-        # run_experiment validates the config again after --seed replaces its seed.
         cfg = self._mini_config(tmp_path)
         code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                       "--seed", "-1")
+        assert code == 1
+        assert capsys.readouterr().err == "error: base_seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override_rejected_before_the_field_loads(self, tmp_path, capsys):
+        # --seed replaces the config's seed before validation, so a bad seed
+        # is reported even when the field file is missing.
+        p = tmp_path / "missing.json"
+        p.write_text(json.dumps({"field": {"path": "no-such.field"}}))
+        code = run_cli("experiment", "--config", str(p), "--out-dir", str(tmp_path / "o"),
                        "--seed", "-1")
         assert code == 1
         assert capsys.readouterr().err == "error: base_seed must be a non-negative integer, got -1\n"

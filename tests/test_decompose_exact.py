@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_reference as ref
-from conftest import components, gyre_with_land, make_field, random_field
+from conftest import components, gyre_with_land, make_field, random_field, slot_layout
 from driftloc import (
     SyntheticFieldSpec,
     build_cell_map,
@@ -172,7 +172,7 @@ class TestPartitionProperty:
         assert all(len(k) > 0 for k in dec.transient_groups)
         for group in dec.persistent_groups:
             states = [w.state_of(z) for z in group.tolist()]
-            targets = P.targets[states]
+            targets = slot_layout(P).targets[states]
             assert np.isin(targets[targets >= 0], states).all()
 
 

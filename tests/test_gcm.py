@@ -1,17 +1,18 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftloc import (
-    StochasticCellMap,
+    Direction,
     Workspace,
     build_cell_map,
     build_stochastic_map,
     decompose,
+    direction_between,
 )
 from closure_reference import reachability
-from conftest import components, last_live_slot, make_field, random_field
+from conftest import colliding, components, from_slots, make_field, random_field, slot_layout
 
 
 def chain_from_edges(n, edges, probs=None, dead_ends=()):
@@ -35,10 +36,7 @@ def chain_from_edges(n, edges, probs=None, dead_ends=()):
         for k, j in enumerate(succ):
             targets[i, k] = j
             pr[i, k] = (probs or {}).get((i, j), 1.0 / len(succ))
-    return StochasticCellMap(
-        workspace=w, r=1.0, dt=1.0, targets=targets, probs=pr,
-        colliding=np.zeros(n, dtype=bool),
-    )
+    return from_slots(w, targets, pr)
 
 
 def states_of(P, cells):
@@ -100,12 +98,13 @@ class TestBuildStochasticMap:
         # outward flow at the south-west corner: the stencil leaves the grid,
         # so the drifter stays or moves to any neighbor uniformly.
         w, f = make_field(4, 4, u=-0.7, v=-0.7)
-        smap = build_stochastic_map(build_cell_map(f, dt=1.0), 0.9)
+        cm = build_cell_map(f, dt=1.0)
+        smap = build_stochastic_map(cm, 0.9)
         got = smap.mapped_set(1)
         assert got == {
             1: 0.25, w.index(0, 1): 0.25, w.index(1, 0): 0.25, w.index(1, 1): 0.25,
         }
-        assert bool(smap.colliding[w.state_of(1)])
+        assert bool(colliding(cm, 0.9)[w.state_of(1)])
 
     def test_land_in_stencil_triggers_uniform(self):
         mask = np.zeros((4, 4), dtype=bool)
@@ -115,10 +114,11 @@ class TestBuildStochasticMap:
         from driftloc import VectorField
 
         f = VectorField(workspace=w, u=f_u, v=np.full((4, 4), 0.9))
-        smap = build_stochastic_map(build_cell_map(f, dt=1.0), 0.9)
+        cm = build_cell_map(f, dt=1.0)
+        smap = build_stochastic_map(cm, 0.9)
         z = w.index(1, 1)  # endpoint (1.9, 1.9): stencil touches land (2, 2)
         s = w.state_of(z)
-        assert bool(smap.colliding[s])
+        assert bool(colliding(cm, 0.9)[s])
         admissible = sorted(w.neighbors(z) | {z})
         assert smap.mapped_set(z) == {c: 1.0 / len(admissible) for c in admissible}
 
@@ -135,7 +135,7 @@ class TestBuildStochasticMap:
             w, f = random_field(rng, 5, 6, land_prob=0.15)
             for r in (0.6, 0.9, 1.0):
                 smap = build_stochastic_map(build_cell_map(f), r)
-                sums = smap.probs.sum(axis=1)
+                sums = slot_layout(smap).probs.sum(axis=1)
                 assert np.abs(sums - 1.0).max() < 1e-12
 
     def test_support_independent_of_r(self):
@@ -177,7 +177,7 @@ class TestTransitionMatrix:
 
     def test_identity_map_r1_is_identity_matrix(self):
         w, f = make_field(3, 3)
-        P = build_stochastic_map(build_cell_map(f), 1.0)
+        P = slot_layout(build_stochastic_map(build_cell_map(f), 1.0))
         idle = self.IDLE_SLOT
         assert (P.targets[:, idle] == np.arange(9)).all()
         assert (np.delete(P.targets, idle, axis=1) == -1).all()
@@ -192,7 +192,7 @@ class TestTransitionMatrix:
 
         u = np.array([[1.0, -1.0], [0.0, 0.0]])
         f = VectorField(workspace=w, u=u, v=np.zeros((2, 2)))
-        P = build_stochastic_map(build_cell_map(f, dt=1.0), 1.0)
+        P = slot_layout(build_stochastic_map(build_cell_map(f, dt=1.0), 1.0))
         slots = [self.E_SLOT, self.W_SLOT]  # state 0 moves east, state 1 west
         assert (P.targets[[0, 1], slots] == [1, 0]).all()
         assert (P.probs[[0, 1], slots] == 1.0).all()
@@ -202,8 +202,55 @@ class TestTransitionMatrix:
         assert (P.probs[~live] == 0.0).all()
 
     def test_any_input_rows_sum_to_one(self, gyre):
-        sums = gyre["P"].probs.sum(axis=1)
+        sums = slot_layout(gyre["P"]).probs.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-12
+
+
+class TestChainLayout:
+    """The chain's own layout, read without the slot helpers of conftest."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 8),
+        cols=st.integers(2, 8),
+        land_prob=st.sampled_from([0.0, 0.2, 0.4]),
+        dt=st.sampled_from([None, 0.5, 1.0, 2.0]),
+        r=st.sampled_from([0.6, 0.9, 1.0]),
+    )
+    def test_random_fields_with_land(self, seed, rows, cols, land_prob, dt, r):
+        rng = np.random.default_rng(seed)
+        w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
+        P = build_stochastic_map(build_cell_map(f, dt=dt), r)
+        n, width = w.n_free, P.targets.shape[1]
+        assert P.n_states == n
+        assert P.targets.shape == P.probs.shape == (n + 1, width)
+        assert P.col.shape == (9, n + 1)
+        assert (P.targets.dtype, P.probs.dtype, P.col.dtype) == (np.int64, np.float64, np.uint8)
+
+        # each row's moves first, in ascending target order, then the sink
+        # state n with 0.0; row n is all pads, and W the most moves of a row
+        live = P.targets < n
+        counts = live.sum(axis=1)
+        assert (live == (np.arange(width) < counts[:, None])).all()
+        assert (np.diff(P.targets, axis=1)[live[:, 1:]] > 0).all()
+        assert (P.targets[~live] == n).all() and (P.probs[~live] == 0.0).all()
+        assert (P.probs[live] > 0.0).all()
+        assert counts[n] == 0 and (P.col[:, n] == width).all()
+        assert width == counts.max()
+        assert np.abs(P.probs[:n].sum(axis=1) - 1.0).max() < 1e-12
+
+        # col names each move once, by its heading, and W for no move
+        slot = np.arange(9)[:, None]
+        assert (np.sort(P.col, axis=0) == np.where(slot < counts, slot, width)).all()
+        for y in Direction:
+            s = np.flatnonzero(P.col[y] < width)
+            for z, z2 in zip(w.free_cells[s], w.free_cells[P.targets[s, P.col[y, s]]]):
+                assert direction_between(w, int(z), int(z2)) == y
+
+        for z in w.free_cells:
+            keys = list(P.mapped_set(int(z)))
+            assert keys == sorted(keys) and len(keys) == counts[w.state_of(int(z))]
 
 
 class TestStronglyConnectedComponents:
@@ -282,13 +329,14 @@ class TestPersistentGroups:
         # an all-padding row has no edge out, yet never cycles back: it is
         # transient, reaching no attractor, where [0] is the only one
         P = chain_from_edges(3, [(0, 0), (1, 0), (2, 0)])
-        targets, probs = P.targets.copy(), P.probs.copy()
+        S = slot_layout(P)
+        targets, probs = S.targets.copy(), S.probs.copy()
         targets[2], probs[2] = -1, 0.0
-        P = replace(P, targets=targets, probs=probs)
+        P = from_slots(P.workspace, targets, probs)
         with pytest.raises(RuntimeError, match="transient state 2"):
             decompose(P)
         targets[2], probs[2, 0] = targets[1], 1.0  # restored, 2 feeds [0] like 1
-        groups = decompose(replace(P, targets=targets, probs=probs)).persistent_groups
+        groups = decompose(from_slots(P.workspace, targets, probs)).persistent_groups
         assert [states_of(P, g) for g in groups] == [[0]]
 
     def test_double_gyre_two_attractors(self, gyre):
@@ -353,7 +401,7 @@ class TestDecompositionInvariants:
         transient = np.sort(np.concatenate(list(dec.transient_groups.values())))
         sample = rng.choice(transient, size=20, replace=False)
         cum = np.cumsum(P.probs, axis=1)
-        last = last_live_slot(P)
+        last = np.count_nonzero(P.probs, axis=1) - 1  # each row's last move
         absorbed = 0
         trials = 50
         for z in sample:

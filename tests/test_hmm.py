@@ -20,7 +20,7 @@ from driftloc import (
     synthesize_field,
     viterbi,
 )
-from conftest import gyre_with_land, make_field, oracle_model, packed, random_field, sample_run
+from conftest import gyre_with_land, make_field, oracle_model, random_field, sample_run, slot_layout
 from dense_reference import dense_viterbi, loop_emission_matrix
 
 
@@ -272,7 +272,7 @@ class TestDenseReferenceBitExact:
             smaps.append(build_stochastic_map(build_cell_map(f), float(rng.choice([0.6, 0.9]))))
         for smap in smaps:
             # the frozen loop stops at a row's first empty slot: give it packed rows
-            want = loop_emission_matrix(packed(smap)).tobytes()
+            want = loop_emission_matrix(slot_layout(smap, packed=True)).tobytes()
             assert emission_matrix(smap).tobytes() == want
 
     def test_fixture_runs(self, gyre):
@@ -361,9 +361,10 @@ class TestMemory:
         assert len(cells) == 51
         assert peak < 16 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
 
-    def test_model_keeps_three_tables(self):
-        # The decoder reads log Q through the log P table, so the model keeps
-        # (n + 1) * (16 W + 9) bytes and peaks near that while building.
+    def test_model_keeps_one_table(self):
+        # The decoder reads the chain's targets and columns, and log Q through
+        # the log P table, so the model keeps (n + 1) * 8 W bytes and peaks
+        # near that while building.
         P = build_stochastic_map(build_cell_map(gyre_with_land(100, 130, 0)), 0.9)
         tracemalloc.start()
         try:
@@ -373,7 +374,7 @@ class TestMemory:
             tracemalloc.stop()
         width = model._logP_pad.shape[1]
         own = sum(a.nbytes for a in vars(model).values() if isinstance(a, np.ndarray))
-        kept = (P.n_states + 1) * (16 * width + 9)
-        assert own == kept, f"holds {own / 2**20:.2f} MiB, three tables {kept / 2**20:.2f}"
+        kept = (P.n_states + 1) * 8 * width
+        assert own == kept, f"holds {own / 2**20:.2f} MiB, one table {kept / 2**20:.2f}"
         assert built <= kept + 2**12, f"traced {built / 2**20:.2f} MiB after building"
         assert peak <= 1.5 * kept, f"peaked at {peak / 2**20:.2f} MiB for {kept / 2**20:.2f}"

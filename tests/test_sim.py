@@ -22,7 +22,7 @@ from driftloc import (
     sample_runs,
     save_field,
 )
-from conftest import CONFIG_DIR, REPO_ROOT, make_field, random_field, sample_run
+from conftest import CONFIG_DIR, REPO_ROOT, make_field, random_field, sample_run, slot_layout
 from driftloc.sim import error_reports
 
 
@@ -39,11 +39,12 @@ class TestSampleTrajectory:
         pi = initial_distribution(w, int(w.free_cells[4]), "deterministic")
         path, obs = sample_run(P, pi, 10, seed=1)
         # every step follows the unique supported transition
+        S = slot_layout(P)
         for t in range(10):
             s = w.state_of(path[t])
-            (k,) = np.flatnonzero(P.targets[s] >= 0)
-            assert P.targets[s, k] == w.state_of(path[t + 1])
-            assert P.probs[s, k] == 1.0
+            (k,) = np.flatnonzero(S.targets[s] >= 0)
+            assert S.targets[s, k] == w.state_of(path[t + 1])
+            assert S.probs[s, k] == 1.0
 
     def test_identity_chain_constant_path(self):
         w, P = chain_for(make_field(4, 4), 0.9)
@@ -77,9 +78,10 @@ class TestSampleTrajectory:
             path, _ = sample_run(P, pi, 1, seed=(1000, i))
             counts[path[1]] = counts.get(path[1], 0) + 1
         s = w.state_of(z)
-        for k in np.flatnonzero(P.targets[s] >= 0):
-            target = int(w.free_cells[P.targets[s, k]])
-            p = P.probs[s, k]
+        S = slot_layout(P)
+        for k in np.flatnonzero(S.targets[s] >= 0):
+            target = int(w.free_cells[S.targets[s, k]])
+            p = S.probs[s, k]
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts.get(target, 0) / n - p) <= 3 * sigma
 

@@ -273,10 +273,10 @@ def width_cases():
 
 
 def assert_column_table(model):
-    """``_col[y, s]`` is the column of ``_logP_pad`` that holds log Q[s, y],
-    bit for bit, and W where Q[s, y] is 0 and on the sink state n."""
+    """The chain's ``col[y, s]`` is the column of ``_logP_pad`` that holds
+    log Q[s, y], bit for bit, and W where Q[s, y] is 0 and on the sink state n."""
     n, width = model.P.n_states, model._logP_pad.shape[1]
-    col, Q = model._col, emission_matrix(model.P)
+    col, Q = model.P.col, emission_matrix(model.P)
     assert col.shape == (9, n + 1) and col.dtype == np.uint8
     emits = col[:, :n].T < width
     assert (emits == (Q > 0.0)).all()
@@ -309,7 +309,7 @@ class TestTableWidths:
         w = P.workspace
         rng = np.random.default_rng(width)
         model = HmmModel(P)
-        assert model._next.shape == model._logP_pad.shape == (w.n_free + 1, width)
+        assert P.targets.shape == model._logP_pad.shape == (w.n_free + 1, width)
         assert_column_table(model)
         priors, histories = [], []
         for i in range(12):
