@@ -66,6 +66,7 @@ def _resolve_field(args):
 def _build_chain(args):
     w, field = _resolve_field(args)
     cm = build_cell_map(field, dt=args.dt)
+    del field  # the cell map holds what the chain reads
     smap = build_stochastic_map(cm, args.r)
     return w, smap
 
@@ -81,6 +82,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def cmd_classify(args) -> int:
     w, smap = _build_chain(args)
     dec = decompose(smap)
+    del smap  # freed before the report is encoded
     payload = dec.to_dict()
     print(
         f"{payload['n_persistent_groups']} persistent group(s), "

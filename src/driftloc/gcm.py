@@ -328,10 +328,12 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
     counts, succ = _successors(P)
     labels, n_comps = _component_labels(counts, succ)
     src, dst = np.repeat(labels, counts), labels[succ]
+    del counts, succ
     out = src != dst
     # Cross edges keyed source-major: each component's run of keys lists the
     # components it enters, all of them earlier in emission order.
     edges = np.sort(src[out].astype(np.int64) * n_comps + dst[out])
+    del src, dst, out
     edges = edges[np.diff(edges, prepend=-1) != 0]
     bounds = np.searchsorted(edges, np.arange(n_comps + 1) * n_comps)
     exits = bounds[1:] > bounds[:-1]
@@ -364,6 +366,7 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
         reach[c] = rid = ids.setdefault(key, len(ids))
         if rid == len(sets):
             sets.append(key)
+    del edges, entered, bounds
 
     cells = w.free_cells[by_label]
     persistent = [cells[a:b] for a, b in zip(starts[attractors].tolist(),

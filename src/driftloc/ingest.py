@@ -102,23 +102,54 @@ def _parse_floats(parts, count, lineno, what):
         raise FieldParseError(lineno, f"{what}: {parts!r} is not numeric") from None
 
 
-# Body lines parsed per pass.  A block that numpy refuses goes through the
-# record loop, which holds Python objects for each of its records: with a
-# comment every 100 records, loading a 2 436-cell file peaked (tracemalloc) at
-# 0.45 MiB at 256 lines and 0.74 MiB at 2 048, and without comments at 0.45.
-_BLOCK_LINES = 256
+# Body text parsed per pass, in characters.  Each piece ends just after a
+# "\n", where str.splitlines always breaks, so a piece's lines are the whole
+# text's lines from its first one on.  A piece that numpy refuses goes through
+# the record loop, which holds Python objects for each of its records.
+_PIECE_CHARS = 24 * 1024
 _RECORD = np.dtype([("row", "i8"), ("col", "i8"), ("land", "i8"), ("u", "f8"), ("v", "f8")])
 
 
-def _check_records(lines, start, stop, rows, cols):
-    """The (row, col, land, u, v) records of ``lines[start:stop]``, checked.
+def _pieces(text):
+    """The (number of the first line, lines) of each piece of ``text``."""
+    lineno, pos = 1, 0
+    while pos < len(text):
+        end = text.find("\n", pos + _PIECE_CHARS - 1) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        yield lineno, lines
+        lineno += len(lines)
+        pos = end
+
+
+def _lines(text):
+    """The (line number, line) of each line of ``text``, one piece at a time."""
+    for lineno, lines in _pieces(text):
+        yield from enumerate(lines, start=lineno)
+
+
+def _body(text, body_start):
+    """The pieces of ``text`` after line ``body_start``, as _pieces gives them.
+
+    The piece that holds line ``body_start`` gives the lines after it, perhaps
+    none, so the last piece's last line is the last line of the text.
+    """
+    for lineno, lines in _pieces(text):
+        skip = max(0, body_start + 1 - lineno)
+        if skip <= len(lines):
+            yield lineno + skip, lines[skip:]
+
+
+def _check_records(lines, first, rows, cols, seen):
+    """The (row, col, land, u, v) records of ``lines``, from line ``first``,
+    checked.
 
     Checks one record at a time, in the order the file gives them, and raises
     the FieldParseError of the first failing record and its first failing
-    check.  A duplicate is found only among the records of this range.
+    check.  A duplicate is found among the cells in ``seen``, which gains
+    those of the records accepted.
     """
-    records, seen = [], set()
-    for lineno, line in enumerate(lines[start:stop], start=start + 1):
+    records = []
+    for lineno, line in enumerate(lines, start=first):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -148,20 +179,19 @@ def _check_records(lines, start, stop, rows, cols):
     return records
 
 
-def _parse_block(lines, lo, rows, cols):
-    """The records of the block of lines from ``lines[lo]``, as a _RECORD array.
+def _parse_piece(lines, first, rows, cols):
+    """The records of ``lines``, from line ``first``, as a _RECORD array.
 
-    numpy's reader and the array checks take a block that they accept; the
-    record loop takes any other block, and raises for its first bad record.
+    numpy's reader and the array checks take a piece that they accept; the
+    record loop takes any other piece, and raises for its first bad record.
     Raises OverflowError for an integer beyond int64.
     """
-    stop = lo + _BLOCK_LINES
     try:
         # numpy accepts a subset of int() and float(); the filter makes it refuse
-        # a block without records and, before numpy 2, a float in an int column.
+        # a piece without records and, before numpy 2, a float in an int column.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = np.loadtxt(lines[lo:stop], _RECORD, comments=None, ndmin=1)
+            records = np.loadtxt(lines, _RECORD, comments=None, ndmin=1)
         r, c, land, u, v = (records[name] for name in _RECORD.names)
         bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | ((land != 0) & (land != 1))
         bad |= (land == 1) & ((u != 0.0) | (v != 0.0))
@@ -170,24 +200,27 @@ def _parse_block(lines, lo, rows, cols):
             return records
     except (ValueError, Warning):
         pass
-    return np.array(_check_records(lines, lo, stop, rows, cols), _RECORD)
+    return np.array(_check_records(lines, first, rows, cols, set()), _RECORD)
 
 
-def _load_cells(lines, body_start, rows, cols):
-    """The land mask and u, v grids from the cell records after ``body_start``.
+def _load_cells(text, body_start, rows, cols):
+    """The land mask, the u, v grids and the number of lines of ``text``,
+    from the cell records after line ``body_start``.
 
     Raises the FieldParseError of the first failing record, or the record
     count error; the grids are allocated only once the records fill them.
     """
     n = rows * cols
     try:
-        # "+ 1": an empty body is one empty block.
-        blocks = [_parse_block(lines, lo, rows, cols)
-                  for lo in range(body_start, len(lines) + 1, _BLOCK_LINES)]
+        pieces = []
+        for lineno, lines in _body(text, body_start):
+            pieces.append(_parse_piece(lines, lineno, rows, cols))
+        last = lineno + len(lines) - 1
+        del lines  # one piece's strings, freed before the joins
         # Joined one field at a time: np.concatenate takes ten times as long on
-        # the structured blocks.
-        r, c, land, u, v = (np.concatenate([b[name] for b in blocks]) for name in _RECORD.names)
-        del blocks  # freed before the grids are allocated
+        # the structured pieces.
+        r, c, land, u, v = (np.concatenate([p[name] for p in pieces]) for name in _RECORD.names)
+        del pieces  # freed before the grids are allocated
         if len(r) == n:
             cell = r * cols + c
             filled = np.zeros(n, bool)
@@ -196,13 +229,16 @@ def _load_cells(lines, body_start, rows, cols):
                 grids = np.empty(n, bool), np.empty(n), np.empty(n)
                 for grid, column in zip(grids, (land, u, v)):
                     grid[cell] = column
-                return [grid.reshape(rows, cols) for grid in grids]
+                return *(grid.reshape(rows, cols) for grid in grids), last
     except (FieldParseError, OverflowError):
         pass
     # Some record fails a check, two share a cell, or the count is wrong: the
     # record loop over the whole body raises the first error in file order.
-    found = len(_check_records(lines, body_start, len(lines), rows, cols))
-    raise FieldParseError(len(lines), f"expected {n} cell records, found {found}")
+    found, seen = 0, set()
+    for lineno, lines in _body(text, body_start):
+        found += len(_check_records(lines, lineno, rows, cols, seen))
+    raise FieldParseError(lineno + len(lines) - 1,
+                          f"expected {n} cell records, found {found}")
 
 
 def load_field(path) -> tuple[Workspace, VectorField]:
@@ -210,17 +246,17 @@ def load_field(path) -> tuple[Workspace, VectorField]:
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        lines = raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FieldParseError(0, f"not a text file: {exc}") from None
-    del raw  # as large as the file; freed before the body parse sets the peak
+    del raw  # as large as the file; freed before the body parse
 
     header: dict = {"origin": (0.0, 0.0), "cell_size": (1.0, 1.0),
                     "depth": "", "time": ""}
     body_start = None
     seen_magic = False
 
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in _lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -253,8 +289,8 @@ def load_field(path) -> tuple[Workspace, VectorField]:
 
     if not seen_magic:
         raise FieldParseError(0, "empty file, no header found")
-    if body_start is None:
-        raise FieldParseError(len(lines), "missing 'cells' section")
+    if body_start is None:  # the loop read every line
+        raise FieldParseError(lineno, "missing 'cells' section")
     for key in ("rows", "cols"):
         if key not in header:
             raise FieldParseError(body_start, f"header is missing '{key}'")
@@ -263,9 +299,9 @@ def load_field(path) -> tuple[Workspace, VectorField]:
     if rows < 2 or cols < 2:
         raise FieldParseError(body_start, f"grid {rows}x{cols} is smaller than 2x2")
 
-    land, u, v = _load_cells(lines, body_start, rows, cols)
+    land, u, v, n_lines = _load_cells(text, body_start, rows, cols)
     if land.all():
-        raise FieldParseError(len(lines), "every cell is land")
+        raise FieldParseError(n_lines, "every cell is land")
 
     w = Workspace(
         rows=rows, cols=cols, origin=header["origin"],

@@ -298,6 +298,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
 
     cm = build_cell_map(vfield, dt=cfg.dt)
     smap = build_stochastic_map(cm, cfg.r)
+    del field_pair, vfield, cm  # only the chain is read from here on
     dec = decompose(smap)
 
     if isinstance(cfg.initial, int) and w.is_land(cfg.initial):

@@ -1,14 +1,17 @@
 """The bulk field-file parser against the frozen record loop.
 
 ``ingest_reference.load_field`` checks and stores one record at a time;
-``driftloc.load_field`` parses blocks of lines with array checks.  On an
-accepted file both must give the same header values and the same array bytes;
-on a rejected one, the same error type, line and message.  The files here
-span more than one block of lines, so that errors on either side of a block
-boundary are covered.
+``driftloc.load_field`` parses the text in pieces of lines with array checks.
+On an accepted file both must give the same header values and the same array
+bytes; on a rejected one, the same error type, line and message.  The files
+here span several pieces, so that errors on either side of a cut between two
+pieces are covered.
 """
 
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +21,28 @@ from hypothesis import strategies as st
 import ingest_reference as ref
 from conftest import FIXTURE_FIELD, gyre_with_land, random_field
 from driftloc import FieldParseError, ingest, load_field, save_field
-from driftloc.ingest import _BLOCK_LINES, _check_records
+from driftloc.ingest import _PIECE_CHARS, _check_records, _pieces
 
-ROWS, COLS = 46, 50  # 2 300 records, several blocks
+ROWS, COLS = 46, 50  # 2 300 records, several pieces
 HEADER_LINES = 8  # save_field's header, "cells" included
-BOUNDARY = HEADER_LINES + _BLOCK_LINES  # 0-based index of the second block's first line
+
+
+def saved_lines(field, **labels):
+    """The lines of the field file that save_field writes for ``field``."""
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "base.field"
+        save_field(p, field, **labels)
+        return p.read_text().splitlines()
+
+
+def first_cut(lines, eol):
+    """0-based index of the line that starts the second piece of the file."""
+    return len(next(_pieces(eol.join(lines) + eol))[1])
+
+
+BASE_LINES = saved_lines(gyre_with_land(ROWS, COLS, 0), depth="10 m", time="t0")
+CUTS = {eol: first_cut(BASE_LINES, eol) for eol in ("\n", "\r\n")}
+BOUNDARY = CUTS["\n"]  # the first cut of the base file as save_field writes it
 
 
 def outcome(load, path):
@@ -49,18 +69,17 @@ def write(tmp_path, lines, eol="\n", name="m.field"):
 
 
 @pytest.fixture(scope="module")
-def base_lines(tmp_path_factory):
-    """A valid field file of several blocks, as its lines."""
-    p = tmp_path_factory.mktemp("base") / "base.field"
-    save_field(p, gyre_with_land(ROWS, COLS, 0), depth="10 m", time="t0")
-    lines = p.read_text().splitlines()
+def base_lines():
+    """A valid field file of several pieces, as its lines."""
+    lines = BASE_LINES
     assert lines[HEADER_LINES - 1] == "cells" and len(lines) == HEADER_LINES + ROWS * COLS
+    assert HEADER_LINES < CUTS["\r\n"] < BOUNDARY < len(lines) // 2
     return lines
 
 
 # -- mutations ---------------------------------------------------------------
 
-# The bulk parse converts a block with numpy's reader and falls back to the
+# The bulk parse converts a piece with numpy's reader and falls back to the
 # record loop's int() and float() when numpy refuses it, so the alphabets hold
 # spellings where the two could differ: forms numpy refuses, and forms both
 # accept.
@@ -71,15 +90,20 @@ TOKENS = ["1.0", "x", "nan", "inf", "-inf", "+1", "1_0", "-1", "0", "1", "2",
 # Line breaks, and whitespace that str.split splits a record on.
 BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
           "\u2029", " ", "\xa0", "\x1f", "\t"]
+
+def spanning(line):
+    """Copies of ``line``, one a line, enough to fill a whole piece."""
+    return "\n".join([line] * (2 * _PIECE_CHARS // (len(line) + 1)))
+
+
 # The last two fillers are enough comment lines, or whitespace-only lines,
-# to fill a whole block of lines.
+# to fill a whole piece.
 FILLERS = ["", "   ", "\t", "\xa0", "#", "# comment", "  # indented comment",
-           "#1 1 0 0.0 0.0", "\n".join(["# comment"] * (2 * _BLOCK_LINES - 1)),
-           "\n".join(["\xa0"] * (2 * _BLOCK_LINES - 1))]
+           "#1 1 0 0.0 0.0", spanning("# comment"), spanning("\xa0")]
 
 position = st.one_of(
     st.integers(HEADER_LINES, HEADER_LINES + ROWS * COLS - 1),
-    st.integers(BOUNDARY - 3, BOUNDARY + 3),
+    *(st.integers(cut - 3, cut + 3) for cut in CUTS.values()),
 )
 
 mutation = st.one_of(
@@ -171,30 +195,30 @@ class TestValidFiles:
 
 class TestValidFilesStayOnTheBulkPath(TestValidFiles):
     """The same valid files, with the record loop made to fail the test: numpy
-    and the array checks alone accept every block that holds no comment and no
+    and the array checks alone accept every piece that holds no comment and no
     blank line."""
 
     @pytest.fixture(autouse=True)
     def no_record_loop(self, monkeypatch):
         def fail(*args):
-            pytest.fail("a valid block fell to the record loop")
+            pytest.fail("a valid piece fell to the record loop")
 
         monkeypatch.setattr(ingest, "_check_records", fail)
 
     def test_crlf_comments_blanks_and_shuffled_records(self, tmp_path, base_lines, monkeypatch):
-        """Here the loop reads some blocks, and each of them holds a comment
+        """Here the loop reads some pieces, and each of them holds a comment
         or a blank line."""
-        blocks = []
+        pieces = []
 
-        def spy(lines, start, stop, rows, cols):
-            blocks.append(lines[start:stop])
-            return _check_records(lines, start, stop, rows, cols)
+        def spy(lines, first, rows, cols, seen):
+            pieces.append(lines)
+            return _check_records(lines, first, rows, cols, seen)
 
         monkeypatch.setattr(ingest, "_check_records", spy)
         super().test_crlf_comments_blanks_and_shuffled_records(tmp_path, base_lines)
-        assert blocks
-        for block in blocks:
-            assert any(not line.strip() or line.lstrip().startswith("#") for line in block)
+        assert pieces
+        for piece in pieces:
+            assert any(not line.strip() or line.lstrip().startswith("#") for line in piece)
 
 
 class TestFirstError:
@@ -232,8 +256,8 @@ class TestFirstError:
         assert got[2] == HEADER_LINES + 31 and "duplicate" in got[3]
 
     def test_repeat_of_a_record_the_loop_accepted(self, tmp_path, base_lines):
-        # The comment sends the first block to the record loop, which accepts
-        # it; the repeat of its record sits in a later block that numpy takes.
+        # The comment sends the first piece to the record loop, which accepts
+        # it; the repeat of its record sits in a later piece that numpy takes.
         lines = mutate(base_lines, [("insert", BOUNDARY + 40, base_lines[HEADER_LINES + 2]),
                                     ("insert", HEADER_LINES + 10, "# comment")])
         got = assert_same(write(tmp_path, lines))
@@ -269,12 +293,37 @@ class TestFirstError:
         got = assert_same(write(tmp_path, lines))
         assert got[2] == BOUNDARY + 1 and message in got[3]
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("brk", BREAKS)
+    def test_break_at_the_first_cut(self, tmp_path, base_lines, brk, eol):
+        """A break that joins two records, or splits one, just before, at or
+        just after the first cut."""
+        cut = CUTS[eol]
+        for i in (cut - 1, cut, cut + 1):
+            for change in (("join", i, brk), ("split", i, 2, brk)):
+                assert_same(write(tmp_path, mutate(base_lines, [change]), eol))
+
     @settings(max_examples=400, deadline=None, database=None)
     @given(mutations=st.lists(mutation, min_size=1, max_size=3),
            eol=st.sampled_from(["\n", "\r\n"]))
     def test_mutated_files(self, tmp_path_factory, base_lines, mutations, eol):
         p = write(tmp_path_factory.mktemp("mut"), mutate(base_lines, mutations), eol)
         assert_same(p)
+
+
+class TestPieces:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(parts=st.lists(st.sampled_from(["a", " ", "\n", *BREAKS]), max_size=60),
+           size=st.integers(1, 8))
+    def test_pieces_hold_the_lines_of_the_whole_text(self, parts, size):
+        text = "".join(parts)
+        with mock.patch.object(ingest, "_PIECE_CHARS", size):
+            pieces = list(_pieces(text))
+        assert [line for _, lines in pieces for line in lines] == text.splitlines()
+        starts = [lineno for lineno, _ in pieces]
+        assert starts == [1 + sum(len(lines) for _, lines in pieces[:k])
+                          for k in range(len(pieces))]
+        assert all(len(lines) for _, lines in pieces)
 
 
 class TestHugeHeader:
@@ -329,4 +378,6 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert w.land_mask.any()
-        assert peak < 4 * 2**20, f"load_field peaked at {peak / 2**20:.2f} MiB"
+        # The whole text and one piece's lines: about 1.6 MiB.  Splitting
+        # the whole text into lines at once peaked at 2.37 MiB.
+        assert peak < 2.0 * 2**20, f"load_field peaked at {peak / 2**20:.2f} MiB"
