@@ -104,11 +104,10 @@ class TestClassify:
         schema = json.loads((SCHEMA_DIR / "decomposition.schema.json").read_text())
         jsonschema.validate(json.loads(out.read_text()), schema)
 
-
     def test_request_peak(self, tmp_path, capsys):
         # The classify benchmark's size: 100x130 with a coast and islands.
         # Each stage frees its scratch, and the request frees the field and
-        # the chain, once nothing reads them: about 2.9 MiB, 3.86 before.
+        # the chain, once nothing reads them: about 2.9 MiB, 3.92 before.
         p = tmp_path / "large.field"
         save_field(p, gyre_with_land(100, 130, 0))
         tracemalloc.start()
