@@ -1,10 +1,11 @@
 """Localize a drifter from its compass history alone.
 
 A drifter deployed in the double-gyre field records only the heading of each
-move (eight compass directions plus idle).  The chain plus a compass
-emission model form an HMM; Viterbi decoding returns the most likely
-trajectory consistent with the observation history, from either a known
-deployment cell (deterministic prior) or a one-cell-uncertain one
+move (eight compass directions plus idle).  The chain is the HMM: each move
+of a cell's mapped set is one compass heading, so the chain gives both the
+transition and the emission probabilities.  Viterbi decoding returns the
+most likely trajectory consistent with the observation history, from either
+a known deployment cell (deterministic prior) or a one-cell-uncertain one
 (probabilistic prior).
 """
 
@@ -13,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from driftloc import (
-    HmmModel,
     build_cell_map,
     build_stochastic_map,
-    emission_matrix,
+    direction_between,
     initial_distribution,
     load_field,
     sample_runs,
@@ -30,7 +30,6 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "double_gyre_21x
 
 w, field = load_field(FIXTURE)
 P = build_stochastic_map(build_cell_map(field), r=0.9)
-model = HmmModel(P)
 
 x_deploy = w.index(16, 10)
 T = 40
@@ -40,7 +39,7 @@ modes = ("deterministic", "probabilistic")
 pis = [initial_distribution(w, x_deploy, mode) for mode in modes]
 rngs = [np.random.default_rng((2026, i)) for i in range(len(modes))]
 true_paths, histories = sample_runs(P, pis, T, rngs)
-decodes = viterbi_runs(model, pis, histories)
+decodes = viterbi_runs(P, pis, histories)
 finals, trajs = error_reports(true_paths, [decoded for decoded, _ in decodes], w)
 
 for mode, true_path, obs, (decoded, logp), final, traj in zip(
@@ -58,15 +57,17 @@ for mode, true_path, obs, (decoded, logp), final, traj in zip(
 pi = initial_distribution(w, x_deploy, "deterministic")
 cells, histories = sample_runs(P, [pi], T, [np.random.default_rng(7)])
 true_path, obs = cells[0].tolist(), histories[0].tolist()
-decoded, logp = viterbi(model, pi, obs)
-Q = emission_matrix(P)
+decoded, logp = viterbi(P, pi, obs)
 
 
 def score(cells):
     s = np.log(pi[w.state_of(cells[0])])
     for t, y in enumerate(obs):
         a, b = cells[t], cells[t + 1]
-        s += np.log(Q[w.state_of(a), int(y)]) + np.log(P.mapped_set(a)[b])
+        moves = P.mapped_set(a)
+        # The emission: the probability of the move of a with heading y.
+        emit = sum(p for c, p in moves.items() if direction_between(w, a, c) == y)
+        s += np.log(emit) + np.log(moves[b])
     return float(s)
 
 

@@ -37,8 +37,6 @@ from .gridworld import (
     parse_directions,
 )
 from .hmm import (
-    HmmModel,
-    emission_matrix,
     initial_distribution,
     viterbi,
     viterbi_runs,

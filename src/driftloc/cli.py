@@ -21,7 +21,7 @@ from .errors import ConfigError, DriftlocError, FieldParseError, ZeroProbability
 from .flowfield import build_cell_map
 from .gcm import build_stochastic_map, decompose
 from .gridworld import parse_directions
-from .hmm import HmmModel, initial_distribution, viterbi
+from .hmm import initial_distribution, viterbi
 from .ingest import SyntheticFieldSpec, load_field, synthesize_field
 from .report import report_json
 from .sim import ExperimentConfig, run_experiment
@@ -104,7 +104,7 @@ def cmd_localize(args) -> int:
         raise DriftlocError(f"observation file {args.obs} is empty")
     mode = {"det": "deterministic", "prob": "probabilistic"}[args.pi]
     pi = initial_distribution(w, args.x0, mode)
-    cells, logp = viterbi(HmmModel(smap), pi, obs)
+    cells, logp = viterbi(smap, pi, obs)
     payload = {"path": cells, "final": cells[-1], "log_prob": logp}
     print(f"decoded {len(obs)} observations; final cell {cells[-1]}, "
           f"log probability {logp:.6f}")

@@ -6,11 +6,13 @@ stencil, with probabilities summing to one.  The perfect-motion image carries
 probability r and the other cells around the continuous Euler endpoint share
 1 - r uniformly; a "colliding" cell, whose endpoint stencil touches land or
 leaves the grid, moves uniformly to any admissible neighbor.  At r = 1 the
-chain is the deterministic map.  The chain is kept in the decoder's layout:
-each row holds its state's moves in W columns, W the largest |A(z)|, so it
-keeps (16 W + 9) bytes a state (int64 targets, float64 probabilities, a uint8
-column per compass symbol).  O(n * 9) time; the build holds only (n,) scratch
-beside what it keeps, peaking near 1.4 times that.
+chain is the deterministic map.  The chain is the decoder's model, kept in
+its layout: each row holds its state's moves in W columns, W the largest
+|A(z)|, so it keeps (16 W + 9) bytes a state (int64 targets, float64
+probabilities, a uint8 column per compass symbol).  O(n * 9) time; the build
+holds only (n,) scratch beside what it keeps, peaking near 1.4 times that.
+The first decode adds ``log_probs``, 8 W bytes a state; ``decompose`` never
+builds it.
 
 ``decompose(P)`` partitions the water cells into attractors (closed, mutually
 communicating sets, numbered B_1..B_g by smallest member) and transient
@@ -67,6 +69,16 @@ class StochasticCellMap:
     @property
     def n_states(self) -> int:
         return len(self.targets) - 1
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """Read-only log ``probs``, -inf on the pads and the sink row: the
+        decoder's table, built on the first decode and shared by every later
+        one."""
+        with np.errstate(divide="ignore"):
+            logs = np.log(self.probs)
+        logs.setflags(write=False)
+        return logs
 
     def mapped_set(self, z: int) -> dict[int, float]:
         """A(z) as {cell index: probability} for one water cell, cells ascending."""

@@ -1,13 +1,13 @@
-"""Hidden Markov model over the cell chain and Viterbi trajectory decoding.
+"""Viterbi trajectory decoding over the cell chain.
 
-A model holds one chain P and the log of its probabilities; each decode
-brings its own initial state distribution pi.  The compass reports the
+The localizer is the HMM (P, Q, pi), and the chain is all of it but pi: each
+decode brings its own initial state distribution.  The compass reports the
 heading of the move the drifter takes next, so the observation at step t is
 emitted by the departing state: Q[z][y] is the probability of the move of z
 in direction y.  Every move of a chain row is one Moore move, hence one
 compass symbol, so Q is the chain's probabilities read through its column
-table (``emission_matrix``).  A decoded trajectory for T
-observations has T + 1 states and maximizes
+table ``col``.  A decoded trajectory for T observations has T + 1 states and
+maximizes
 
     pi[x_0] * prod_t Q[x_{t-1}][y_t] * P[x_{t-1}][x_t]
 
@@ -15,15 +15,15 @@ over all state sequences, with ties broken toward the lexicographically
 smallest sequence.  All scoring happens in log space on the chain's rows,
 only those of D_t: the states reachable after t observations that can emit
 the next one.  The chain keeps each row's moves in W columns, W the most
-moves of any row (6 on the fixture and on the 42 x 58 gyre); the model adds
-log P in the same columns, 8 W bytes a state, and reads log Q from it
-through the chain's column table.  A decode costs O(sum_t |D_t| * W) time
-and O(sum_t |D_t|) memory, 5 bytes a state (an int32 index and a uint8
-slot), besides an O(n) mask pass per step; no n x n or (T + 1) x n array is
-ever built.  A group of R runs
-decoded in lockstep reads every step's targets with one take from an
-(R (n + 1), W) table of absolute targets that it builds per call: 8 W bytes
-a run-state, 0.36 MiB for 13 runs on the 609-state fixture.
+moves of any row (6 on the fixture and on the 42 x 58 gyre); the decoder
+reads log P from the chain's ``log_probs`` in the same columns, 8 W bytes a
+state built on the chain's first decode, and log Q from it through ``col``.
+A decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory, 5 bytes a
+state (an int32 index and a uint8 slot), besides an O(n) mask pass per step;
+no n x n or (T + 1) x n array is ever built.  A group of R runs decoded in
+lockstep reads every step's targets with one take from an (R (n + 1), W)
+table of absolute targets that it builds per call: 8 W bytes a run-state,
+0.36 MiB for 13 runs on the 609-state fixture.
 """
 
 from __future__ import annotations
@@ -33,16 +33,6 @@ import numpy as np
 from .errors import LandCellError, ZeroProbabilityError
 from .gcm import StochasticCellMap
 from .gridworld import Workspace, direction_array
-
-
-def emission_matrix(smap: StochasticCellMap) -> np.ndarray:
-    """(n_free, 9) row-stochastic matrix of compass-symbol probabilities.
-
-    Q[s, y] is the probability of the move of state s in direction y: the
-    chain's column ``col[y, s]``, 0.0 where s has no such move.
-    """
-    probs = np.pad(smap.probs, ((0, 0), (0, 1)))  # column W reads 0.0
-    return np.take_along_axis(probs, smap.col.T, axis=1)[:-1]
 
 
 def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
@@ -66,21 +56,7 @@ def initial_distribution(w: Workspace, x_init: int, mode: str) -> np.ndarray:
     return pi
 
 
-class HmmModel:
-    """The decoder table of one chain, over its free cells and the 9 symbols.
-
-    ``_logP_pad`` is log P in the chain's W columns, -inf on the pads and on
-    the sink row, so log Q[s, y] is ``_logP_pad[s, P.col[y, s]]``: 8 W bytes
-    a state besides the chain.
-    """
-
-    def __init__(self, P: StochasticCellMap):
-        self.P = P
-        with np.errstate(divide="ignore"):
-            self._logP_pad = np.log(P.probs)  # (n + 1, W)
-
-
-def viterbi(model: HmmModel, pi: np.ndarray, observations) -> tuple[list[int], float]:
+def viterbi(P: StochasticCellMap, pi: np.ndarray, observations) -> tuple[list[int], float]:
     """Most likely state trajectory for a compass observation history, under
     the initial distribution pi over the free cells.
 
@@ -88,10 +64,10 @@ def viterbi(model: HmmModel, pi: np.ndarray, observations) -> tuple[list[int], f
     cell indices.  Raises ZeroProbabilityError (carrying the 1-based step) if
     no state sequence is consistent with the observations.
     """
-    return viterbi_runs(model, [pi], [list(observations)])[0]
+    return viterbi_runs(P, [pi], [list(observations)])[0]
 
 
-def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], float]]:
+def viterbi_runs(P: StochasticCellMap, priors, histories) -> list[tuple[list[int], float]]:
     """Decode a group of runs on one chain: history r under initial distribution r.
 
     Every history must have the same length T >= 1, and every prior is an
@@ -103,7 +79,8 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     raises the ZeroProbabilityError of the first such run, whose ``run`` is
     that run's index in the group.  Besides the O(R n) rows of its per-step
     masks, a group of R > 1 runs holds an (R (n + 1), W) int64 table of
-    targets for the call, 8 W bytes a run-state.
+    targets for the call, 8 W bytes a run-state.  The first decode on a chain
+    builds its ``log_probs``; every later one reads the same table.
     """
     if len(histories) != len(priors):
         raise ValueError(f"{len(histories)} histories but {len(priors)} priors")
@@ -114,7 +91,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         raise ValueError("the histories of a group must have the same length")
     obs = direction_array(histories)  # (R, T)
 
-    n = model.P.n_states
+    n = P.n_states
     for pi in priors:
         pi = np.asarray(pi, dtype=float)
         if pi.shape != (n,):
@@ -127,15 +104,16 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     # reads its targets with one plain take from nxt: the chain's targets for
     # one run, and for a group those plus each block's offset r * N, built per
     # call (a padded slot then points at its own block's sink).  The log P
-    # rows are read from the one table in take's "wrap" mode (index mod N):
-    # repeating that table per run too made group decodes slower.  Wrap mode
-    # reduces an index by repeated subtraction: negligible on chains of
-    # hundreds of states, it dominates a step on a chain of a few states with
-    # hundreds of runs.  The feasible sets, the bulk of a decode's memory,
-    # are kept as int32.  cols_at(t) is the row of the chain's (9, N) column
-    # table for each run's symbol at step t, run after run.
+    # rows are read from the chain's one log table in take's "wrap" mode
+    # (index mod N): repeating that table per run too made group decodes
+    # slower.  Wrap mode reduces an index by repeated subtraction: negligible
+    # on chains of hundreds of states, it dominates a step on a chain of a
+    # few states with hundreds of runs.  The feasible sets, the bulk of a
+    # decode's memory, are kept as int32.  cols_at(t) is the row of the
+    # chain's (9, N) column table for each run's symbol at step t, run after
+    # run.
     R, N = len(obs), n + 1
-    targets, col = model.P.targets, model.P.col
+    targets, col, log_probs = P.targets, P.col, P.log_probs
     width = targets.shape[1]
     index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
     pis = np.array(priors, dtype=float)
@@ -187,7 +165,7 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
     slots = [None] * T  # the winning slot of each state of D_t
     for t in range(T - 1, -1, -1):
         here = departing[t].astype(np.intp, copy=False)
-        logp = model._logP_pad.take(here, axis=0, mode="wrap")
+        logp = log_probs.take(here, axis=0, mode="wrap")
         cont = best.take(nxt.take(here, axis=0))
         cont += logp
         k = cont.argmax(axis=1)
@@ -217,5 +195,5 @@ def viterbi_runs(model: HmmModel, priors, histories) -> list[tuple[list[int], fl
         k = slots[t][departing[t].searchsorted(path[:, t] + base)]
         path[:, t + 1] = targets[path[:, t], k]
 
-    cells = model.P.workspace.free_cells[path]
+    cells = P.workspace.free_cells[path]
     return [(c.tolist(), float(total)) for c, total in zip(cells, totals)]

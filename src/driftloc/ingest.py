@@ -350,16 +350,23 @@ class SyntheticFieldSpec:
 
     KINDS = ("uniform", "single_gyre", "double_gyre", "saddle")
 
-    def validate(self) -> None:
+    def validate(self, rows: int, cols: int) -> None:
+        """Raise a ValueError, its message led by the parameter's name,
+        unless this spec synthesizes a rows x cols field."""
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown synthetic kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
         for name in ("amplitude", "decay", "u", "v"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.kind != "uniform" and self.amplitude == 0.0:
-            raise ValueError(f"{self.kind} needs a nonzero amplitude")
+            raise ValueError(f"amplitude must be nonzero for {self.kind}")
         if self.decay < 0.0:
             raise ValueError("decay must be >= 0")
+        least = 2 if self.kind == "uniform" else 4
+        if rows < least or cols < least:
+            raise ValueError(
+                f"rows and cols must be at least {least} for {self.kind}, got {rows}x{cols}"
+            )
 
 
 def _gyre_velocity(x, y, amplitude, decay):
@@ -379,9 +386,7 @@ def synthesize_field(
     spec: SyntheticFieldSpec, rows: int, cols: int
 ) -> tuple[Workspace, VectorField]:
     """Sample an analytic field at the cell centers of an all-water grid."""
-    spec.validate()
-    if spec.kind != "uniform" and (rows < 4 or cols < 4):
-        raise ValueError(f"{spec.kind} needs at least a 4x4 grid")
+    spec.validate(rows, cols)
     w = Workspace(rows=rows, cols=cols)
 
     col = np.arange(cols, dtype=np.float64)[None, :]

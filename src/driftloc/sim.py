@@ -32,7 +32,7 @@ from .gcm import (
     decompose,
 )
 from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
-from .hmm import HmmModel, initial_distribution, viterbi_runs
+from .hmm import initial_distribution, viterbi_runs
 from .ingest import SyntheticFieldSpec, resolve_field
 from .report import report_json
 
@@ -67,8 +67,6 @@ def _check_synthetic(synth: dict) -> None:
     if unknown:
         raise ConfigError(f"unknown field.synthetic keys: {sorted(unknown)}")
     for key, ok, what in (
-        ("kind", synth.get("kind") in SyntheticFieldSpec.KINDS,
-         f"one of {SyntheticFieldSpec.KINDS}"),
         ("rows", _is_a(synth.get("rows"), int), "an integer"),
         ("cols", _is_a(synth.get("cols"), int), "an integer"),
         *((key, _is_a(synth.get(key, 0.0), int, float), "a number") for key in numbers),
@@ -77,6 +75,11 @@ def _check_synthetic(synth: dict) -> None:
             raise ConfigError(
                 f"field.synthetic.{key} must be {what}, got {synth.get(key)!r}"
             )
+    spec = SyntheticFieldSpec(synth.get("kind"), **{k: synth[k] for k in numbers if k in synth})
+    try:
+        spec.validate(synth["rows"], synth["cols"])
+    except ValueError as exc:
+        raise ConfigError(f"field.synthetic.{exc}") from None
 
 
 def sample_runs(
@@ -147,7 +150,7 @@ def error_reports(true_paths, decoded_paths, w: Workspace) -> tuple[np.ndarray, 
     return steps[:, -1], steps.cumsum(axis=1)[:, -1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one error experiment.
 
@@ -155,7 +158,9 @@ class ExperimentConfig:
     ingest.SyntheticFieldSpec).  ``initial`` is "random" (uniform over water
     cells per run) or a fixed cell index.  With ``group_by_region`` each
     (T, mode) condition is repeated per decomposition region, drawing start
-    cells from that region, so ``initial`` must be "random".
+    cells from that region, so ``initial`` must be "random".  Construction
+    raises a ConfigError naming the first bad key, so every config is checked
+    once, and ``dataclasses.replace`` checks its copy again.
     """
 
     field: dict
@@ -170,7 +175,7 @@ class ExperimentConfig:
     regions: tuple[str, ...] | None = None
     obs_noise: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         field = self.field if isinstance(self.field, dict) else {}
         for key, ok, what in (
             ("field", _is_a(field.get("path"), str)
@@ -232,9 +237,7 @@ class ExperimentConfig:
         for key in ("modes", "T_list", "regions"):
             if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -291,7 +294,6 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
     field source in the config (the CLI loads a field path relative to the
     config file and passes the result).
     """
-    cfg.validate()
     if field_pair is None:
         field_pair = resolve_field(cfg.field)
     w, vfield = field_pair
@@ -323,7 +325,6 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
 
     summary = []
     run_records = []
-    model = HmmModel(smap)
     group = max(1, _GROUP_STATES // smap.n_states)
     for cond_idx, (mode, T, region) in enumerate(conditions):
         pool = dec.region_cells(region) if region is not None else w.free_cells
@@ -346,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                 smap, priors, T, rngs[lo:runs.stop], cfg.obs_noise
             )
             try:
-                decodes = viterbi_runs(model, priors, histories)
+                decodes = viterbi_runs(smap, priors, histories)
             except ZeroProbabilityError as exc:
                 run_idx = lo + exc.run
                 run_region = region if region is not None else dec.region_of(starts[run_idx])

@@ -6,7 +6,6 @@ import pytest
 
 from driftloc import (
     SLOT_DIRECTIONS,
-    HmmModel,
     StochasticCellMap,
     SyntheticFieldSpec,
     VectorField,
@@ -14,7 +13,6 @@ from driftloc import (
     build_cell_map,
     build_stochastic_map,
     decompose,
-    emission_matrix,
     load_field,
     sample_runs,
     synthesize_field,
@@ -108,6 +106,14 @@ def colliding(cm, r):
     return gcm._stencil_slots(cm, rows, cols, r)[2]
 
 
+def emission_matrix(P):
+    """(n, 9) row-stochastic matrix of compass-symbol probabilities, the Q of
+    the HMM: Q[s, y] is the probability of the move of state s in direction
+    y, the chain's column ``col[y, s]``, 0.0 where s has no such move."""
+    probs = np.pad(P.probs, ((0, 0), (0, 1)))  # column W reads 0.0
+    return np.take_along_axis(probs, P.col.T, axis=1)[:-1]
+
+
 def oracle_model(P, pi):
     """The (P, Q, pi) model that the frozen oracles and the enumeration read:
     the chain in nine slots, its emission matrix, one prior and the chain's
@@ -134,8 +140,8 @@ def components(P):
 
 @pytest.fixture(scope="session")
 def gyre():
-    """The shipped 21x29 double-gyre fixture with its chain at r = 0.9 and
-    that chain's decoder model."""
+    """The shipped 21x29 double-gyre fixture with its chain at r = 0.9, which
+    every decode on it shares."""
     w, field = load_field(FIXTURE_FIELD)
     cm = build_cell_map(field)
     smap = build_stochastic_map(cm, 0.9)
@@ -145,6 +151,5 @@ def gyre():
         "cell_map": cm,
         "smap": smap,
         "P": smap,
-        "model": HmmModel(smap),
         "decomposition": decompose(smap),
     }

@@ -11,11 +11,9 @@ import pytest
 
 from driftloc import (
     ExperimentConfig,
-    HmmModel,
     build_cell_map,
     build_stochastic_map,
     decompose,
-    emission_matrix,
     initial_distribution,
     run_experiment,
     synthesize_field,
@@ -26,7 +24,7 @@ from driftloc.cli import main as cli_main
 from driftloc.sim import error_reports
 from closure_reference import reachability
 from conftest import (
-    CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, make_field,
+    CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, emission_matrix, make_field,
     oracle_model, random_field, sample_run, slot_layout,
 )
 from test_gcm import bool_power_closure
@@ -52,7 +50,7 @@ class TestCriterion1ViterbiOracle:
             pi = initial_distribution(w, x0, mode)
             T = int(rng.integers(3, 7))
             _, obs = sample_run(P, pi, T, seed=rng)
-            decoded, logp = viterbi(HmmModel(P), pi, obs)
+            decoded, logp = viterbi(P, pi, obs)
             ref = oracle_model(P, pi)
             oracle = brute_force_best(ref, [int(y) for y in obs])
             assert abs(logp - oracle) <= 1e-9, (
@@ -190,7 +188,6 @@ class TestCriterion5NoiselessLimit:
         t0 = time.time()
         w = gyre["workspace"]
         P = build_stochastic_map(gyre["cell_map"], 1.0)
-        model = HmmModel(P)
         n_runs = 0
         for T in (20, 50, 100):
             for run in range(50):
@@ -198,7 +195,7 @@ class TestCriterion5NoiselessLimit:
                 x0 = int(w.free_cells[rng.integers(w.n_free)])
                 pi = initial_distribution(w, x0, "deterministic")
                 true_path, obs = sample_run(P, pi, T, seed=rng)
-                decoded, logp = viterbi(model, pi, obs)
+                decoded, logp = viterbi(P, pi, obs)
                 final, traj = error_reports([true_path], [decoded], w)
                 assert final[0] == 0.0, f"T={T} run={run}"
                 assert traj[0] == 0.0, f"T={T} run={run}"

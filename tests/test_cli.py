@@ -309,6 +309,14 @@ class TestBadConfigValues:
          "field.synthetic.kind must be one of"),
         ({"field": {"path": "f", "synthetic": {"kind": "uniform", "rows": 6, "cols": 6}}},
          "field must hold exactly one of 'path' and 'synthetic', got keys ['path', 'synthetic']"),
+        ({"field": {"synthetic": {"kind": "double_gyre", "rows": 3, "cols": 3}}},
+         "field.synthetic.rows and cols must be at least 4 for double_gyre, got 3x3"),
+        ({"field": {"synthetic": {"kind": "double_gyre", "rows": 6, "cols": 6, "decay": -1}}},
+         "field.synthetic.decay must be >= 0"),
+        ({"field": {"synthetic": {"kind": "uniform", "rows": 1, "cols": 6}}},
+         "field.synthetic.rows and cols must be at least 2 for uniform, got 1x6"),
+        ({"field": {"synthetic": {"kind": "single_gyre", "rows": 6, "cols": 6, "amplitude": 0}}},
+         "field.synthetic.amplitude must be nonzero for single_gyre"),
     ])
     def test_wrongly_typed_value(self, tmp_path, change, needle):
         cfg = tmp_path / "bad.json"

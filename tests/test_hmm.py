@@ -8,27 +8,30 @@ from hypothesis import strategies as st
 
 from driftloc import (
     Direction,
-    HmmModel,
     LandCellError,
     SyntheticFieldSpec,
     Workspace,
     ZeroProbabilityError,
     build_cell_map,
     build_stochastic_map,
-    emission_matrix,
+    decompose,
     initial_distribution,
     synthesize_field,
     viterbi,
+    viterbi_runs,
 )
-from conftest import gyre_with_land, make_field, oracle_model, random_field, sample_run, slot_layout
+from conftest import (
+    emission_matrix, gyre_with_land, make_field, oracle_model, random_field, sample_run,
+    slot_layout,
+)
 from dense_reference import dense_viterbi, loop_emission_matrix
 
 
 def model_for(field_pair, r, x_init, mode="deterministic", dt=None):
-    """The model of the field's chain and the prior of one start cell."""
+    """The field's chain and the prior of one start cell."""
     w, f = field_pair
     P = build_stochastic_map(build_cell_map(f, dt=dt), r)
-    return HmmModel(P), initial_distribution(w, x_init, mode)
+    return P, initial_distribution(w, x_init, mode)
 
 
 def log_tables(model):
@@ -156,34 +159,34 @@ class TestViterbi:
     def test_noiseless_chain_recovers_truth(self):
         rng = np.random.default_rng(8)
         w, f = random_field(rng, 5, 5, vmax=1.5)
-        model, pi = model_for((w, f), 1.0, int(w.free_cells[7]))
-        true_path, obs = sample_run(model.P, pi, 12, seed=4)
-        decoded, logp = viterbi(model, pi, obs)
+        P, pi = model_for((w, f), 1.0, int(w.free_cells[7]))
+        true_path, obs = sample_run(P, pi, 12, seed=4)
+        decoded, logp = viterbi(P, pi, obs)
         assert decoded == true_path
         assert logp == 0.0
 
     def test_single_step_point_mass(self):
         w, f = make_field(4, 4, u=1.0)
         x0 = w.index(1, 1)
-        model, pi = model_for((w, f), 1.0, x0)
-        decoded, logp = viterbi(model, pi, [Direction.E])
+        P, pi = model_for((w, f), 1.0, x0)
+        decoded, logp = viterbi(P, pi, [Direction.E])
         assert decoded == [x0, w.index(1, 2)]
         assert logp == 0.0
 
     def test_identity_chain_all_idle(self):
         w, f = make_field(4, 4)
         x0 = w.index(2, 2)
-        model, pi = model_for((w, f), 0.9, x0)
-        decoded, _ = viterbi(model, pi, [Direction.IDLE] * 6)
+        P, pi = model_for((w, f), 0.9, x0)
+        decoded, _ = viterbi(P, pi, [Direction.IDLE] * 6)
         assert decoded == [x0] * 7
         assert decoded[-1] == x0
 
     def test_uniform_east_shifts_then_clamps(self):
         w, f = make_field(3, 6, u=1.0)
         x0 = w.index(1, 2)
-        model, pi = model_for((w, f), 1.0, x0)
-        true_path, obs = sample_run(model.P, pi, 5, seed=0)
-        decoded, _ = viterbi(model, pi, obs)
+        P, pi = model_for((w, f), 1.0, x0)
+        true_path, obs = sample_run(P, pi, 5, seed=0)
+        decoded, _ = viterbi(P, pi, obs)
         assert decoded == true_path
         # east run of 3, then pinned at the east edge
         assert decoded[-1] == w.index(1, 5)
@@ -195,30 +198,30 @@ class TestViterbi:
             r = float(rng.choice([0.7, 0.9]))
             x0 = int(rng.choice(w.free_cells))
             mode = "deterministic" if trial % 2 else "probabilistic"
-            model, pi = model_for((w, f), r, x0, mode)
-            ref = oracle_model(model.P, pi)
+            P, pi = model_for((w, f), r, x0, mode)
+            ref = oracle_model(P, pi)
             T = int(rng.integers(2, 6))
-            true_path, obs = sample_run(model.P, pi, T, seed=trial)
-            decoded, logp = viterbi(model, pi, obs)
+            true_path, obs = sample_run(P, pi, T, seed=trial)
+            decoded, logp = viterbi(P, pi, obs)
             assert logp == pytest.approx(brute_force_best(ref, obs), abs=1e-9)
             assert path_logprob(ref, decoded, obs) == pytest.approx(logp, abs=1e-9)
 
     def test_dominates_ground_truth(self):
         rng = np.random.default_rng(12)
         w, f = random_field(rng, 6, 6, vmax=1.5)
-        model, pi = model_for((w, f), 0.8, int(w.free_cells[10]), "probabilistic")
+        P, pi = model_for((w, f), 0.8, int(w.free_cells[10]), "probabilistic")
         for seed in range(5):
-            true_path, obs = sample_run(model.P, pi, 15, seed=seed)
-            decoded, logp = viterbi(model, pi, obs)
-            assert logp >= path_logprob(oracle_model(model.P, pi), true_path, obs) - 1e-12
+            true_path, obs = sample_run(P, pi, 15, seed=seed)
+            decoded, logp = viterbi(P, pi, obs)
+            assert logp >= path_logprob(oracle_model(P, pi), true_path, obs) - 1e-12
 
     def test_decoded_transitions_feasible(self):
         rng = np.random.default_rng(40)
         w, f = random_field(rng, 6, 6, vmax=2.0)
-        model, pi = model_for((w, f), 0.8, int(w.free_cells[3]), "probabilistic")
-        true_path, obs = sample_run(model.P, pi, 20, seed=2)
-        decoded, _ = viterbi(model, pi, obs)
-        ref = oracle_model(model.P, pi)
+        P, pi = model_for((w, f), 0.8, int(w.free_cells[3]), "probabilistic")
+        true_path, obs = sample_run(P, pi, 20, seed=2)
+        decoded, _ = viterbi(P, pi, obs)
+        ref = oracle_model(P, pi)
         successors, _, _ = log_tables(ref)
         for t in range(len(obs)):
             s = w.state_of(decoded[t])
@@ -228,29 +231,29 @@ class TestViterbi:
 
     def test_zero_probability_carries_step(self):
         w, f = make_field(3, 5, u=1.0)
-        model, pi = model_for((w, f), 1.0, w.index(1, 0))
+        P, pi = model_for((w, f), 1.0, w.index(1, 0))
         with pytest.raises(ZeroProbabilityError) as exc:
-            viterbi(model, pi, [Direction.E, Direction.E, Direction.W])
+            viterbi(P, pi, [Direction.E, Direction.E, Direction.W])
         assert exc.value.step == 3
 
     def test_empty_history_rejected(self):
         w, f = make_field(3, 3)
-        model, pi = model_for((w, f), 0.9, 1)
+        P, pi = model_for((w, f), 0.9, 1)
         with pytest.raises(ValueError):
-            viterbi(model, pi, [])
+            viterbi(P, pi, [])
 
     def test_prior_validation(self):
         w, f = make_field(3, 3)
-        model = HmmModel(build_stochastic_map(build_cell_map(f), 0.9))
+        P = build_stochastic_map(build_cell_map(f), 0.9)
         nan, negative = np.full(9, np.nan), np.zeros(9)
         negative[:2] = 1.5, -0.5
         for bad in (np.full(9, 0.2), np.full(10, 0.1), np.full(8, 0.125), nan, negative):
             with pytest.raises(ValueError, match="initial distribution"):
-                viterbi(model, bad, [Direction.IDLE])
+                viterbi(P, bad, [Direction.IDLE])
             with pytest.raises(ValueError, match="initial distribution"):
-                viterbi(model, bad.tolist(), [Direction.IDLE])
+                viterbi(P, bad.tolist(), [Direction.IDLE])
         pi = initial_distribution(w, 5, "deterministic")
-        assert viterbi(model, pi.tolist(), [Direction.IDLE]) == viterbi(model, pi, [Direction.IDLE])
+        assert viterbi(P, pi.tolist(), [Direction.IDLE]) == viterbi(P, pi, [Direction.IDLE])
 
 
 def decode_outcome(decoder, *args):
@@ -280,7 +283,6 @@ class TestDenseReferenceBitExact:
         infeasible = 0
         for r in (0.7, 0.9, 1.0):
             P = build_stochastic_map(gyre["cell_map"], r)
-            model = HmmModel(P)
             for mode in ("deterministic", "probabilistic"):
                 for T in (20, 50):
                     for run in range(4):
@@ -290,7 +292,7 @@ class TestDenseReferenceBitExact:
                         pi = initial_distribution(w, x0, mode)
                         # odd runs flip symbols, which makes many histories infeasible
                         _, obs = sample_run(P, pi, T, rng, obs_noise=0.1 * (run % 2))
-                        got = decode_outcome(viterbi, model, pi, obs)
+                        got = decode_outcome(viterbi, P, pi, obs)
                         want = decode_outcome(dense_viterbi, oracle_model(P, pi), obs)
                         assert got == want, (r, mode, T, run)
                         infeasible += got[0] == "infeasible"
@@ -304,14 +306,14 @@ class TestDenseReferenceBitExact:
             w, f = random_field(rng, rows, cols, land_prob=0.25, vmax=2.0)
             r = float(rng.choice([0.6, 0.8, 0.95, 1.0]))
             mode = "deterministic" if trial % 2 else "probabilistic"
-            model, pi = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
+            P, pi = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
             T = int(rng.integers(1, 30))
             if trial % 3:
-                _, obs = sample_run(model.P, pi, T, rng)
+                _, obs = sample_run(P, pi, T, rng)
             else:
                 obs = [int(y) for y in rng.integers(0, 9, size=T)]
-            got = decode_outcome(viterbi, model, pi, obs)
-            assert got == decode_outcome(dense_viterbi, oracle_model(model.P, pi), obs), trial
+            got = decode_outcome(viterbi, P, pi, obs)
+            assert got == decode_outcome(dense_viterbi, oracle_model(P, pi), obs), trial
             if got[0] == "infeasible":
                 steps.add(got[1])
         assert len(steps) >= 2
@@ -329,18 +331,18 @@ class TestDenseReferenceBitExact:
     def test_decode_equals_exhaustive_enumeration(self, seed, shape, land_prob, r, mode, T, sampled):
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, *shape, land_prob=land_prob, vmax=1.5)
-        model, pi = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
-        ref = oracle_model(model.P, pi)
+        P, pi = model_for((w, f), r, int(rng.choice(w.free_cells)), mode)
+        ref = oracle_model(P, pi)
         if sampled:
-            _, obs = sample_run(model.P, pi, T, rng)
+            _, obs = sample_run(P, pi, T, rng)
         else:
             obs = [int(y) for y in rng.integers(0, 9, size=T)]
         best = brute_force_best(ref, obs)
         if best == -math.inf:
             with pytest.raises(ZeroProbabilityError):
-                viterbi(model, pi, obs)
+                viterbi(P, pi, obs)
         else:
-            decoded, logp = viterbi(model, pi, obs)
+            decoded, logp = viterbi(P, pi, obs)
             assert logp == pytest.approx(best, abs=1e-9)
             assert path_logprob(ref, decoded, obs) == pytest.approx(logp, abs=1e-9)
 
@@ -354,27 +356,58 @@ class TestMemory:
         _, obs = sample_run(P, pi, 50, seed=3)
         tracemalloc.start()
         try:
-            cells, _ = viterbi(HmmModel(P), pi, obs)
+            cells, _ = viterbi(P, pi, obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(cells) == 51
-        assert peak < 16 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
+        assert peak < 16 * 2**20, f"viterbi peaked at {peak / 2**20:.1f} MiB"
 
     def test_model_keeps_one_table(self):
-        # The decoder reads the chain's targets and columns, and log Q through
-        # the log P table, so the model keeps (n + 1) * 8 W bytes and peaks
-        # near that while building.
+        # The chain is the decoder's model: it adds one table, log P in its W
+        # columns, read for log Q through ``col`` too.  That table is
+        # (n + 1) * 8 W bytes, and building it peaks near that.
         P = build_stochastic_map(build_cell_map(gyre_with_land(100, 130, 0)), 0.9)
         tracemalloc.start()
         try:
-            model = HmmModel(P)
+            logs = P.log_probs
             built, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        width = model._logP_pad.shape[1]
-        own = sum(a.nbytes for a in vars(model).values() if isinstance(a, np.ndarray))
-        kept = (P.n_states + 1) * 8 * width
-        assert own == kept, f"holds {own / 2**20:.2f} MiB, one table {kept / 2**20:.2f}"
+        kept = (P.n_states + 1) * 8 * P.targets.shape[1]
+        assert logs.shape == P.probs.shape and logs.dtype == np.float64
+        assert logs.nbytes == kept, (
+            f"holds {logs.nbytes / 2**20:.2f} MiB, one table {kept / 2**20:.2f}"
+        )
         assert built <= kept + 2**12, f"traced {built / 2**20:.2f} MiB after building"
         assert peak <= 1.5 * kept, f"peaked at {peak / 2**20:.2f} MiB for {kept / 2**20:.2f}"
+
+
+class TestLogTable:
+    """``StochasticCellMap.log_probs`` is built once per chain, on its first
+    decode, and never by the decomposition."""
+
+    def chain(self):
+        w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 9, 13)
+        return w, build_stochastic_map(build_cell_map(f), 0.9)
+
+    def test_read_only(self):
+        _, P = self.chain()
+        assert not P.log_probs.flags.writeable
+        with pytest.raises(ValueError):
+            P.log_probs[0, 0] = 0.0
+
+    def test_decodes_share_one_table(self):
+        w, P = self.chain()
+        pi = initial_distribution(w, int(w.free_cells[40]), "deterministic")
+        _, obs = sample_run(P, pi, 6, seed=1)
+        first = viterbi(P, pi, obs)
+        table = vars(P)["log_probs"]
+        assert viterbi_runs(P, [pi, pi], [obs, obs]) == [first, first]
+        assert vars(P)["log_probs"] is table
+        assert P.log_probs is table
+
+    def test_decompose_never_builds_it(self):
+        _, P = self.chain()
+        decompose(P)
+        assert "log_probs" not in vars(P)

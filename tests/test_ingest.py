@@ -250,9 +250,9 @@ class TestSynthesize:
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
-            SyntheticFieldSpec(kind="vortex").validate()
+            SyntheticFieldSpec(kind="vortex").validate(4, 4)
         with pytest.raises(ValueError):
-            SyntheticFieldSpec(kind="single_gyre", amplitude=0.0).validate()
+            SyntheticFieldSpec(kind="single_gyre", amplitude=0.0).validate(4, 4)
         with pytest.raises(ValueError):
             synthesize_field(SyntheticFieldSpec(kind="double_gyre"), 3, 3)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -207,6 +208,10 @@ class TestExperimentConfig:
         {"field": {"path": "x.field", "synthetic": {"kind": "uniform", "rows": 4, "cols": 4}}},
         {"field": {"synthetic": {"kind": "uniform", "rows": 4, "cols": 4}, "pth": "typo"}},
         {"regions": [], "group_by_region": True},
+        {"field": {"synthetic": {"kind": "double_gyre", "rows": 3, "cols": 3}}},
+        {"field": {"synthetic": {"kind": "uniform", "rows": 4, "cols": 4, "decay": -1}}},
+        {"field": {"synthetic": {"kind": "uniform", "rows": 1, "cols": 4}}},
+        {"field": {"synthetic": {"kind": "single_gyre", "rows": 4, "cols": 4, "amplitude": 0}}},
     ])
     def test_invalid_configs_rejected(self, patch):
         base = {
@@ -216,6 +221,14 @@ class TestExperimentConfig:
         base.update(patch)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base)
+
+    def test_frozen_and_checked_again_on_replace(self):
+        cfg = ExperimentConfig.from_dict({"field": {"path": "x.field"}, "runs": 3})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.runs = 0
+        with pytest.raises(ConfigError, match="^runs must be >= 1$"):
+            dataclasses.replace(cfg, runs=0)
+        assert dataclasses.replace(cfg, runs=4).runs == 4
 
     def test_negative_seed_rejected_by_name(self):
         # SeedSequence rejects a negative entropy only inside run_experiment,

@@ -5,7 +5,8 @@ case here compares its path, log probability and ``ZeroProbabilityError.step``
 with ``==`` against two frozen oracles: ``viterbi_reference`` (the decoder
 that scored all n states at every step) and ``dense_reference`` (the dense
 n x n decoder before it), each given ``conftest.oracle_model`` of the chain
-and the prior.  Every test builds one ``HmmModel`` per chain.
+and the prior.  Every decode reads the chain itself, whose log table the
+first decode builds and every later decode on that chain shares.
 ``viterbi_runs`` decodes a group of histories in lockstep and must give each
 run what the oracle gives it alone.
 """
@@ -19,12 +20,10 @@ from hypothesis import strategies as st
 
 from driftloc import (
     Direction,
-    HmmModel,
     SyntheticFieldSpec,
     ZeroProbabilityError,
     build_cell_map,
     build_stochastic_map,
-    emission_matrix,
     initial_distribution,
     load_field,
     sample_runs,
@@ -32,7 +31,9 @@ from driftloc import (
     viterbi,
     viterbi_runs,
 )
-from conftest import FIXTURE_FIELD, make_field, oracle_model, random_field, sample_run
+from conftest import (
+    FIXTURE_FIELD, emission_matrix, make_field, oracle_model, random_field, sample_run,
+)
 from dense_reference import dense_viterbi
 from viterbi_reference import reference_viterbi
 
@@ -55,9 +56,9 @@ def history(kind, P, pi, T, rng):
     return obs
 
 
-def assert_matches_oracles(model, pi, obs, dense=True):
-    got = outcome(viterbi, model, pi, obs)
-    ref = oracle_model(model.P, pi)
+def assert_matches_oracles(P, pi, obs, dense=True):
+    got = outcome(viterbi, P, pi, obs)
+    ref = oracle_model(P, pi)
     assert got == outcome(reference_viterbi, ref, obs)
     if dense:
         assert got == outcome(dense_viterbi, ref, obs)
@@ -70,14 +71,13 @@ class TestMatchesOracles:
         steps = []
         for r in (0.5, 0.9, 1.0):
             P = build_stochastic_map(gyre["cell_map"], r)
-            model = HmmModel(P)
             for mode in ("deterministic", "probabilistic"):
                 for T in (1, 20, 50):
                     for kind in HISTORIES:
                         rng = np.random.default_rng((round(10 * r), T, HISTORIES.index(kind)))
                         x0 = int(w.free_cells[rng.integers(w.n_free)])
                         pi = initial_distribution(w, x0, mode)
-                        got = assert_matches_oracles(model, pi, history(kind, P, pi, T, rng))
+                        got = assert_matches_oracles(P, pi, history(kind, P, pi, T, rng))
                         if got[0] == "infeasible":
                             assert kind != "sampled"
                             steps.append(got[1])
@@ -89,7 +89,6 @@ class TestMatchesOracles:
         # table) joins at the shortest history only.
         w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 42, 58)
         P = build_stochastic_map(build_cell_map(f), 0.9)
-        model = HmmModel(P)
         for mode in ("deterministic", "probabilistic"):
             for T in (20, 50, 100):
                 for kind in ("sampled", "noisy"):
@@ -97,7 +96,7 @@ class TestMatchesOracles:
                     x0 = int(w.free_cells[rng.integers(w.n_free)])
                     pi = initial_distribution(w, x0, mode)
                     obs = history(kind, P, pi, T, rng)
-                    assert_matches_oracles(model, pi, obs, dense=T == 20 and kind == "sampled")
+                    assert_matches_oracles(P, pi, obs, dense=T == 20 and kind == "sampled")
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
@@ -115,7 +114,7 @@ class TestMatchesOracles:
         w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
         P = build_stochastic_map(build_cell_map(f), r)
         pi = initial_distribution(w, int(rng.choice(w.free_cells)), mode)
-        assert_matches_oracles(HmmModel(P), pi, history(kind, P, pi, T, rng))
+        assert_matches_oracles(P, pi, history(kind, P, pi, T, rng))
 
 
 class TestMemory:
@@ -128,21 +127,21 @@ class TestMemory:
         _, obs = sample_run(P, pi, 400, seed=11)
         tracemalloc.start()
         try:
-            cells, _ = viterbi(HmmModel(P), pi, obs)
+            cells, _ = viterbi(P, pi, obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(cells) == 401
-        assert peak < 32 * 2**20, f"HmmModel + viterbi peaked at {peak / 2**20:.1f} MiB"
+        assert peak < 32 * 2**20, f"viterbi peaked at {peak / 2**20:.1f} MiB"
 
 
-def assert_group_matches_oracle(model, priors, histories):
+def assert_group_matches_oracle(P, priors, histories):
     """viterbi_runs on the group equals reference_viterbi run by run; an
     infeasible group raises at its first infeasible run's step."""
-    want = [outcome(reference_viterbi, oracle_model(model.P, pi), h)
+    want = [outcome(reference_viterbi, oracle_model(P, pi), h)
             for pi, h in zip(priors, histories)]
     try:
-        got = viterbi_runs(model, priors, histories)
+        got = viterbi_runs(P, priors, histories)
     except ZeroProbabilityError as exc:
         first = next(i for i, w in enumerate(want) if w[0] == "infeasible")
         assert (exc.run, exc.step) == (first, want[first][1])
@@ -155,7 +154,7 @@ class TestLockstepGroups:
     def test_fixture_groups(self, gyre):
         # Sampled histories are feasible, so every run of these groups is
         # decoded and compared; group sizes span one run to a full group.
-        w, P, model = gyre["workspace"], gyre["P"], gyre["model"]
+        w, P = gyre["workspace"], gyre["P"]
         rng = np.random.default_rng(90)
         for R in (1, 2, 5, 13):
             for T in (1, 20, 50):
@@ -165,7 +164,7 @@ class TestLockstepGroups:
                     mode = ("deterministic", "probabilistic")[i % 2]
                     priors.append(initial_distribution(w, x0, mode))
                     histories.append(history("sampled", P, priors[-1], T, rng))
-                assert assert_group_matches_oracle(model, priors, histories) == "feasible"
+                assert assert_group_matches_oracle(P, priors, histories) == "feasible"
 
     def test_group_target_table_memory(self, gyre):
         # The first group of fig5's T = 100 condition (base seed 501,
@@ -173,23 +172,23 @@ class TestLockstepGroups:
         # table of absolute targets per call, 8 W bytes a run-state: 0.36 MiB
         # for 13 runs on the fixture.  This group peaks at 2.18 MiB, 1.84 MiB
         # of it the feasible sets and per-step rows.
-        w, P, model = gyre["workspace"], gyre["P"], gyre["model"]
+        w, P = gyre["workspace"], gyre["P"]
         rngs = [np.random.default_rng(np.random.SeedSequence((501, 4, i))) for i in range(13)]
         priors = [initial_distribution(w, int(w.free_cells[rng.integers(w.n_free)]),
                                        "deterministic") for rng in rngs]
         _, histories = sample_runs(P, priors, 100, rngs)
         tracemalloc.start()
         try:
-            got = viterbi_runs(model, priors, histories)
+            got = viterbi_runs(P, priors, histories)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got == [viterbi(model, pi, h) for pi, h in zip(priors, histories)]
+        assert got == [viterbi(P, pi, h) for pi, h in zip(priors, histories)]
         assert peak < 2.5 * 2**20, f"a group of 13 peaked at {peak / 2**20:.2f} MiB"
 
     def test_first_infeasible_run_wins(self, gyre):
         # A group whose run 1 dies before its run 0 does: the error is run 0's.
-        w, P, model = gyre["workspace"], gyre["P"], gyre["model"]
+        w, P = gyre["workspace"], gyre["P"]
         rng = np.random.default_rng(91)
         late = early = None
         while late is None or early is None:
@@ -203,26 +202,26 @@ class TestLockstepGroups:
                 early = early or (pi, obs)
         (p0, h0), (p1, h1) = late, early
         h2 = history("sampled", P, p0, 30, rng)
-        assert assert_group_matches_oracle(model, [p0, p0, p1], [h2, h0, h1]) == "infeasible"
+        assert assert_group_matches_oracle(P, [p0, p0, p1], [h2, h0, h1]) == "infeasible"
         with pytest.raises(ZeroProbabilityError) as exc:
-            viterbi_runs(model, [p0, p1], [h0, h1])
+            viterbi_runs(P, [p0, p1], [h0, h1])
         assert exc.value.run == 0 and exc.value.step > 10
 
     def test_group_rejects_mismatched_inputs(self, gyre):
-        w, model = gyre["workspace"], gyre["model"]
+        w, P = gyre["workspace"], gyre["P"]
         pi = initial_distribution(w, int(w.free_cells[0]), "deterministic")
         with pytest.raises(ValueError, match="same length"):
-            viterbi_runs(model, [pi, pi], [[0, 1], [0]])
+            viterbi_runs(P, [pi, pi], [[0, 1], [0]])
         with pytest.raises(ValueError, match="priors"):
-            viterbi_runs(model, [pi], [[0], [1]])
+            viterbi_runs(P, [pi], [[0], [1]])
         with pytest.raises(ValueError, match="at least one symbol"):
-            viterbi_runs(model, [], [])
+            viterbi_runs(P, [], [])
         negative = np.zeros(w.n_free)
         negative[:2] = 1.5, -0.5
         for bad in (np.full(w.n_free, 0.5), np.full(w.n_free, np.nan), negative):
             for priors in ([bad], [pi, bad]):
                 with pytest.raises(ValueError, match="initial distribution"):
-                    viterbi_runs(model, priors, [[0]] * len(priors))
+                    viterbi_runs(P, priors, [[0]] * len(priors))
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
@@ -248,7 +247,7 @@ class TestLockstepGroups:
         for mode, kind in runs:
             priors.append(initial_distribution(w, int(rng.choice(w.free_cells)), mode))
             histories.append(history(kind, P, priors[-1], T, rng))
-        assert_group_matches_oracle(HmmModel(P), priors, histories)
+        assert_group_matches_oracle(P, priors, histories)
 
 
 def land_field_of_full_width():
@@ -272,17 +271,17 @@ def width_cases():
     yield "land", build_stochastic_map(build_cell_map(land, dt=1.0), 0.9), 9
 
 
-def assert_column_table(model):
-    """The chain's ``col[y, s]`` is the column of ``_logP_pad`` that holds
+def assert_column_table(P):
+    """The chain's ``col[y, s]`` is the column of ``log_probs`` that holds
     log Q[s, y], bit for bit, and W where Q[s, y] is 0 and on the sink state n."""
-    n, width = model.P.n_states, model._logP_pad.shape[1]
-    col, Q = model.P.col, emission_matrix(model.P)
+    n, width = P.n_states, P.log_probs.shape[1]
+    col, Q = P.col, emission_matrix(P)
     assert col.shape == (9, n + 1) and col.dtype == np.uint8
     emits = col[:, :n].T < width
     assert (emits == (Q > 0.0)).all()
     assert (col[:, n] == width).all()
     s, y = np.nonzero(emits)
-    got = model._logP_pad[s, col[y, s]]
+    got = P.log_probs[s, col[y, s]]
     assert got.tobytes() == np.log(Q[s, y]).tobytes()
 
 
@@ -301,32 +300,31 @@ class TestTableWidths:
     def test_column_table_on_random_fields_with_land(self, seed, rows, cols, land_prob, r):
         rng = np.random.default_rng(seed)
         w, f = random_field(rng, rows, cols, land_prob=land_prob, vmax=2.0)
-        assert_column_table(HmmModel(build_stochastic_map(build_cell_map(f), r)))
+        assert_column_table(build_stochastic_map(build_cell_map(f), r))
 
     @pytest.mark.parametrize("case", list(width_cases()), ids=lambda c: c[0])
     def test_decodes_equal_oracle(self, case):
         _, P, width = case
         w = P.workspace
         rng = np.random.default_rng(width)
-        model = HmmModel(P)
-        assert P.targets.shape == model._logP_pad.shape == (w.n_free + 1, width)
-        assert_column_table(model)
+        assert P.targets.shape == P.log_probs.shape == (w.n_free + 1, width)
+        assert_column_table(P)
         priors, histories = [], []
         for i in range(12):
             x0 = int(w.free_cells[rng.integers(w.n_free)])
             pi = initial_distribution(w, x0, ("deterministic", "probabilistic")[i % 2])
             obs = history(HISTORIES[i % 3], P, pi, 25, rng)
-            assert_matches_oracles(model, pi, obs, dense=False)
+            assert_matches_oracles(P, pi, obs, dense=False)
             if i % 3 == 0:  # sampled, hence feasible
                 priors.append(pi)
                 histories.append(obs)
-        assert assert_group_matches_oracle(model, priors, histories) == "feasible"
-        assert assert_group_matches_oracle(model, priors, np.array(histories)) == "feasible"
+        assert assert_group_matches_oracle(P, priors, histories) == "feasible"
+        assert assert_group_matches_oracle(P, priors, np.array(histories)) == "feasible"
 
 
 class TestSymbolCheck:
     def test_bad_symbol_raises_as_direction_does(self, gyre):
-        w, model = gyre["workspace"], gyre["model"]
+        w, P = gyre["workspace"], gyre["P"]
         pi = initial_distribution(w, int(w.free_cells[0]), "deterministic")
         pis = [pi, pi]
         # the first bad symbol, run by run, is the one reported
@@ -339,7 +337,7 @@ class TestSymbolCheck:
             with pytest.raises(ValueError) as want:
                 Direction(bad)
             with pytest.raises(ValueError) as got:
-                viterbi_runs(model, pis, histories)
+                viterbi_runs(P, pis, histories)
             assert str(got.value) == str(want.value)
         with pytest.raises(ValueError, match="'N' is not a valid Direction"):
-            viterbi(model, pi, ["N"])
+            viterbi(P, pi, ["N"])
