@@ -6,11 +6,16 @@
 
 Every command is deterministic given its inputs and seed.  The log level is
 the level name in DRIFTLOC_LOG_LEVEL, in any case (default WARNING).
+
+``main`` may be called repeatedly in one process: the parser is built once,
+on the first call, and each call parses its own arguments into a fresh
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -146,7 +151,10 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="driftloc",
         description="Drifter localization in gridded current fields",
@@ -181,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         name = os.environ.get("DRIFTLOC_LOG_LEVEL", "WARNING")
         level = logging.getLevelName(name.upper())

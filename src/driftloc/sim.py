@@ -18,7 +18,9 @@ nor on the lockstep group it is sampled and decoded in.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,7 +61,14 @@ def _is_list(x, *types) -> bool:
     return isinstance(x, (list, tuple)) and all(_is_a(v, *types) for v in x)
 
 
-def _check_synthetic(synth: dict) -> None:
+def _nested(source: Mapping, wrap) -> Mapping:
+    """A copy of a field source with ``wrap`` applied to it and to every
+    mapping inside it."""
+    return wrap({k: _nested(v, wrap) if isinstance(v, Mapping) else v
+                 for k, v in source.items()})
+
+
+def _check_synthetic(synth: Mapping) -> None:
     """Raise a ConfigError naming the key of a synthetic field source that
     ``ingest.resolve_field`` cannot build from."""
     numbers = [f.name for f in fields(SyntheticFieldSpec) if f.name != "kind"]
@@ -160,10 +169,12 @@ class ExperimentConfig:
     (T, mode) condition is repeated per decomposition region, drawing start
     cells from that region, so ``initial`` must be "random".  Construction
     raises a ConfigError naming the first bad key, so every config is checked
-    once, and ``dataclasses.replace`` checks its copy again.
+    once, and ``dataclasses.replace`` checks its copy again.  The config keeps
+    a read-only copy of ``field``, so the source it checked is the one that
+    ``run_experiment`` reads.
     """
 
-    field: dict
+    field: Mapping
     r: float = 0.9
     dt: float | None = None
     modes: tuple[str, ...] = ("deterministic",)
@@ -176,10 +187,10 @@ class ExperimentConfig:
     obs_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        field = self.field if isinstance(self.field, dict) else {}
+        field = self.field if isinstance(self.field, Mapping) else {}
         for key, ok, what in (
             ("field", _is_a(field.get("path"), str)
-             or isinstance(field.get("synthetic"), dict),
+             or isinstance(field.get("synthetic"), Mapping),
              "{'path': <file>} or {'synthetic': {...}}"),
             ("r", _is_a(self.r, int, float), "a number"),
             ("dt", self.dt is None or _is_a(self.dt, int, float), "a number or null"),
@@ -224,6 +235,7 @@ class ExperimentConfig:
             raise ConfigError("regions must name at least one region")
         if self.initial != "random" and self.group_by_region:
             raise ConfigError(f"initial cell {self.initial} given with group_by_region")
+        object.__setattr__(self, "field", _nested(field, MappingProxyType))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -241,6 +253,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["field"] = _nested(self.field, dict)
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 

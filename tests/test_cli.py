@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from driftloc import (
     synthesize_field,
     SyntheticFieldSpec,
 )
-from driftloc.cli import main
+from driftloc.cli import build_parser, main
 from driftloc.gridworld import format_histories
 from conftest import (
     CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, REPO_ROOT, SCHEMA_DIR, gyre_with_land, sample_run,
@@ -376,6 +377,86 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == (GOLDEN_DIR / "classify_fixture.json").read_bytes()
+
+
+class TestRepeatedCalls:
+    """``main`` called again and again in one process, as a script or a
+    closed-loop caller does: each call sees only its own arguments."""
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        used = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            used.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for _ in range(3):
+            assert run_cli("classify", "--synthetic", "uniform", "--rows", "4",
+                           "--cols", "4", "--out", str(tmp_path / "d.json")) == 0
+        assert len(used) == 3
+        assert all(p is build_parser() for p in used)
+
+    def test_localize_default_prior_after_prob(self, tmp_path):
+        field_path, obs_path, x0, _ = TestLocalize()._field_and_obs(tmp_path, r=0.9)
+        argv = ["localize", "--field", str(field_path), "--r", "0.9",
+                "--x0", str(x0), "--obs", str(obs_path)]
+        assert run_cli(*argv, "--pi", "prob", "--out", str(tmp_path / "prob.json")) == 0
+        assert run_cli(*argv, "--out", str(tmp_path / "det.json")) == 0
+        proc = run_cli_process(*argv, "--out", str(tmp_path / "fresh.json"))
+        assert proc.returncode == 0, proc.stderr
+        det = (tmp_path / "det.json").read_bytes()
+        assert det == (tmp_path / "fresh.json").read_bytes()
+        assert det != (tmp_path / "prob.json").read_bytes()
+
+    def test_classify_field_after_synthetic(self, tmp_path):
+        assert run_cli("classify", "--synthetic", "double_gyre", "--rows", "4",
+                       "--cols", "6", "--out", str(tmp_path / "s.json")) == 0
+        out = tmp_path / "dec.json"
+        assert run_cli("classify", "--field", str(FIXTURE_FIELD), "--out", str(out)) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "classify_fixture.json").read_bytes()
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("localize", "--synthetic", "uniform", "--x0", "1")
+        assert exc.value.code == 2
+        assert "--obs" in capsys.readouterr().err
+        assert run_cli("classify", "--synthetic", "uniform", "--rows", "4",
+                       "--cols", "4", "--out", str(tmp_path / "d.json")) == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["localize", "--help"]])
+    def test_help_twice_prints_the_same(self, argv, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "usage: driftloc" in texts[0]
+
+
+class TestPackageImport:
+    def test_import_leaves_cli_unloaded(self):
+        # The benchmark's setup_s times this import; the parser, logging and
+        # numpy.random (about 6 MiB of max RSS) load on first use instead.
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import driftloc\n"
+            "added = set(sys.modules) - before\n"
+            "assert 'driftloc.sim' in added\n"
+            "print(sorted(added & {'driftloc.cli', 'argparse', 'logging', 'numpy.random'}))\n"
+        )
+        path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestLogLevel:

@@ -230,6 +230,20 @@ class TestExperimentConfig:
             dataclasses.replace(cfg, runs=0)
         assert dataclasses.replace(cfg, runs=4).runs == 4
 
+    def test_field_source_cannot_change_after_the_check(self):
+        synth = {"kind": "double_gyre", "rows": 9, "cols": 13}
+        source = {"synthetic": dict(synth)}
+        cfg = ExperimentConfig(field=source, runs=3)
+        source["synthetic"]["rows"] = 3
+        assert cfg.field["synthetic"]["rows"] == 9
+        with pytest.raises(TypeError):
+            cfg.field["synthetic"]["rows"] = 3
+        with pytest.raises(TypeError):
+            cfg.field["path"] = "x.field"
+        assert dataclasses.replace(cfg, runs=4).field == cfg.field
+        assert cfg.to_dict()["field"] == {"synthetic": synth}
+        assert type(cfg.to_dict()["field"]["synthetic"]) is dict
+
     def test_negative_seed_rejected_by_name(self):
         # SeedSequence rejects a negative entropy only inside run_experiment,
         # with a message that names no key.
