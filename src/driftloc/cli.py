@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except (DriftlocError, FieldParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

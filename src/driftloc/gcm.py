@@ -6,13 +6,14 @@ stencil, with probabilities summing to one.  The perfect-motion image carries
 probability r and the other cells around the continuous Euler endpoint share
 1 - r uniformly; a "colliding" cell, whose endpoint stencil touches land or
 leaves the grid, moves uniformly to any admissible neighbor.  At r = 1 the
-chain is the deterministic map.  The chain is the decoder's model, kept in
-its layout: each row holds its state's moves in W columns, W the largest
-|A(z)|, so it keeps (16 W + 9) bytes a state (int64 targets, float64
-probabilities, a uint8 column per compass symbol).  O(n * 9) time; the build
-holds only (n,) scratch beside what it keeps, peaking near 1.4 times that.
-The first decode adds ``log_probs``, 8 W bytes a state; ``decompose`` never
-builds it.
+chain is the deterministic map.  Each row holds its state's moves in W
+columns, W the largest |A(z)|.  The chain keeps what every command reads,
+(8 W + 3) bytes a state: int64 targets, and per state a uint16 mask of its
+live slots and its int8 image slot.  O(n * 9) time; the build holds only
+(n,) scratch beside what it keeps, peaking under 1.75 times that.  The other
+tables are derived on first read: the first sample adds ``probs`` (8 W bytes
+a state), and the first decode ``col`` (9) and ``log_probs`` (8 W), which it
+derives without keeping ``probs``.  ``decompose`` builds none of them.
 
 ``decompose(P)`` partitions the water cells into attractors (closed, mutually
 communicating sets, numbered B_1..B_g by smallest member) and transient
@@ -44,39 +45,106 @@ SLOT_DIRECTIONS = tuple(sorted(Direction, key=lambda d: d.step))
 # Bit k marks slot k in a mask of slots; index MAX_MAPPED, for a stencil
 # corner outside the Moore stencil, marks none.
 _SLOT_BIT = np.array([1 << k for k in range(MAX_MAPPED)] + [0], dtype=np.uint16)
+# _RANKS[k, m] counts the slots of mask m below slot k, so row MAX_MAPPED is
+# the number of slots in m.  _COLUMNS[y, m] is the rank in m of the slot with
+# heading y, or MAX_MAPPED where m lacks that slot.  Slot k's rank in m is
+# the popcount of m's low k bits, so row k of _RANKS repeats the first 2**k
+# popcounts, and the row of _COLUMNS for slot k repeats 2**k entries
+# MAX_MAPPED (bit k clear), then those popcounts (bit k set).  They are built
+# from Python lists: numpy's broadcast shifts and argsort would page in code
+# that a localize never runs otherwise, about 0.7 MiB of max RSS.
+_POPCOUNT = [0]
+for _ in range(MAX_MAPPED):
+    _POPCOUNT += [p + 1 for p in _POPCOUNT]
+_RANKS = np.array([_POPCOUNT[:1 << k] * (len(_POPCOUNT) >> k)
+                   for k in range(MAX_MAPPED + 1)], dtype=np.uint8)
+_COLUMNS = np.array([([MAX_MAPPED] * (1 << k) + _POPCOUNT[:1 << k]) * (len(_POPCOUNT) >> k + 1)
+                     for k in map(SLOT_DIRECTIONS.index, range(MAX_MAPPED))], dtype=np.uint8)
+del _POPCOUNT
 
 
 @dataclass(frozen=True, eq=False)
 class StochasticCellMap:
     """The chain: mapped sets A(z) with probabilities, in W columns a state.
 
-    Row s of ``targets`` / ``probs`` lists the moves of state s in A(z)
-    first, in slot order (ascending target), then pads: the sink state n
-    with probability 0.0.  W is the largest |A(z)|: 6 on the fixture, 1 at
-    r = 1, at most 9 (with a shorter Euler step, or beside land).  Row n is
-    the sink's, all pads.  ``col[y, s]`` is the column of the move of s with
-    heading y, or W if s has none, so the emission probability Q[s, y] is
-    ``probs[s, col[y, s]]`` once a 0.0 column is appended.
+    Row s of ``targets`` lists the moves of state s in A(z) first, in slot
+    order (ascending target), then pads: the sink state n.  W is the largest
+    |A(z)|: 6 on the fixture, 1 at r = 1, at most 9 (with a shorter Euler
+    step, or beside land).  Row n is the sink's, all pads.  ``mask[s]`` has
+    bit k set when slot k is in A(z), and ``image[s]`` is the slot of the
+    perfect-motion image, or MAX_MAPPED in a row that moves uniformly.  The
+    probabilities follow from those two and r; ``probs``, ``col`` and
+    ``log_probs`` are built from them on first read, for sampling and
+    decoding, and are read-only.
     """
 
     workspace: Workspace
     r: float
     dt: float
     targets: np.ndarray  # (n_free + 1, W) int64 state indices, n_free off A(z)
-    probs: np.ndarray  # (n_free + 1, W) float64, 0.0 off A(z)
-    col: np.ndarray  # (9, n_free + 1) uint8 columns, W where no move has the heading
+    mask: np.ndarray  # (n_free,) uint16, bit k for slot k in A(z)
+    image: np.ndarray  # (n_free,) int8 image slot, MAX_MAPPED in a uniform row
 
     @property
     def n_states(self) -> int:
         return len(self.targets) - 1
 
     @cached_property
+    def probs(self) -> np.ndarray:
+        """Read-only (n + 1, W) float64 probabilities in the columns of
+        ``targets``, 0.0 on the pads and the sink row; see ``_probabilities``."""
+        probs = self._probabilities()
+        probs.setflags(write=False)
+        return probs
+
+    def _probabilities(self) -> np.ndarray:
+        """A new (n + 1, W) float64 probabilities in the columns of
+        ``targets``, 0.0 on the pads and the sink row.  A row of m moves gives
+        each 1 / m if it moves uniformly; otherwise its image gets r (1.0 if
+        it is the only move) and each other move (1 - r) / (m - 1)."""
+        n, width = self.n_states, self.targets.shape[1]
+        # A move's probability by its row's count m and its kind: a share of
+        # the spread (kind 0), the image (1), or a share of the uniform rule
+        # (2), at share[kind * 10 + m].
+        m = np.arange(MAX_MAPPED + 1)
+        share = np.concatenate([(1.0 - self.r) / np.maximum(m - 1, 1),
+                                np.where(m == 1, 1.0, self.r), 1.0 / np.maximum(m, 1)])
+        count = _RANKS[MAX_MAPPED].take(self.mask)
+        uniform = self.image == MAX_MAPPED
+        probs = np.zeros((n + 1, width))
+        other = share.take(count + uniform * np.uint8(2 * (MAX_MAPPED + 1)))
+        np.copyto(probs[:n], other[:, None], where=self.targets[:n] < n)
+        del other
+        # Then each image move, in the column of its slot's rank.
+        s = np.flatnonzero(~uniform)
+        c = _RANKS[self.image.take(s), self.mask.take(s)]
+        probs.reshape(-1)[s * width + c] = share.take(count.take(s) + (MAX_MAPPED + 1))
+        return probs
+
+    @cached_property
+    def col(self) -> np.ndarray:
+        """Read-only (9, n + 1) uint8 table: ``col[y, s]`` is the column of
+        the move of s with heading y, or W if s has none, so the emission
+        probability Q[s, y] is ``probs[s, col[y, s]]`` once a 0.0 column is
+        appended."""
+        n, width = self.n_states, self.targets.shape[1]
+        col = np.empty((N_DIRECTIONS, n + 1), dtype=np.uint8)
+        col[:, n] = width
+        for y, columns in enumerate(np.minimum(_COLUMNS, width)):
+            columns.take(self.mask, out=col[y, :n])
+        col.setflags(write=False)
+        return col
+
+    @cached_property
     def log_probs(self) -> np.ndarray:
         """Read-only log ``probs``, -inf on the pads and the sink row: the
         decoder's table, built on the first decode and shared by every later
-        one."""
+        one.  It is taken from ``probs`` if a sample built that, and
+        otherwise from a fresh table that is not kept."""
+        probs = vars(self).get("probs")
+        logs = self._probabilities() if probs is None else probs.copy()
         with np.errstate(divide="ignore"):
-            logs = np.log(self.probs)
+            np.log(logs, out=logs)
         logs.setflags(write=False)
         return logs
 
@@ -107,48 +175,40 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
         raise ValueError(f"perfect-motion probability r must be in (0, 1], got {r}")
     w = cm.workspace
     rows, cols = np.divmod(w.free_cells - 1, w.cols)
+    image, member, uniform = _stencil_slots(cm, rows, cols, r)
     base = w.padded(rows, cols)  # each state's index in the framed state grid
-    image_slot, member, uniform = _stencil_slots(cm, rows, cols, r)
-    del rows, cols  # beside the three tables, only (n,) arrays stay
+    del rows, cols  # beside the kept tables, only (n,) arrays stay
     uniform &= r < 1.0  # a colliding cell moves uniformly, unless r = 1
+    image[uniform] = MAX_MAPPED
 
     # Slot k of state s moves to the state grid entry at base[s] plus the
     # slot's fixed offset in the framed grid: -1 on land and off the grid.
     # member becomes the mask of live slots, those in A(z).
     steps = [w.padded(*d.step) - w.padded(0, 0) for d in SLOT_DIRECTIONS]
     member[uniform] = (1 << MAX_MAPPED) - 1  # every admissible move
-    n = len(base)
-    count = np.zeros(n, dtype=np.int8)  # |A(z)|
     for k, step in enumerate(steps):
         member[w.state_grid.take(base + step) < 0] &= ~_SLOT_BIT[k]
-        count += (member & _SLOT_BIT[k]) != 0
 
-    # A move's probability by its row's count m and its kind: a share of the
-    # spread, the image, or a share of the uniform rule.
-    m = np.arange(MAX_MAPPED + 1)
-    share = np.array([(1.0 - r) / np.maximum(m - 1, 1), np.where(m == 1, 1.0, r),
-                      1.0 / np.maximum(m, 1)])
-
-    # Each live slot goes to its row's running rank, one slot at a time, so
-    # a row lists its moves in slot order.
-    width = int(count.max())
+    # Each live slot goes to its rank among its row's live slots, so a row
+    # lists its moves in slot order.
+    n = len(base)
+    width = int(_RANKS[MAX_MAPPED].take(member).max())
     targets = np.full((n + 1, width), n, dtype=np.int64)
-    probs = np.zeros((n + 1, width))
-    col = np.full((N_DIRECTIONS, n + 1), width, dtype=np.uint8)
-    rank = np.zeros(n, dtype=np.uint8)
-    for k, (y, step) in enumerate(zip(SLOT_DIRECTIONS, steps)):
+    flat = targets.reshape(-1)
+    for k, step in enumerate(steps):
         s = np.flatnonzero(member & _SLOT_BIT[k])
-        c = rank.take(s)
-        targets[s, c] = w.state_grid.take(base.take(s) + step)
-        kind = np.where(uniform.take(s), 2, image_slot.take(s) == k)
-        probs[s, c] = share[kind, count.take(s)]
-        col[y, s] = c
-        rank[s] += 1
+        c = _RANKS[k].take(member.take(s))
+        moves = base.take(s)
+        moves += step
+        s *= width  # each move's index in the flat targets
+        s += c
+        flat[s] = w.state_grid.take(moves)
+        del s, c, moves  # before the next slot's arrays are made
 
-    for a in (targets, probs, col):
+    for a in (targets, member, image):
         a.setflags(write=False)
     return StochasticCellMap(
-        workspace=w, r=float(r), dt=cm.dt, targets=targets, probs=probs, col=col
+        workspace=w, r=float(r), dt=cm.dt, targets=targets, mask=member, image=image
     )
 
 
@@ -163,22 +223,52 @@ def _stencil_slots(cm: CellMap, rows, cols, r: float):
     """
     w = cm.workspace
     image_rows, image_cols = np.divmod(cm.images - 1, w.cols)
-    image_slot = ((image_rows - rows + 1) * 3 + (image_cols - cols + 1)).astype(np.int8)
+    image_rows -= rows
+    image_rows *= 3
+    image_rows += image_cols - cols
+    image_slot = (image_rows + 4).astype(np.int8)  # (drow + 1) * 3 + (dcol + 1)
+    del image_rows, image_cols
     member = _SLOT_BIT[image_slot]
     colliding = np.zeros(len(image_slot), dtype=bool)
+    off = w.state_grid < 0  # land and the frame, in the framed grid
     ex, ey = cm.endpoints[:, 0], cm.endpoints[:, 1]
-    for ri in (np.floor(ey), np.floor(ey) + 1):
-        for ci in (np.floor(ex), np.floor(ex) + 1):
-            on = (abs(ey - ri) < 1.0) & (abs(ex - ci) < 1.0)
+    xs = _stencil_lines(ex, cols, w.cols)
+    for on_y, framed_y, slot_y in _stencil_lines(ey, rows, w.rows):
+        framed_y *= w.cols + 2
+        slot_y *= 3
+        for on_x, framed_x, slot_x in xs:
+            on = on_y & on_x
             # the corner cell, or the frame cell beyond it when off-grid
-            corner = w.padded(np.clip(ri, -1, w.rows), np.clip(ci, -1, w.cols))
-            colliding |= on & (w.state_grid.take(corner.astype(np.int64)) < 0)
+            on &= off.take(framed_y + framed_x)
+            colliding |= on
             if r < 1.0:
-                dr, dc = ri - rows, ci - cols
-                near = on & (abs(dr) <= 1) & (abs(dc) <= 1)
-                slot = np.where(near, (dr + 1) * 3 + (dc + 1), MAX_MAPPED)
-                member |= _SLOT_BIT[slot.astype(np.int64)]
+                member |= _SLOT_BIT.take(np.minimum(slot_y + slot_x, MAX_MAPPED))
     return image_slot, member, colliding
+
+
+def _stencil_lines(e, own, size: int):
+    """The two grid lines of one axis around each endpoint coordinate e,
+    floor(e) and floor(e) + 1.  For each: whether it lies within one cell of
+    e; its index in the framed grid, clipped to the frame; and its offset
+    from the state's own line plus one (0, 1 or 2), or 10 where it is not
+    within one cell of e or not beside the state's own line, so that
+    3 * row part + column part passes MAX_MAPPED for any such corner."""
+    lines = []
+    line = np.floor(e)
+    for _ in range(2):
+        on = abs(e - line) < 1.0
+        offset = line - own
+        far = abs(offset) > 1
+        far |= ~on
+        offset += 1
+        offset[far] = 10
+        slot = offset.astype(np.uint8)
+        del offset, far
+        framed = np.clip(line, -1, size).astype(np.int64)
+        framed += 1
+        lines.append((on, framed, slot))
+        line += 1
+    return lines
 
 
 def _successors(P: StochasticCellMap) -> tuple[np.ndarray, np.ndarray]:

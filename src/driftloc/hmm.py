@@ -16,8 +16,9 @@ smallest sequence.  All scoring happens in log space on the chain's rows,
 only those of D_t: the states reachable after t observations that can emit
 the next one.  The chain keeps each row's moves in W columns, W the most
 moves of any row (6 on the fixture and on the 42 x 58 gyre); the decoder
-reads log P from the chain's ``log_probs`` in the same columns, 8 W bytes a
-state built on the chain's first decode, and log Q from it through ``col``.
+reads log P from the chain's ``log_probs`` in the same columns, and log Q
+from it through ``col``.  The first decode on a chain builds ``col`` and
+``log_probs``, (8 W + 9) bytes a state beside the chain's own.
 A decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory, 5 bytes a
 state (an int32 index and a uint8 slot), besides an O(n) mask pass per step;
 no n x n or (T + 1) x n array is ever built.  A group of R runs decoded in
@@ -80,7 +81,8 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> list[tuple[list[int
     that run's index in the group.  Besides the O(R n) rows of its per-step
     masks, a group of R > 1 runs holds an (R (n + 1), W) int64 table of
     targets for the call, 8 W bytes a run-state.  The first decode on a chain
-    builds its ``log_probs``; every later one reads the same table.
+    builds its ``col`` and ``log_probs``; every later one reads the same
+    tables.
     """
     if len(histories) != len(priors):
         raise ValueError(f"{len(histories)} histories but {len(priors)} priors")

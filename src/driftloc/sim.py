@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ZeroProbabilityError
 from .flowfield import build_cell_map
-from .gcm import (
-    SLOT_DIRECTIONS,
-    FlowDecomposition,
-    StochasticCellMap,
-    build_stochastic_map,
-    decompose,
-)
+from .gcm import SLOT_DIRECTIONS, StochasticCellMap, build_stochastic_map, decompose
 from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
 from .hmm import initial_distribution, viterbi_runs
 from .ingest import SyntheticFieldSpec, resolve_field
@@ -106,7 +100,8 @@ def sample_runs(
     one with that probability.  Each generator is drawn from in the same
     order: initial state, T step uniforms, then the noise draws, so row r
     does not depend on the other runs.  The steps cost O(T) array calls over
-    R runs and the chain's W columns.
+    R runs and the chain's W columns; the first sample on a chain builds its
+    ``probs``.
     """
     if T < 1:
         raise ValueError("trajectory length T must be >= 1")
@@ -269,7 +264,6 @@ class ExperimentResult:
     config: ExperimentConfig
     summary: list[dict]
     runs: list[dict]
-    decomposition: FlowDecomposition
 
     def to_csv(self) -> str:
         lines = [",".join(SUMMARY_COLUMNS)]
@@ -400,6 +394,4 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
             *_summarize(finals), *_summarize(trajs),
         ))))
 
-    return ExperimentResult(
-        config=cfg, summary=summary, runs=run_records, decomposition=dec
-    )
+    return ExperimentResult(config=cfg, summary=summary, runs=run_records)

@@ -83,9 +83,10 @@ def slot_layout(P, packed=False):
     )
 
 
-def from_slots(workspace, targets, probs, r=1.0, dt=1.0):
-    """A chain from (n, 9) slot rows, -1 / 0.0 off A(z): the inverse of
-    ``slot_layout``.  Slot k reads as the heading ``SLOT_DIRECTIONS[k]``."""
+def from_slots(workspace, targets, r=1.0, dt=1.0):
+    """A chain from (n, 9) slot rows, -1 off A(z), each row moving uniformly:
+    the targets of ``slot_layout``, inverted.  Slot k reads as the heading
+    ``SLOT_DIRECTIONS[k]``."""
     n = len(targets)
     live = targets >= 0
     width = int(live.sum(axis=1).max())
@@ -93,11 +94,9 @@ def from_slots(workspace, targets, probs, r=1.0, dt=1.0):
     c = (np.cumsum(live, axis=1) - 1)[s, k]  # each live slot's rank in its row
     out = np.full((n + 1, width), n, dtype=np.int64)
     out[s, c] = targets[s, k]
-    p = np.zeros((n + 1, width))
-    p[s, c] = probs[s, k]
-    col = np.full((MAX_MAPPED, n + 1), width, dtype=np.uint8)
-    col[np.array(SLOT_DIRECTIONS)[k], s] = c
-    return StochasticCellMap(workspace=workspace, r=r, dt=dt, targets=out, probs=p, col=col)
+    mask = (live << np.arange(MAX_MAPPED)).sum(axis=1).astype(np.uint16)
+    image = np.full(n, MAX_MAPPED, dtype=np.int8)
+    return StochasticCellMap(workspace=workspace, r=r, dt=dt, targets=out, mask=mask, image=image)
 
 
 def colliding(cm, r):

@@ -128,8 +128,9 @@ class TestMemory:
     def test_stochastic_map_peak_near_what_it_keeps(self):
         # The classify benchmark's size: 100x130 with a coast and islands.
         # The builder reads the workspace's state grid and keeps its own
-        # scratch to a few (n,) arrays beside the (n + 1, W) tables it
-        # returns; an (n, 9) int64 scratch table made 2.2x what it keeps.
+        # scratch to a few (n,) arrays beside the (n + 1, W) targets and the
+        # two (n,) slot arrays it returns; an (n, 9) int64 scratch table made
+        # 2.2x what it keeps.
         cm = build_cell_map(gyre_with_land(100, 130, 0))
         tracemalloc.start()
         try:
@@ -137,5 +138,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = smap.targets.nbytes + smap.probs.nbytes + smap.col.nbytes
+        n, width = smap.n_states, smap.targets.shape[1]
+        kept = smap.targets.nbytes + smap.mask.nbytes + smap.image.nbytes
+        assert kept == (n + 1) * 8 * width + 3 * n
         assert peak <= 1.75 * kept, f"peaked at {peak / 2**20:.2f} MiB, keeps {kept / 2**20:.2f}"

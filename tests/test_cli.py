@@ -92,6 +92,23 @@ class TestClassify:
         assert proc.stderr == f"error: dt must be positive and finite, got {dt}\n"
         assert not (tmp_path / "d.json").exists()
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,) "
+                     "and data type int64"),
+         "Unable to allocate 74.5 GiB for an array with shape (10000000000,) "
+         "and data type int64"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch, capsys, exc, message):
+        def build(cm, r):
+            raise exc
+        monkeypatch.setattr("driftloc.cli.build_stochastic_map", build)
+        code = run_cli("classify", "--synthetic", "uniform", "--rows", "4", "--cols", "4",
+                       "--out", str(tmp_path / "d.json"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "d.json").exists()
+
     def test_fixture_report_matches_golden(self, tmp_path):
         out = tmp_path / "dec.json"
         assert run_cli("classify", "--field", str(FIXTURE_FIELD), "--out", str(out)) == 0

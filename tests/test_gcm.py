@@ -4,19 +4,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftloc import (
+    SLOT_DIRECTIONS,
     Direction,
     Workspace,
     build_cell_map,
     build_stochastic_map,
     decompose,
     direction_between,
+    initial_distribution,
+    viterbi,
+    viterbi_runs,
 )
 from closure_reference import reachability
-from conftest import colliding, components, from_slots, make_field, random_field, slot_layout
+from conftest import (
+    colliding,
+    components,
+    from_slots,
+    gyre_with_land,
+    make_field,
+    random_field,
+    sample_run,
+    slot_layout,
+)
+from driftloc.gcm import MAX_MAPPED
 
 
-def chain_from_edges(n, edges, probs=None, dead_ends=()):
-    """Hand-built chain over n states (uniform rows by default).
+def chain_from_edges(n, edges, dead_ends=()):
+    """Hand-built chain over n states, each row moving uniformly.
 
     The edges need not join Moore neighbors, so each row lists its successors
     in its first slots; the decomposition reads only the support graph.  The
@@ -26,17 +40,14 @@ def chain_from_edges(n, edges, probs=None, dead_ends=()):
         [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
     ))
     targets = np.full((n, 9), -1, dtype=np.int64)
-    pr = np.zeros((n, 9))
     by_src = {}
     for i, j in edges:
         by_src.setdefault(i, []).append(j)
     for i in range(n):
         succ = sorted(set(by_src.get(i, [])))
         assert bool(succ) != (i in dead_ends), f"state {i}: edges {succ}"
-        for k, j in enumerate(succ):
-            targets[i, k] = j
-            pr[i, k] = (probs or {}).get((i, j), 1.0 / len(succ))
-    return from_slots(w, targets, pr)
+        targets[i, :len(succ)] = succ
+    return from_slots(w, targets)
 
 
 def states_of(P, cells):
@@ -252,6 +263,66 @@ class TestChainLayout:
             keys = list(P.mapped_set(int(z)))
             assert keys == sorted(keys) and len(keys) == counts[w.state_of(int(z))]
 
+        # the kept slot arrays: a mask of the live slots, and the image slot,
+        # live, or MAX_MAPPED in a uniform row
+        assert (P.mask.shape, P.mask.dtype, P.image.dtype) == ((n,), np.uint16, np.int8)
+        bits = P.mask[:, None] >> np.arange(9) & 1
+        assert (bits.sum(axis=1) == counts[:n]).all()
+        assert (bits == (P.col[list(SLOT_DIRECTIONS), :n].T < width)).all()
+        imaged = P.image < MAX_MAPPED
+        assert (bits[imaged, P.image[imaged]] == 1).all()
+        assert r < 1.0 or imaged.all()
+
+
+class TestDerivedTables:
+    """``probs`` and ``col`` are derived from the chain's slot arrays on the
+    first sample or decode, once per chain; the decomposition never builds
+    them."""
+
+    def chain(self):
+        w, f = make_field(9, 13, u=0.3, v=-0.2)
+        return w, build_stochastic_map(build_cell_map(f), 0.9)
+
+    def test_classify_keeps_only_what_it_reads(self):
+        # The classify benchmark's size: 100x130 with a coast and islands.
+        P = build_stochastic_map(build_cell_map(gyre_with_land(100, 130, 0)), 0.9)
+        decompose(P)
+        assert "probs" not in vars(P) and "col" not in vars(P)
+        assert "log_probs" not in vars(P)
+        n, width = P.n_states, P.targets.shape[1]
+        kept = sum(a.nbytes for a in vars(P).values() if isinstance(a, np.ndarray))
+        assert kept == (n + 1) * 8 * width + 3 * n, (kept, n, width)
+
+    @pytest.mark.parametrize("name", ["probs", "col"])
+    def test_read_only(self, name):
+        _, P = self.chain()
+        table = getattr(P, name)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+    def test_samples_and_decodes_share_one_table(self):
+        w, P = self.chain()
+        pi = initial_distribution(w, int(w.free_cells[40]), "deterministic")
+        _, obs = sample_run(P, pi, 6, seed=1)
+        tables = vars(P)["probs"], P.col
+        first = viterbi(P, pi, obs)
+        assert viterbi_runs(P, [pi, pi], [obs, obs]) == [first, first]
+        assert sample_run(P, pi, 6, seed=1)[1] == obs
+        assert vars(P)["probs"] is tables[0] and vars(P)["col"] is tables[1]
+        assert P.probs is tables[0] and P.col is tables[1]
+
+    def test_decode_keeps_no_probs(self):
+        # A decode reads log P alone; the same bytes whether or not a sample
+        # built the probabilities first.
+        w, P = self.chain()
+        pi = initial_distribution(w, int(w.free_cells[40]), "deterministic")
+        _, obs = sample_run(self.chain()[1], pi, 6, seed=1)  # on a twin, so P is only decoded
+        viterbi(P, pi, obs)
+        assert "probs" not in vars(P) and "log_probs" in vars(P)
+        with np.errstate(divide="ignore"):
+            assert P.log_probs.tobytes() == np.log(P.probs).tobytes()
+
 
 class TestStronglyConnectedComponents:
     def test_identity_gives_singletons(self):
@@ -329,14 +400,13 @@ class TestPersistentGroups:
         # an all-padding row has no edge out, yet never cycles back: it is
         # transient, reaching no attractor, where [0] is the only one
         P = chain_from_edges(3, [(0, 0), (1, 0), (2, 0)])
-        S = slot_layout(P)
-        targets, probs = S.targets.copy(), S.probs.copy()
-        targets[2], probs[2] = -1, 0.0
-        P = from_slots(P.workspace, targets, probs)
+        targets = slot_layout(P).targets.copy()
+        targets[2] = -1
+        P = from_slots(P.workspace, targets)
         with pytest.raises(RuntimeError, match="transient state 2"):
             decompose(P)
-        targets[2], probs[2, 0] = targets[1], 1.0  # restored, 2 feeds [0] like 1
-        groups = decompose(from_slots(P.workspace, targets, probs)).persistent_groups
+        targets[2] = targets[1]  # restored, 2 feeds [0] like 1
+        groups = decompose(from_slots(P.workspace, targets)).persistent_groups
         assert [states_of(P, g) for g in groups] == [[0]]
 
     def test_double_gyre_two_attractors(self, gyre):

@@ -364,10 +364,12 @@ class TestMemory:
         assert peak < 16 * 2**20, f"viterbi peaked at {peak / 2**20:.1f} MiB"
 
     def test_model_keeps_one_table(self):
-        # The chain is the decoder's model: it adds one table, log P in its W
-        # columns, read for log Q through ``col`` too.  That table is
-        # (n + 1) * 8 W bytes, and building it peaks near that.
+        # The chain is the decoder's model: once a sample has built
+        # ``probs``, a decode adds one table, log P in its W columns, read for
+        # log Q through ``col`` too.  That table is (n + 1) * 8 W bytes, and
+        # building it peaks near that.
         P = build_stochastic_map(build_cell_map(gyre_with_land(100, 130, 0)), 0.9)
+        P.probs
         tracemalloc.start()
         try:
             logs = P.log_probs

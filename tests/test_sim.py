@@ -17,6 +17,7 @@ from driftloc import (
     build_cell_map,
     build_stochastic_map,
     ZeroProbabilityError,
+    decompose,
     initial_distribution,
     load_field,
     run_experiment,
@@ -24,6 +25,7 @@ from driftloc import (
     save_field,
 )
 from conftest import CONFIG_DIR, REPO_ROOT, make_field, random_field, sample_run, slot_layout
+from driftloc.ingest import resolve_field
 from driftloc.sim import error_reports
 
 
@@ -311,8 +313,8 @@ class TestRunExperiment:
         )
         res = run_experiment(cfg)
         assert [row["region"] for row in res.summary] == list(cfg.regions)
+        dec = decompose(chain_for(resolve_field(cfg.field), cfg.r, cfg.dt)[1])
         for rec in res.runs:
-            dec = res.decomposition
             assert rec["x_init"] in [int(z) for z in dec.region_cells(rec["region"])]
 
     def test_fixed_initial_cell(self):
