@@ -29,7 +29,7 @@ from .flowfield import build_cell_map
 from .gcm import SLOT_DIRECTIONS, StochasticCellMap, build_stochastic_map, decompose
 from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
 from .hmm import initial_distribution, viterbi_runs
-from .ingest import SyntheticFieldSpec, resolve_field
+from .ingest import SyntheticFieldSpec, is_a, resolve_field
 from .report import report_json
 
 MODES = ("deterministic", "probabilistic")
@@ -46,13 +46,8 @@ _SLOT_SYMBOLS = np.array(SLOT_DIRECTIONS, dtype=np.int64)
 _GROUP_STATES = 8192
 
 
-def _is_a(x, *types) -> bool:
-    """``isinstance(x, types)``, except that a bool is no int."""
-    return isinstance(x, types) and not isinstance(x, bool)
-
-
 def _is_list(x, *types) -> bool:
-    return isinstance(x, (list, tuple)) and all(_is_a(v, *types) for v in x)
+    return isinstance(x, (list, tuple)) and all(is_a(v, *types) for v in x)
 
 
 def _nested(source: Mapping, wrap) -> Mapping:
@@ -65,22 +60,13 @@ def _nested(source: Mapping, wrap) -> Mapping:
 def _check_synthetic(synth: Mapping) -> None:
     """Raise a ConfigError naming the key of a synthetic field source that
     ``ingest.resolve_field`` cannot build from."""
-    numbers = [f.name for f in fields(SyntheticFieldSpec) if f.name != "kind"]
-    unknown = set(synth) - {"kind", "rows", "cols", *numbers}
+    spec = {"kind": None, **synth}
+    rows, cols = spec.pop("rows", None), spec.pop("cols", None)
+    unknown = set(spec) - {f.name for f in fields(SyntheticFieldSpec)}
     if unknown:
         raise ConfigError(f"unknown field.synthetic keys: {sorted(unknown)}")
-    for key, ok, what in (
-        ("rows", _is_a(synth.get("rows"), int), "an integer"),
-        ("cols", _is_a(synth.get("cols"), int), "an integer"),
-        *((key, _is_a(synth.get(key, 0.0), int, float), "a number") for key in numbers),
-    ):
-        if not ok:
-            raise ConfigError(
-                f"field.synthetic.{key} must be {what}, got {synth.get(key)!r}"
-            )
-    spec = SyntheticFieldSpec(synth.get("kind"), **{k: synth[k] for k in numbers if k in synth})
     try:
-        spec.validate(synth["rows"], synth["cols"])
+        SyntheticFieldSpec(**spec).validate(rows, cols)
     except ValueError as exc:
         raise ConfigError(f"field.synthetic.{exc}") from None
 
@@ -184,22 +170,22 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         field = self.field if isinstance(self.field, Mapping) else {}
         for key, ok, what in (
-            ("field", _is_a(field.get("path"), str)
+            ("field", is_a(field.get("path"), str)
              or isinstance(field.get("synthetic"), Mapping),
              "{'path': <file>} or {'synthetic': {...}}"),
-            ("r", _is_a(self.r, int, float), "a number"),
-            ("dt", self.dt is None or _is_a(self.dt, int, float), "a number or null"),
+            ("r", is_a(self.r, int, float), "a number"),
+            ("dt", self.dt is None or is_a(self.dt, int, float), "a number or null"),
             ("modes", _is_list(self.modes, str), "a list of mode names"),
             ("T_list", _is_list(self.T_list, int), "a list of integers"),
-            ("runs", _is_a(self.runs, int), "an integer"),
-            ("base_seed", _is_a(self.base_seed, int) and self.base_seed >= 0,
+            ("runs", is_a(self.runs, int), "an integer"),
+            ("base_seed", is_a(self.base_seed, int) and self.base_seed >= 0,
              "a non-negative integer"),
-            ("initial", _is_a(self.initial, int) or self.initial == "random",
+            ("initial", is_a(self.initial, int) or self.initial == "random",
              "a cell index or 'random'"),
             ("group_by_region", isinstance(self.group_by_region, bool), "true or false"),
             ("regions", self.regions is None or _is_list(self.regions, str),
              "a list of region labels"),
-            ("obs_noise", _is_a(self.obs_noise, int, float), "a number"),
+            ("obs_noise", is_a(self.obs_noise, int, float), "a number"),
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {what}, got {getattr(self, key)!r}")

@@ -78,6 +78,25 @@ class TestLoadField:
         with pytest.raises(FieldParseError, match="land cell"):
             load_field(write(tmp_path, text))
 
+    @pytest.mark.parametrize("line, record, message", [
+        (8, "2 1 0 0.0 0.0", "cell (2, 1) outside grid"),
+        (8, "-1 1 0 0.0 0.0", "cell (-1, 1) outside grid"),
+        (8, "1 2 0 0.0 0.0", "cell (1, 2) outside grid"),
+        # Read as a flat index, (1, -1) would be the cell (0, 1) it replaces.
+        (6, "1 -1 0 0.0 0.0", "cell (1, -1) outside grid"),
+        (8, "1 1 2 0.0 0.0", "land flag must be 0 or 1, got 2"),
+        (8, "1 1 1 0.0 -inf", "land cell must have u = v = 0"),
+        (8, "1 1 0 0.0 inf", "non-finite velocity (0.0, inf) on water cell (1, 1)"),
+    ])
+    def test_each_value_rule_names_line(self, tmp_path, line, record, message):
+        """A file that numpy's reader accepts whole is still held to every
+        value rule, and the error names the record's line."""
+        lines = MINIMAL.splitlines()
+        lines[line - 1] = record
+        with pytest.raises(FieldParseError) as exc:
+            load_field(write(tmp_path, "\n".join(lines) + "\n"))
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_bad_magic(self, tmp_path):
         with pytest.raises(FieldParseError, match="driftfield"):
             load_field(write(tmp_path, "floes 3\n" + MINIMAL))
@@ -255,6 +274,32 @@ class TestSynthesize:
             SyntheticFieldSpec(kind="single_gyre", amplitude=0.0).validate(4, 4)
         with pytest.raises(ValueError):
             synthesize_field(SyntheticFieldSpec(kind="double_gyre"), 3, 3)
+
+    @pytest.mark.parametrize("params, rows, message", [
+        ({"amplitude": "1"}, 6, "amplitude must be a number, got '1'"),
+        ({"decay": None}, 6, "decay must be a number, got None"),
+        ({"amplitude": True}, 6, "amplitude must be a number, got True"),
+        ({"u": np.True_}, 6, f"u must be a number, got {np.True_!r}"),
+        ({}, "6", "rows must be an integer, got '6'"),
+        ({}, True, "rows must be an integer, got True"),
+        ({}, 6.0, "rows must be an integer, got 6.0"),
+        # A type error is reported before the unknown kind, as in a config.
+        ({"kind": "vortex", "v": "0"}, 6, "v must be a number, got '0'"),
+    ])
+    def test_type_validation(self, params, rows, message):
+        """A wrongly typed spec or grid raises the ValueError whose text a
+        config reports after ``field.synthetic.``."""
+        spec = SyntheticFieldSpec(**{"kind": "single_gyre", **params})
+        with pytest.raises(ValueError) as exc:
+            synthesize_field(spec, rows, 6)
+        assert str(exc.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        spec = SyntheticFieldSpec("double_gyre", amplitude=np.int8(2), decay=np.int64(2))
+        w, f = synthesize_field(spec, np.int64(6), np.int32(8))
+        w2, f2 = synthesize_field(SyntheticFieldSpec("double_gyre", 2.0, 2.0), 6, 8)
+        assert (w.rows, w.cols) == (6, 8)
+        assert f.u.tobytes() == f2.u.tobytes() and f.v.tobytes() == f2.v.tobytes()
 
     def test_resolve_field_both_sources(self, tmp_path):
         w, f = resolve_field(
