@@ -39,11 +39,12 @@ modes = ("deterministic", "probabilistic")
 pis = [initial_distribution(w, x_deploy, mode) for mode in modes]
 rngs = [np.random.default_rng((2026, i)) for i in range(len(modes))]
 true_paths, histories = sample_runs(P, pis, T, rngs)
-decodes = viterbi_runs(P, pis, histories)
-finals, trajs = error_reports(true_paths, [decoded for decoded, _ in decodes], w)
+decoded_paths, log_probs = viterbi_runs(P, pis, histories)
+finals, trajs = error_reports(true_paths, decoded_paths, w)
 
-for mode, true_path, obs, (decoded, logp), final, traj in zip(
-    modes, true_paths.tolist(), format_histories(histories[:, :16]), decodes, finals, trajs
+for mode, true_path, obs, decoded, logp, final, traj in zip(
+    modes, true_paths, format_histories(histories[:, :16]), decoded_paths, log_probs,
+    finals, trajs,
 ):
     print(f"--- {mode} prior, deployment cell {x_deploy} {w.rowcol(x_deploy)} ---")
     print(f"observations: {obs} ...")

@@ -8,6 +8,7 @@ one Euler step of length dt from its center.  O(n * 9) time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,14 @@ class VectorField:
         return np.hypot(self.u, self.v)
 
 
+def is_finite(x) -> bool:
+    """Whether the number x converts to a finite float (10**400 does not)."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def default_dt(field: VectorField) -> float:
     """Time for the fastest current in the field to traverse one cell.
 
@@ -83,7 +92,7 @@ def build_cell_map(field: VectorField, dt: float | None = None) -> CellMap:
     if dt is None:
         dt = default_dt(field)
     # Also false on NaN, and on an inf that default_dt gives for a near-zero field.
-    if not 0.0 < dt < np.inf:
+    if not (dt > 0.0 and is_finite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
     free = w.free_cells

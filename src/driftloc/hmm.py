@@ -24,7 +24,8 @@ state (an int32 index and a uint8 slot), besides an O(n) mask pass per step;
 no n x n or (T + 1) x n array is ever built.  A group of R runs decoded in
 lockstep reads every step's targets with one take from an (R (n + 1), W)
 table of absolute targets that it builds per call: 8 W bytes a run-state,
-0.36 MiB for 13 runs on the 609-state fixture.
+0.36 MiB for 13 runs on the 609-state fixture, and returns (R, T + 1) cells
+and (R,) log probabilities like ``sim.sample_runs``.
 """
 
 from __future__ import annotations
@@ -65,20 +66,22 @@ def viterbi(P: StochasticCellMap, pi: np.ndarray, observations) -> tuple[list[in
     cell indices.  Raises ZeroProbabilityError (carrying the 1-based step) if
     no state sequence is consistent with the observations.
     """
-    return viterbi_runs(P, [pi], [list(observations)])[0]
+    cells, log_probs = viterbi_runs(P, [pi], [list(observations)])
+    return cells[0].tolist(), float(log_probs[0])
 
 
-def viterbi_runs(P: StochasticCellMap, priors, histories) -> list[tuple[list[int], float]]:
+def viterbi_runs(P: StochasticCellMap, priors, histories) -> tuple[np.ndarray, np.ndarray]:
     """Decode a group of runs on one chain: history r under initial distribution r.
 
     Every history must have the same length T >= 1, and every prior is an
     (n_free,) nonnegative vector with sum 1.  ``histories`` may be an (R, T)
     integer array, checked by one range test; a symbol that is no direction
     raises the ValueError of ``Direction(y)``.
-    Returns one (trajectory, log probability) per run, each equal to what
-    ``viterbi`` gives for that run alone.  If some history is infeasible,
-    raises the ZeroProbabilityError of the first such run, whose ``run`` is
-    that run's index in the group.  Besides the O(R n) rows of its per-step
+    Returns ((R, T + 1) int64 cell indices, (R,) float64 log probabilities),
+    the layout of ``sim.sample_runs``: row r is what ``viterbi`` gives for
+    run r alone.  If some history is infeasible, raises the
+    ZeroProbabilityError of the first such run, whose ``run`` is that run's
+    index in the group.  Besides the O(R n) rows of its per-step
     masks, a group of R > 1 runs holds an (R (n + 1), W) int64 table of
     targets for the call, 8 W bytes a run-state.  The first decode on a chain
     builds its ``col`` and ``log_probs``; every later one reads the same
@@ -197,5 +200,4 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> list[tuple[list[int
         k = slots[t][departing[t].searchsorted(path[:, t] + base)]
         path[:, t + 1] = targets[path[:, t], k]
 
-    cells = P.workspace.free_cells[path]
-    return [(c.tolist(), float(total)) for c, total in zip(cells, totals)]
+    return P.workspace.free_cells[path], totals

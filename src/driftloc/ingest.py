@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldParseError
-from .flowfield import VectorField
+from .flowfield import VectorField, is_finite
 from .gridworld import Workspace
 
 FORMAT_MAGIC = "driftfield"
@@ -363,7 +363,7 @@ class SyntheticFieldSpec:
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
         for name in ("amplitude", "decay", "u", "v"):
-            if not np.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.kind != "uniform" and self.amplitude == 0.0:
             raise ValueError(f"amplitude must be nonzero for {self.kind}")

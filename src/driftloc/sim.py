@@ -25,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, ZeroProbabilityError
-from .flowfield import build_cell_map
+from .flowfield import build_cell_map, is_finite
 from .gcm import SLOT_DIRECTIONS, StochasticCellMap, build_stochastic_map, decompose
 from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
 from .hmm import initial_distribution, viterbi_runs
@@ -123,18 +123,17 @@ def sample_runs(
 
 def error_reports(true_paths, decoded_paths, w: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Final-location and whole-trajectory errors of R runs, in cell units,
-    from (R, T + 1) true and decoded paths.
+    from (R, T + 1) true and decoded paths.  A cell out of range raises the
+    CellIndexError of ``gridworld.cell_distances``.
 
     The trajectory error adds each run's step distances left to right, so it
     does not depend on the summation order of any one library or Python
     version.
     """
-    true_paths, decoded_paths = np.asarray(true_paths), np.asarray(decoded_paths)
-    if true_paths.shape != decoded_paths.shape:
-        raise ValueError(
-            f"path lengths differ: {true_paths.shape[-1]} vs {decoded_paths.shape[-1]}"
-        )
-    steps = cell_distances(w, true_paths[:, 1:], decoded_paths[:, 1:])
+    shape, decoded_shape = np.shape(true_paths), np.shape(decoded_paths)
+    if shape != decoded_shape:
+        raise ValueError(f"path shapes differ: {shape} vs {decoded_shape}")
+    steps = cell_distances(w, true_paths, decoded_paths)[:, 1:]
     if not steps.shape[1]:  # paths of one cell
         return np.zeros(len(steps)), np.zeros(len(steps))
     return steps[:, -1], steps.cumsum(axis=1)[:, -1]
@@ -197,7 +196,7 @@ class ExperimentConfig:
             _check_synthetic(field["synthetic"])
         if not 0.0 < self.r <= 1.0:
             raise ConfigError(f"r must be in (0, 1], got {self.r}")
-        if self.dt is not None and not 0.0 < self.dt < np.inf:
+        if self.dt is not None and not (self.dt > 0.0 and is_finite(self.dt)):
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         for m in self.modes:
             if m not in MODES:
@@ -272,8 +271,7 @@ class ExperimentResult:
             f.write(self.to_json())
 
 
-def _summarize(values: list[float]) -> tuple[float, float, float, float, float]:
-    a = np.asarray(values)
+def _summarize(a: np.ndarray) -> tuple[float, float, float, float, float]:
     # The median as the middle of the sorted values: np.median imports
     # numpy.ma for its NaN check.
     median = np.sort(a)[(len(a) - 1) // 2:len(a) // 2 + 1].mean()
@@ -321,26 +319,17 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
     group = max(1, _GROUP_STATES // smap.n_states)
     for cond_idx, (mode, T, region) in enumerate(conditions):
         pool = dec.region_cells(region) if region is not None else w.free_cells
-        starts, rngs = [], []
-        for run_idx in range(cfg.runs):
-            seed = np.random.SeedSequence((cfg.base_seed, cond_idx, run_idx))
-            rng = np.random.default_rng(seed)
-            if isinstance(cfg.initial, int):
-                x_init = cfg.initial
-            else:
-                x_init = int(pool[rng.integers(len(pool))])
-            starts.append(x_init)
-            rngs.append(rng)
-
-        finals, trajs = [], []
+        rngs = [np.random.default_rng(np.random.SeedSequence((cfg.base_seed, cond_idx, i)))
+                for i in range(cfg.runs)]
+        starts = [cfg.initial if isinstance(cfg.initial, int)
+                  else int(pool[rng.integers(len(pool))]) for rng in rngs]
+        groups = []
         for lo in range(0, cfg.runs, group):
-            runs = range(lo, min(lo + group, cfg.runs))
-            priors = [initial_distribution(w, starts[i], mode) for i in runs]
-            true_paths, histories = sample_runs(
-                smap, priors, T, rngs[lo:runs.stop], cfg.obs_noise
-            )
+            hi = min(lo + group, cfg.runs)
+            priors = [initial_distribution(w, x_init, mode) for x_init in starts[lo:hi]]
+            true_paths, histories = sample_runs(smap, priors, T, rngs[lo:hi], cfg.obs_noise)
             try:
-                decodes = viterbi_runs(smap, priors, histories)
+                groups.append((true_paths, histories, *viterbi_runs(smap, priors, histories)))
             except ZeroProbabilityError as exc:
                 run_idx = lo + exc.run
                 run_region = region if region is not None else dec.region_of(starts[run_idx])
@@ -350,31 +339,26 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                     f"run {run_idx}: {exc}",
                     run=run_idx,
                 ) from None
-            group_finals, group_trajs = (
-                errors.tolist()
-                for errors in error_reports(true_paths, [d for d, _ in decodes], w)
-            )
-            finals += group_finals
-            trajs += group_trajs
-            for run_idx, true_path, obs, (decoded, logp), final, traj in zip(
-                runs, true_paths.tolist(), format_histories(histories), decodes,
-                group_finals, group_trajs,
-            ):
-                x_init = starts[run_idx]
-                run_records.append({
-                    "condition": cond_idx,
-                    "T": T,
-                    "mode": mode,
-                    "region": region if region is not None else dec.region_of(x_init),
-                    "run": run_idx,
-                    "x_init": x_init,
-                    "true_path": true_path,
-                    "observations": obs,
-                    "decoded_path": decoded,
-                    "log_prob": logp,
-                    "final_error": final,
-                    "trajectory_error": traj,
-                })
+        true_paths, histories, decoded, log_probs = map(np.concatenate, zip(*groups))
+        finals, trajs = error_reports(true_paths, decoded, w)
+        for run_idx, (x_init, true_path, obs, path, logp, final, traj) in enumerate(zip(
+            starts, true_paths.tolist(), format_histories(histories), decoded.tolist(),
+            log_probs.tolist(), finals.tolist(), trajs.tolist(),
+        )):
+            run_records.append({
+                "condition": cond_idx,
+                "T": T,
+                "mode": mode,
+                "region": region if region is not None else dec.region_of(x_init),
+                "run": run_idx,
+                "x_init": x_init,
+                "true_path": true_path,
+                "observations": obs,
+                "decoded_path": path,
+                "log_prob": logp,
+                "final_error": final,
+                "trajectory_error": traj,
+            })
         summary.append(dict(zip(SUMMARY_COLUMNS, (
             cond_idx, T, mode, region or "", cfg.runs,
             *_summarize(finals), *_summarize(trajs),

@@ -362,6 +362,28 @@ class TestBadConfigValues:
         assert "Traceback" not in proc.stderr
 
 
+class TestNumberBeyondTheFloatRange:
+    """A JSON integer too large for a float is no finite number."""
+
+    @pytest.mark.parametrize("change, message", [
+        *(({"field": {"synthetic": {"kind": "double_gyre", "rows": 6, "cols": 6,
+                                    name: 10**400}}},
+           f"field.synthetic.{name} must be finite")
+          for name in ("amplitude", "decay", "u", "v")),
+        ({"dt": 10**400}, f"dt must be positive and finite, got {10**400}"),
+    ], ids=["amplitude", "decay", "u", "v", "dt"])
+    def test_one_error_line(self, tmp_path, change, message):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({
+            "field": {"path": str(FIXTURE_FIELD)}, "T_list": [5], "runs": 1, **change,
+        }))
+        proc = run_cli_process(
+            "experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+        )
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+
 class TestInfeasibleRun:
     def test_message_names_the_run(self, tmp_path):
         # Compass noise flips headings the paper model cannot emit; with
@@ -474,6 +496,35 @@ class TestPackageImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+    def test_commands_import_no_test_extras(self, tmp_path):
+        # numpy is the one runtime dependency; the test extras are installed
+        # beside it wherever the tests run, so a stray import would pass.
+        code = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from driftloc.cli import main\n"
+            "field, tmp = sys.argv[1], Path(sys.argv[2])\n"
+            "cfg = tmp / 'cfg.json'\n"
+            "cfg.write_text(json.dumps({'field': {'path': field}, 'T_list': [5], 'runs': 2}))\n"
+            "assert main(['experiment', '--config', str(cfg), '--out-dir', str(tmp)]) == 0\n"
+            "run = json.loads((tmp / 'cfg.runs.json').read_text())['runs'][0]\n"
+            "(tmp / 'obs.txt').write_text(run['observations'] + '\\n')\n"
+            "assert main(['localize', '--field', field, '--x0', str(run['x_init']),\n"
+            "             '--obs', str(tmp / 'obs.txt'), '--out', str(tmp / 't.json')]) == 0\n"
+            "assert main(['classify', '--field', field, '--out', str(tmp / 'd.json')]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] in {'scipy', 'jsonschema', 'hypothesis'}))\n"
+        )
+        path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(FIXTURE_FIELD), str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestLogLevel:

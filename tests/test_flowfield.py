@@ -164,6 +164,17 @@ class TestBuildCellMap:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             build_cell_map(f, dt)
 
+    @pytest.mark.parametrize("dt", [10**400, np.float64(math.inf)], ids=["10**400", "inf"])
+    def test_dt_beyond_the_float_range_rejected(self, dt):
+        # An integer too large for a float is no finite dt either.
+        _, f = make_field(3, 3, u=1.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            build_cell_map(f, dt)
+
+    def test_largest_float_dt_accepted(self):
+        _, f = make_field(3, 3, u=0.0)
+        assert build_cell_map(f, 10**308).dt == 1e308
+
     def test_default_dt_that_overflows_rejected(self):
         _, f = make_field(3, 3, u=1e-320)
         assert default_dt(f) == math.inf

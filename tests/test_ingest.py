@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,15 @@ class TestSynthesize:
         with pytest.raises(ValueError) as exc:
             synthesize_field(spec, rows, 6)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["amplitude", "decay", "u", "v"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400), math.inf, np.float64(math.nan)],
+                             ids=["10**400", "-10**400", "inf", "nan"])
+    def test_number_beyond_the_float_range(self, name, value):
+        """A number is finite only if it converts to a finite float."""
+        with pytest.raises(ValueError) as exc:
+            synthesize_field(SyntheticFieldSpec(kind="double_gyre", **{name: value}), 6, 6)
+        assert str(exc.value) == f"{name} must be finite"
 
     def test_numpy_numbers_accepted(self):
         spec = SyntheticFieldSpec("double_gyre", amplitude=np.int8(2), decay=np.int64(2))

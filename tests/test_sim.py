@@ -25,6 +25,7 @@ from driftloc import (
     save_field,
 )
 from conftest import CONFIG_DIR, REPO_ROOT, make_field, random_field, sample_run, slot_layout
+from driftloc import sim
 from driftloc.ingest import resolve_field
 from driftloc.sim import error_reports
 
@@ -404,6 +405,23 @@ class TestLockstepExperiment:
             "condition 0 (T=20, mode deterministic, region B(1,2)), run 2: "
             "observation history infeasible at step 2"
         )
+
+    def test_result_does_not_depend_on_group_size(self, monkeypatch):
+        # 15 runs a condition: groups of one run, of five (5, 5, 5), of the
+        # default 13 (13, 2) and of all 15.
+        fixture = CONFIG_DIR.parent / "fixtures" / "double_gyre_21x29.field"
+        cfg = ExperimentConfig.from_dict({
+            "field": {"path": str(fixture)},
+            "modes": ["deterministic", "probabilistic"], "T_list": [4, 9], "runs": 15,
+            "base_seed": 3, "group_by_region": True,
+        })
+        want = run_experiment(cfg)
+        assert (len(want.summary), len(want.runs)) == (20, 300)  # five regions
+        for states in (1, 5 * load_field(fixture)[0].n_free, 10**9):
+            monkeypatch.setattr(sim, "_GROUP_STATES", states)
+            got = run_experiment(cfg)
+            assert got.to_json() == want.to_json()
+            assert got.to_csv() == want.to_csv()
 
     def test_fig5_longest_condition_memory(self):
         # The fig5 protocol at T = 100: 50 runs, decoded 13 at a time.  One
