@@ -18,11 +18,14 @@ derives without keeping ``probs``.  ``decompose`` builds none of them.
 ``decompose(P)`` partitions the water cells into attractors (closed, mutually
 communicating sets, numbered B_1..B_g by smallest member) and transient
 groups keyed by the attractors their cells reach, single domiciles first and
-then by domicile tuple, cells ascending in each.  O(n * 9) time and memory,
-plus the unions of domicile sets formed; no n x n table is built, Tarjan
-reads its successor arrays in place rather than as lists of Python ints, and
-each intermediate is freed after its last reader.  Its traced peak, about 85
-bytes a state, is 0.99 MiB at 12 354 states and 9.7 MiB at 120 000.
+then by domicile tuple, cells ascending in each.  It keeps one int64 group
+number a state and the transient groups' domicile tuples; the group lists
+and labels are derived from that table on first read.  O(n * 9) time and
+memory, plus the unions of domicile sets formed; no n x n table is built,
+Tarjan reads its successor arrays in place rather than as lists of Python
+ints, and each intermediate is freed after its last reader.  Its traced
+peak, about 80 bytes a state, is 0.96 MiB at 12 354 states and 9.5 MiB at
+120 000.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CellIndexError
+from .errors import CellIndexError, LandCellError
 from .flowfield import CellMap
 from .gridworld import N_DIRECTIONS, Direction, Workspace
 
@@ -343,76 +346,73 @@ def _component_labels(counts: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray,
     return (np.array(rindex, dtype=np.int64) - done).astype(np.int32), closed
 
 
-def _group_label(domiciles: tuple[int, ...]) -> str:
-    return "B(" + ",".join(str(d) for d in domiciles) + ")"
-
-
 @dataclass(frozen=True, eq=False)
 class FlowDecomposition:
     """Partition of the water cells into attractors and transient groups.
 
-    ``persistent_groups[i]`` holds the cell indices of attractor B_{i+1};
-    ``transient_groups`` maps domicile tuples (1-based attractor numbers) to
-    cell index arrays.  Together they partition the free cells.
+    ``region[s]`` is the group of state s: attractors B_1..B_g are groups
+    0..g-1 (g = ``n_groups``), and transient group g + i has the domicile
+    tuple ``domiciles[i]`` (1-based attractor numbers), single domiciles
+    first, then by tuple.  The table is read-only and is all that is kept
+    per state.  ``persistent_groups[i]`` (the cells of B_{i+1}),
+    ``transient_groups`` (domicile tuple to cells) and the region labels
+    are built on first read from one stable argsort of it, cells ascending
+    in each group.
     """
 
     workspace: Workspace
-    persistent_groups: list[np.ndarray]  # cell indices, ascending
-    transient_groups: dict[tuple[int, ...], np.ndarray]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.persistent_groups)
+    region: np.ndarray  # (n_free,) int64 group of each state
+    n_groups: int
+    domiciles: list[tuple[int, ...]]
 
     @cached_property
-    def _index(self):
-        # Labels, cell arrays, and each state's index into both, so region_of
-        # does no scan.  Built on first use: classify never reads it.
-        labels = [f"B_{i + 1}" for i in range(self.n_groups)]
-        labels += [_group_label(k) for k in self.transient_groups]
-        groups = [*self.persistent_groups, *self.transient_groups.values()]
-        region = np.empty(self.workspace.n_free, dtype=np.int64)  # groups partition it
-        if groups:
-            cells = np.concatenate(groups)
-            ids = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-            region[np.searchsorted(self.workspace.free_cells, cells)] = ids
-        return labels, groups, region
+    def _groups(self) -> list[np.ndarray]:
+        cells = self.workspace.free_cells[np.argsort(self.region, kind="stable")]
+        cells.setflags(write=False)
+        return np.split(cells, np.cumsum(np.bincount(self.region)[:-1]))
+
+    @cached_property
+    def _labels(self) -> list[str]:
+        return [f"B_{i + 1}" for i in range(self.n_groups)] + [
+            "B(" + ",".join(map(str, k)) + ")" for k in self.domiciles]
+
+    @cached_property
+    def persistent_groups(self) -> list[np.ndarray]:
+        return self._groups[:self.n_groups]
+
+    @cached_property
+    def transient_groups(self) -> dict[tuple[int, ...], np.ndarray]:
+        return dict(zip(self.domiciles, self._groups[self.n_groups:]))
 
     def region_labels(self) -> list[str]:
-        return list(self._index[0])
+        return list(self._labels)
 
     def region_cells(self, label: str) -> np.ndarray:
-        labels, groups, _ = self._index
-        if label not in labels:
+        if label not in self._labels:
             raise KeyError(f"unknown region label {label!r}")
-        return groups[labels.index(label)]
+        return self._groups[self._labels.index(label)]
 
     def region_of(self, z: int) -> str:
-        labels, _, region = self._index
         try:
-            return labels[region[self.workspace.state_of(z)]]
-        except (CellIndexError, ValueError):
+            return self._labels[self.region[self.workspace.state_of(z)]]
+        except (CellIndexError, LandCellError):
             raise KeyError(f"cell {z} is not a water cell of this decomposition") from None
 
     def to_dict(self) -> dict:
+        g = self.n_groups
         return {
             "rows": self.workspace.rows,
             "cols": self.workspace.cols,
             "n_free": self.workspace.n_free,
-            "n_persistent_groups": self.n_groups,
-            "n_transient_groups": len(self.transient_groups),
+            "n_persistent_groups": g,
+            "n_transient_groups": len(self.domiciles),
             "persistent_groups": [
-                {"label": f"B_{i + 1}", "size": len(g), "cells": g.tolist()}
-                for i, g in enumerate(self.persistent_groups)
+                {"label": label, "size": len(cells), "cells": cells.tolist()}
+                for label, cells in zip(self._labels, self.persistent_groups)
             ],
             "transient_groups": [
-                {
-                    "label": _group_label(k),
-                    "domiciles": list(k),
-                    "size": len(cells),
-                    "cells": cells.tolist(),
-                }
-                for k, cells in self.transient_groups.items()
+                {"label": label, "domiciles": list(k), "size": len(cells), "cells": cells.tolist()}
+                for label, (k, cells) in zip(self._labels[g:], self.transient_groups.items())
             ],
         }
 
@@ -442,14 +442,13 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
     bounds = np.searchsorted(edges, np.arange(n_comps + 1) * n_comps)
     exits = bounds[1:] > bounds[:-1]
 
-    sizes = np.bincount(labels, minlength=n_comps)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    by_label = np.argsort(labels, kind="stable")  # states ascending per label
+    # Each component's smallest state and size; every label occurs.
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
     cyclic = sizes > 1
     cyclic[labels[(P.targets[:-1] == np.arange(P.n_states)[:, None]).any(axis=1)]] = True
     is_attractor = cyclic & ~exits
     attractors = np.flatnonzero(is_attractor)
-    attractors = attractors[np.argsort(by_label[starts[attractors]])]  # B_1..B_g
+    attractors = attractors[np.argsort(first[attractors])]  # B_1..B_g
 
     # Reach ids index interned tuples of the attractor numbers reached; id 0
     # is the empty set (a dead end) and id i <= g is B_i alone.
@@ -472,25 +471,21 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
             sets.append(key)
     del edges, entered, bounds
 
-    cells = w.free_cells[by_label]
-    persistent = [cells[a:b] for a, b in zip(starts[attractors].tolist(),
-                                               starts[attractors + 1].tolist())]
-    transient = np.flatnonzero(~is_attractor[labels])
-    rid_of = np.array(reach, dtype=np.int64)[labels[transient]]
-    by_rid = np.argsort(rid_of, kind="stable")  # states stay ascending per group
-    rids, firsts = np.unique(rid_of[by_rid], return_index=True)
-    groups = {}
-    for rid, states in zip(rids.tolist(), np.split(transient[by_rid], firsts[1:])):
-        if rid == 0:  # the empty set: listed first, so states[0] is the smallest
-            raise RuntimeError(
-                f"transient state {states[0]} reaches no persistent group; "
-                "the decomposition is inconsistent"
-            )
-        groups[sets[rid]] = w.free_cells[states]
-
-    keys = sorted(groups, key=lambda k: (len(k), k))  # single domiciles first
+    # Each component's group: the attractors are groups 0..g-1, and each
+    # reach set of a transient component one group after them.
+    reach = np.array(reach, dtype=np.int64)
+    rids = sorted(set(reach[~is_attractor].tolist()), key=lambda r: (len(sets[r]), sets[r]))
+    if rids[:1] == [0]:  # the empty set sorts first
+        raise RuntimeError(
+            f"transient state {np.flatnonzero(reach[labels] == 0)[0]} reaches no "
+            "persistent group; the decomposition is inconsistent"
+        )
+    group = np.empty(len(sets), dtype=np.int64)
+    group[rids] = np.arange(g, g + len(rids))
+    group = group[reach]
+    group[attractors] = np.arange(g)
+    region = group[labels]
+    region.setflags(write=False)
     return FlowDecomposition(
-        workspace=w,
-        persistent_groups=persistent,
-        transient_groups={k: groups[k] for k in keys},
+        workspace=w, region=region, n_groups=g, domiciles=[sets[r] for r in rids]
     )

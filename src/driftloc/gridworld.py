@@ -12,7 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import CellIndexError, NonAdjacentCellsError
+from .errors import CellIndexError, LandCellError, NonAdjacentCellsError
 
 
 class Direction(IntEnum):
@@ -186,10 +186,10 @@ class Workspace:
         return (row + 1) * (self.cols + 2) + col + 1
 
     def state_of(self, z: int) -> int:
-        """Free-cell state index of a water cell (raises on land)."""
+        """Free-cell state index of a water cell (LandCellError on land)."""
         s = int(self.state_grid[self.padded(*self.rowcol(z))])
         if s < 0:
-            raise ValueError(f"cell {z} is land and has no state index")
+            raise LandCellError(f"cell {z} is land and has no state index")
         return s
 
     # -- geometry -----------------------------------------------------------

@@ -297,9 +297,9 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
     if isinstance(cfg.initial, int) and w.is_land(cfg.initial):
         raise ConfigError(f"initial cell {cfg.initial} is land")
 
+    labels = dec.region_labels()
     if cfg.group_by_region:
-        regions = list(cfg.regions) if cfg.regions is not None else dec.region_labels()
-        labels = dec.region_labels()
+        regions = list(cfg.regions) if cfg.regions is not None else labels
         for label in regions:
             if label not in labels:
                 raise ConfigError(f"regions: this field has no region {label!r}")
@@ -323,6 +323,8 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                 for i in range(cfg.runs)]
         starts = [cfg.initial if isinstance(cfg.initial, int)
                   else int(pool[rng.integers(len(pool))]) for rng in rngs]
+        run_regions = ([region] * cfg.runs if region is not None else
+                       [labels[i] for i in dec.region[w.free_cells.searchsorted(starts)].tolist()])
         groups = []
         for lo in range(0, cfg.runs, group):
             hi = min(lo + group, cfg.runs)
@@ -332,10 +334,9 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                 groups.append((true_paths, histories, *viterbi_runs(smap, priors, histories)))
             except ZeroProbabilityError as exc:
                 run_idx = lo + exc.run
-                run_region = region if region is not None else dec.region_of(starts[run_idx])
                 raise ZeroProbabilityError(
                     exc.step,
-                    f"condition {cond_idx} (T={T}, mode {mode}, region {run_region}), "
+                    f"condition {cond_idx} (T={T}, mode {mode}, region {run_regions[run_idx]}), "
                     f"run {run_idx}: {exc}",
                     run=run_idx,
                 ) from None
@@ -349,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                 "condition": cond_idx,
                 "T": T,
                 "mode": mode,
-                "region": region if region is not None else dec.region_of(x_init),
+                "region": run_regions[run_idx],
                 "run": run_idx,
                 "x_init": x_init,
                 "true_path": true_path,

@@ -8,9 +8,11 @@ chains only.  ``reachability`` is the only n x n closure left, so the tests
 that need C itself take it from here.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from driftloc import FlowDecomposition
+from driftloc import Workspace
 
 
 def _tarjan(succ: list[np.ndarray]) -> list[list[int]]:
@@ -162,7 +164,44 @@ def find_transient_groups(
     return {k: np.array(sorted(v), dtype=np.int64) for k, v in ordered}
 
 
-def decompose(P) -> FlowDecomposition:
+@dataclass(frozen=True, eq=False)
+class ClosureDecomposition:
+    """The oracle's groups as its own cell arrays: attractors B_1..B_g in
+    order, and transient groups keyed by domicile tuple in order."""
+
+    workspace: Workspace
+    persistent_groups: list[np.ndarray]
+    transient_groups: dict[tuple[int, ...], np.ndarray]
+
+    def regions(self) -> dict[str, np.ndarray]:
+        """Each group's cells by label, attractors first."""
+        out = {f"B_{i + 1}": g for i, g in enumerate(self.persistent_groups)}
+        for k, cells in self.transient_groups.items():
+            out["B(" + ",".join(str(d) for d in k) + ")"] = cells
+        return out
+
+    def to_dict(self) -> dict:
+        """The export of the earlier decomposition, read off these arrays."""
+        g = len(self.persistent_groups)
+        labels = list(self.regions())
+        return {
+            "rows": self.workspace.rows,
+            "cols": self.workspace.cols,
+            "n_free": self.workspace.n_free,
+            "n_persistent_groups": g,
+            "n_transient_groups": len(self.transient_groups),
+            "persistent_groups": [
+                {"label": label, "size": len(cells), "cells": cells.tolist()}
+                for label, cells in zip(labels, self.persistent_groups)
+            ],
+            "transient_groups": [
+                {"label": label, "domiciles": list(k), "size": len(cells), "cells": cells.tolist()}
+                for label, (k, cells) in zip(labels[g:], self.transient_groups.items())
+            ],
+        }
+
+
+def decompose(P) -> ClosureDecomposition:
     """Full long-term decomposition of the chain's support graph."""
     w = P.workspace
     sccs = strongly_connected_components(P)
@@ -179,7 +218,7 @@ def decompose(P) -> FlowDecomposition:
     transient_states = np.flatnonzero(~mask)
     transient = find_transient_groups(persistent, transient_states, C)
 
-    return FlowDecomposition(
+    return ClosureDecomposition(
         workspace=w,
         persistent_groups=[w.free_cells[g] for g in persistent],
         transient_groups={k: w.free_cells[v] for k, v in transient.items()},

@@ -42,8 +42,31 @@ def assert_matches_reference(P):
     for k, b in want.transient_groups.items():
         a = got.transient_groups[k]
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert_same_regions(got, want)
     assert_same_sccs(P)
     return got
+
+
+def assert_same_regions(got, want):
+    """region_labels, region_cells and region_of give the oracle's group of
+    every water cell, twice over, and land or off-grid cells raise."""
+    w, regions = got.workspace, want.regions()
+    cells = np.concatenate(list(regions.values()))
+    assert np.array_equal(np.sort(cells), w.free_cells)
+    for _ in range(2):
+        labels = got.region_labels()
+        assert labels == list(regions)
+        for label, b in regions.items():
+            a = got.region_cells(label)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert [got.region_of(z) for z in b.tolist()] == [label] * len(b)
+        labels.reverse()  # the caller's copy: the decomposition keeps its own
+        labels.append("B_0")
+    for z in [0, *np.flatnonzero(w.land_mask.reshape(-1)) + 1, w.n_cells + 1]:
+        with pytest.raises(KeyError):
+            got.region_of(z)
+    with pytest.raises(KeyError):
+        got.region_cells("B_0")
 
 
 def assert_same_sccs(P):

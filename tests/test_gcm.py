@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from driftloc import (
     SLOT_DIRECTIONS,
     Direction,
+    LandCellError,
     Workspace,
     build_cell_map,
     build_stochastic_map,
@@ -116,6 +117,14 @@ class TestBuildStochasticMap:
             1: 0.25, w.index(0, 1): 0.25, w.index(1, 0): 0.25, w.index(1, 1): 0.25,
         }
         assert bool(colliding(cm, 0.9)[w.state_of(1)])
+
+    def test_mapped_set_of_a_land_cell(self):
+        land = np.zeros((4, 4), dtype=bool)
+        land[0, 0] = True  # cell 1
+        _, f = make_field(4, 4, u=0.3, land=land)
+        smap = build_stochastic_map(build_cell_map(f), 0.9)
+        with pytest.raises(LandCellError, match="cell 1 is land"):
+            smap.mapped_set(1)
 
     def test_land_in_stencil_triggers_uniform(self):
         mask = np.zeros((4, 4), dtype=bool)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from driftloc import (
     CellIndexError,
     Direction,
+    DriftlocError,
+    LandCellError,
     NonAdjacentCellsError,
     Workspace,
     direction_between,
@@ -64,6 +66,12 @@ class TestWorkspace:
         assert w.state_of(9) == 6
         with pytest.raises(ValueError):
             w.state_of(1)
+
+    def test_land_cell_has_a_typed_error(self):
+        w = ws(land=[(0, 0)])
+        with pytest.raises(LandCellError, match="cell 1 is land") as err:
+            w.state_of(1)
+        assert isinstance(err.value, DriftlocError)
 
 
 @st.composite
