@@ -24,13 +24,13 @@ from .flowfield import (
     default_dt,
 )
 from .gcm import (
-    SLOT_DIRECTIONS,
     FlowDecomposition,
     StochasticCellMap,
     build_stochastic_map,
     decompose,
 )
 from .gridworld import (
+    SLOT_DIRECTIONS,
     Direction,
     Workspace,
     direction_between,

@@ -37,14 +37,10 @@ import numpy as np
 
 from .errors import CellIndexError, LandCellError
 from .flowfield import CellMap
-from .gridworld import N_DIRECTIONS, Direction, Workspace
+from .gridworld import N_DIRECTIONS, SLOT_DIRECTIONS, Workspace
 
 MAX_MAPPED = 9  # |A(z)| can never exceed the nine-action neighborhood
 
-# The nine Moore moves in slot order: slot k = (drow + 1) * 3 + (dcol + 1) is
-# the move by the offset (drow, dcol), so the slots run in ascending cell
-# index, and each reads as one compass symbol.
-SLOT_DIRECTIONS = tuple(sorted(Direction, key=lambda d: d.step))
 # Bit k marks slot k in a mask of slots; index MAX_MAPPED, for a stencil
 # corner outside the Moore stencil, marks none.
 _SLOT_BIT = np.array([1 << k for k in range(MAX_MAPPED)] + [0], dtype=np.uint16)
@@ -432,6 +428,8 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
     counts, succ = _successors(P)
     labels, n_comps = _component_labels(counts, succ)
     src, dst = np.repeat(labels, counts), labels[succ]
+    # A state with more live moves than successors other than itself loops.
+    looped = _RANKS[MAX_MAPPED].take(P.mask) > counts
     del counts, succ
     out = src != dst
     # Cross edges keyed source-major: each component's run of keys lists the
@@ -445,7 +443,8 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
     # Each component's smallest state and size; every label occurs.
     _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
     cyclic = sizes > 1
-    cyclic[labels[(P.targets[:-1] == np.arange(P.n_states)[:, None]).any(axis=1)]] = True
+    cyclic[labels[looped]] = True
+    del looped
     is_attractor = cyclic & ~exits
     attractors = np.flatnonzero(is_attractor)
     attractors = attractors[np.argsort(first[attractors])]  # B_1..B_g

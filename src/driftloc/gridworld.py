@@ -35,30 +35,21 @@ class Direction(IntEnum):
     @property
     def step(self) -> tuple[int, int]:
         """(drow, dcol) displacement of one move in this direction."""
-        return _DIRECTION_STEPS[self]
+        drow, dcol = divmod(SLOT_DIRECTIONS.index(self), 3)
+        return drow - 1, dcol - 1
 
 
-_DIRECTION_STEPS = {
-    Direction.N: (1, 0),
-    Direction.NE: (1, 1),
-    Direction.E: (0, 1),
-    Direction.SE: (-1, 1),
-    Direction.S: (-1, 0),
-    Direction.SW: (-1, -1),
-    Direction.W: (0, -1),
-    Direction.NW: (1, -1),
-    Direction.IDLE: (0, 0),
-}
-_STEP_TO_DIRECTION = {step: d for d, step in _DIRECTION_STEPS.items()}
+# The nine Moore moves in slot order: slot k = (drow + 1) * 3 + (dcol + 1) is
+# the move by the offset (drow, dcol), so the slots run in ascending cell
+# index, and each reads as one compass symbol.
+SLOT_DIRECTIONS = (
+    Direction.SW, Direction.S, Direction.SE,
+    Direction.W, Direction.IDLE, Direction.E,
+    Direction.NW, Direction.N, Direction.NE,
+)
 _SYMBOL_TO_DIRECTION = {d.symbol: d for d in Direction}
 
 N_DIRECTIONS = len(Direction)
-
-# Moore offsets in ascending cell-index order (row-major): used wherever a
-# deterministic scan order over a neighborhood is required.
-MOORE_OFFSETS = tuple(
-    (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
-)
 
 
 def parse_directions(text: str) -> list[Direction]:
@@ -198,7 +189,7 @@ class Workspace:
         """Moore neighborhood of z: in-grid water cells, z itself excluded."""
         row, col = self.rowcol(z)
         out = set()
-        for dr, dc in MOORE_OFFSETS:
+        for dr, dc in (d.step for d in SLOT_DIRECTIONS if d is not Direction.IDLE):
             r, c = row + dr, col + dc
             if 0 <= r < self.rows and 0 <= c < self.cols and not self.land_mask[r, c]:
                 out.add(r * self.cols + c + 1)
@@ -209,13 +200,12 @@ def direction_between(w: Workspace, z: int, z2: int) -> Direction:
     """Compass direction of the displacement z -> z2 (IDLE iff z2 == z)."""
     r1, c1 = w.rowcol(z)
     r2, c2 = w.rowcol(z2)
-    step = (r2 - r1, c2 - c1)
-    d = _STEP_TO_DIRECTION.get(step)
-    if d is None:
+    drow, dcol = r2 - r1, c2 - c1
+    if not (-1 <= drow <= 1 and -1 <= dcol <= 1):
         raise NonAdjacentCellsError(
             f"cells {z} and {z2} are neither equal nor Moore-adjacent"
         )
-    return d
+    return SLOT_DIRECTIONS[(drow + 1) * 3 + dcol + 1]
 
 
 def cell_distances(w: Workspace, z, z2) -> np.ndarray:

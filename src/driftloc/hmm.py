@@ -20,12 +20,13 @@ reads log P from the chain's ``log_probs`` in the same columns, and log Q
 from it through ``col``.  The first decode on a chain builds ``col`` and
 ``log_probs``, (8 W + 9) bytes a state beside the chain's own.
 A decode costs O(sum_t |D_t| * W) time and O(sum_t |D_t|) memory, 5 bytes a
-state (an int32 index and a uint8 slot), besides an O(n) mask pass per step;
-no n x n or (T + 1) x n array is ever built.  A group of R runs decoded in
-lockstep reads every step's targets with one take from an (R (n + 1), W)
-table of absolute targets that it builds per call: 8 W bytes a run-state,
-0.36 MiB for 13 runs on the 609-state fixture, and returns (R, T + 1) cells
-and (R,) log probabilities like ``sim.sample_runs``.
+state (an int32 index and a uint8 slot), besides an O(n) mask pass per step
+and one reused float64 score row; no prior is copied, and no n x n or
+(T + 1) x n array is ever built.  A group of R runs decoded in lockstep
+reads every step's targets with one take from an (R (n + 1), W) table of
+absolute targets that it builds per call: 8 W bytes a run-state, 0.36 MiB
+for 13 runs on the 609-state fixture, and returns (R, T + 1) cells and (R,)
+log probabilities like ``sim.sample_runs``.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> tuple[np.ndarray, n
     the layout of ``sim.sample_runs``: row r is what ``viterbi`` gives for
     run r alone.  If some history is infeasible, raises the
     ZeroProbabilityError of the first such run, whose ``run`` is that run's
-    index in the group.  Besides the O(R n) rows of its per-step
-    masks, a group of R > 1 runs holds an (R (n + 1), W) int64 table of
-    targets for the call, 8 W bytes a run-state.  The first decode on a chain
-    builds its ``col`` and ``log_probs``; every later one reads the same
-    tables.
+    index in the group.  The priors are read in place.  Besides its per-step
+    masks, a decode holds one R (n + 1) float64 score row that every backward
+    step reuses, and a group of R > 1 runs an (R (n + 1), W) int64 table of
+    targets, 8 W bytes a run-state.  The first decode on a chain builds its
+    ``col`` and ``log_probs``; every later one reads the same tables.
     """
     if len(histories) != len(priors):
         raise ValueError(f"{len(histories)} histories but {len(priors)} priors")
@@ -97,13 +98,19 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> tuple[np.ndarray, n
     obs = direction_array(histories)  # (R, T)
 
     n = P.n_states
-    for pi in priors:
+    R, N = len(obs), n + 1
+    # Each prior, read in place, marks its run's start states.
+    reached = np.zeros((R, N), dtype=bool)
+    pis = []
+    for pi, row in zip(priors, reached):
         pi = np.asarray(pi, dtype=float)
         if pi.shape != (n,):
             raise ValueError(f"initial distribution shape {pi.shape} != ({n},)")
         # pi >= 0 is False on NaN, and an infinite entry makes the sum miss 1.
         if not (pi >= 0.0).all() or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution is not nonnegative with sum 1")
+        np.greater(pi, 0.0, out=row[:n])
+        pis.append(pi)
     # Run r's state s is index r * N + s; the blocks of N = n + 1 keep each
     # run's part of a sorted index set contiguous and in run order.  A step
     # reads its targets with one plain take from nxt: the chain's targets for
@@ -117,14 +124,9 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> tuple[np.ndarray, n
     # decode's memory, are kept as int32.  cols_at(t) is the row of the
     # chain's (9, N) column table for each run's symbol at step t, run after
     # run.
-    R, N = len(obs), n + 1
     targets, col, log_probs = P.targets, P.col, P.log_probs
     width = targets.shape[1]
     index = np.int32 if R * N <= np.iinfo(np.int32).max else np.intp
-    pis = np.array(priors, dtype=float)
-    logpi = np.full((R, N), -np.inf)
-    with np.errstate(divide="ignore"):
-        logpi[:, :n] = np.log(pis)
     base = np.arange(0, R * N, N, dtype=index)
     if R == 1:
         nxt = targets
@@ -139,8 +141,6 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> tuple[np.ndarray, n
 
     # Forward sweep: departing[t] is D_t, the states reachable after t
     # observations that can emit y_{t+1}, ascending; dead slots mark a sink.
-    reached = np.zeros((R, N), dtype=bool)
-    reached[:, :n] = pis > 0.0
     reached = reached.ravel()
     departing = []
     for t in range(T):
@@ -181,13 +181,15 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> tuple[np.ndarray, n
         rows = np.arange(0, cont.size, width)
         k += rows
         rows += cols_at(t).take(here)
-        best = np.full(R * N, -np.inf)
+        best.fill(-np.inf)
         best[here] = logp.ravel().take(rows) + cont.ravel().take(k)
 
     # Per run: the best start score over its block of D_0, and the first
     # state that attains it.
-    start_scores = logpi.ravel().take(here) + best.take(here)
     first = here.searchsorted(base)
+    start_scores = best.take(here)
+    for pi, b, start, stop in zip(pis, base, first, [*first[1:], len(here)]):
+        start_scores[start:stop] += np.log(pi.take(here[start:stop] - b))
     totals = np.maximum.reduceat(start_scores, first)
     finite = np.isfinite(totals)
     if not finite.all():

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, ZeroProbabilityError
 from .flowfield import build_cell_map, is_finite
-from .gcm import SLOT_DIRECTIONS, StochasticCellMap, build_stochastic_map, decompose
-from .gridworld import N_DIRECTIONS, Workspace, cell_distances, format_histories
+from .gcm import StochasticCellMap, build_stochastic_map, decompose
+from .gridworld import N_DIRECTIONS, SLOT_DIRECTIONS, Workspace, cell_distances, format_histories
 from .hmm import initial_distribution, viterbi_runs
 from .ingest import SyntheticFieldSpec, is_a, resolve_field
 from .report import report_json

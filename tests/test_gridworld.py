@@ -15,7 +15,20 @@ from driftloc import (
     direction_between,
     parse_directions,
 )
-from driftloc.gridworld import MOORE_OFFSETS, cell_distances, format_histories
+from driftloc.gridworld import SLOT_DIRECTIONS, cell_distances, format_histories
+
+# Each direction's (drow, dcol): north is +1 row, east is +1 col.
+STEPS = {
+    Direction.N: (1, 0),
+    Direction.NE: (1, 1),
+    Direction.E: (0, 1),
+    Direction.SE: (-1, 1),
+    Direction.S: (-1, 0),
+    Direction.SW: (-1, -1),
+    Direction.W: (0, -1),
+    Direction.NW: (1, -1),
+    Direction.IDLE: (0, 0),
+}
 
 
 def ws(rows=3, cols=3, land=None):
@@ -108,7 +121,8 @@ class TestStateGrid:
                 assert grid[at] == -1
                 continue
             assert grid[at] == w.state_of(z)
-            moves = [grid[at + dr * (cols + 2) + dc] for dr, dc in MOORE_OFFSETS]
+            steps = [d.step for d in SLOT_DIRECTIONS if d is not Direction.IDLE]
+            moves = [grid[at + dr * (cols + 2) + dc] for dr, dc in steps]
             near = {int(w.free_cells[s]) for s in moves if s >= 0}
             assert near == w.neighbors(z)
 
@@ -143,6 +157,22 @@ class TestDirections:
         assert direction_between(w, c, c) is Direction.IDLE
         assert direction_between(w, c, w.index(2, 2)) is Direction.NE
         assert direction_between(w, c, w.index(0, 0)) is Direction.SW
+
+    def test_every_step(self):
+        assert {d: d.step for d in Direction} == STEPS
+
+    def test_every_offset_from_an_interior_cell(self):
+        w = ws(5, 5)
+        c = w.index(2, 2)
+        by_offset = {step: d for d, step in STEPS.items()}
+        for dr in range(-2, 3):
+            for dc in range(-2, 3):
+                z2 = w.index(2 + dr, 2 + dc)
+                if (dr, dc) in by_offset:
+                    assert direction_between(w, c, z2) is by_offset[dr, dc]
+                else:
+                    with pytest.raises(NonAdjacentCellsError):
+                        direction_between(w, c, z2)
 
     def test_non_adjacent_raises(self):
         w = ws()

@@ -363,6 +363,25 @@ class TestMemory:
         assert len(cells) == 51
         assert peak < 16 * 2**20, f"viterbi peaked at {peak / 2**20:.1f} MiB"
 
+    def test_decode_holds_one_score_row(self):
+        # With the chain's tables built, a one-run decode holds one float64
+        # score row of n + 1 entries, reused by every backward step, beside
+        # its masks and feasible sets; the prior is read in place.
+        w, f = synthesize_field(SyntheticFieldSpec(kind="double_gyre", decay=2.0), 300, 400)
+        P = build_stochastic_map(build_cell_map(f), 0.9)
+        P.col, P.log_probs
+        pi = initial_distribution(w, 60010, "deterministic")
+        _, obs = sample_run(P, pi, 20, seed=0)
+        tracemalloc.start()
+        try:
+            cells, _ = viterbi_runs(P, [pi], [obs])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (1, 21)
+        limit = 12 * (P.n_states + 1) + 2**16
+        assert peak <= limit, f"peaked at {peak / 2**20:.2f} MiB, limit {limit / 2**20:.2f} MiB"
+
     def test_model_keeps_one_table(self):
         # The chain is the decoder's model: once a sample has built
         # ``probs``, a decode adds one table, log P in its W columns, read for

@@ -227,9 +227,12 @@ class TestLockstepGroups:
             viterbi_runs(P, [], [])
         negative = np.zeros(w.n_free)
         negative[:2] = 1.5, -0.5
-        for bad in (np.full(w.n_free, 0.5), np.full(w.n_free, np.nan), negative):
+        # [pi, pi[:-1]] is a ragged group: each prior is checked on its own.
+        sum_error = "is not nonnegative with sum 1"
+        for bad, error in ((pi[:-1], "shape"), (np.full(w.n_free, 0.5), sum_error),
+                           (np.full(w.n_free, np.nan), sum_error), (negative, sum_error)):
             for priors in ([bad], [pi, bad]):
-                with pytest.raises(ValueError, match="initial distribution"):
+                with pytest.raises(ValueError, match=f"initial distribution {error}"):
                     viterbi_runs(P, priors, [[0]] * len(priors))
 
     @settings(max_examples=80, deadline=None, database=None)
