@@ -27,11 +27,9 @@ from .flowfield import build_cell_map
 from .gcm import build_stochastic_map, decompose
 from .gridworld import parse_directions
 from .hmm import initial_distribution, viterbi
-from .ingest import SyntheticFieldSpec, load_field, synthesize_field
+from .ingest import SyntheticFieldSpec, load_field, resolve_field
 from .report import report_json
 from .sim import ExperimentConfig, run_experiment
-
-log = logging.getLogger("driftloc")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,18 +56,14 @@ def _add_field_args(p: argparse.ArgumentParser) -> None:
                    help="Euler step; default: one cell at peak speed")
 
 
-def _resolve_field(args):
-    if args.field is not None:
-        return load_field(args.field)
-    spec = SyntheticFieldSpec(
-        kind=args.synthetic, amplitude=args.amplitude, decay=args.decay,
-        u=args.u, v=args.v,
-    )
-    return synthesize_field(spec, args.rows, args.cols)
-
-
 def _build_chain(args):
-    w, field = _resolve_field(args)
+    # The field flags as the field source of a config.
+    if args.field is not None:
+        source = {"path": args.field}
+    else:
+        keys = ("rows", "cols", "amplitude", "decay", "u", "v")
+        source = {"synthetic": {"kind": args.synthetic, **{k: getattr(args, k) for k in keys}}}
+    w, field = resolve_field(source)
     cm = build_cell_map(field, dt=args.dt)
     del field  # the cell map holds what the chain reads
     smap = build_stochastic_map(cm, args.r)

@@ -154,14 +154,6 @@ class StochasticCellMap:
         cells = self.workspace.free_cells[self.targets[s, live]]
         return {int(c): float(p) for c, p in zip(cells, self.probs[s, live])}
 
-    def adjacency(self) -> list[list[int]]:
-        """Successor state lists (the support graph), one list per state."""
-        targets = self.targets[:-1]
-        live = targets < self.n_states
-        flat = targets[live].tolist()  # row by row, ascending
-        ends = np.cumsum(live.sum(axis=1)).tolist()
-        return [flat[a:b] for a, b in zip([0, *ends], ends)]
-
 
 def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
     """Spread motion uncertainty around each Euler endpoint.

@@ -185,19 +185,19 @@ def viterbi_runs(P: StochasticCellMap, priors, histories) -> tuple[np.ndarray, n
         best[here] = logp.ravel().take(rows) + cont.ravel().take(k)
 
     # Per run: the best start score over its block of D_0, and the first
-    # state that attains it.
+    # state, the smallest, that attains it.
+    path = np.empty((R, T + 1), dtype=index)  # states, run by run
+    totals = np.empty(R)
     first = here.searchsorted(base)
-    start_scores = best.take(here)
-    for pi, b, start, stop in zip(pis, base, first, [*first[1:], len(here)]):
-        start_scores[start:stop] += np.log(pi.take(here[start:stop] - b))
-    totals = np.maximum.reduceat(start_scores, first)
+    for r, (pi, start, stop) in enumerate(zip(pis, first, [*first[1:], len(here)])):
+        states = here[start:stop]
+        scores = best.take(states) + np.log(pi.take(states - base[r]))
+        k = scores.argmax()
+        path[r, 0], totals[r] = states[k] - base[r], scores[k]
     finite = np.isfinite(totals)
     if not finite.all():
         raise ZeroProbabilityError(1, run=int(np.argmin(finite)))
-    top = np.flatnonzero(start_scores == totals.repeat(np.diff(first, append=len(here))))
 
-    path = np.empty((R, T + 1), dtype=index)  # states, run by run
-    path[:, 0] = here[top[top.searchsorted(first)]] - base
     for t in range(T):
         k = slots[t][departing[t].searchsorted(path[:, t] + base)]
         path[:, t + 1] = targets[path[:, t], k]

@@ -66,18 +66,11 @@ FORMAT_VERSION = 1
 _HEADER_KEYS = ("rows", "cols", "origin", "cell_size", "depth", "time")
 
 
-def save_field(
-    path, field: VectorField, depth: str | None = None, time: str | None = None
-) -> None:
-    """Write a workspace + field as a field file (the inverse of load_field).
-
-    ``depth`` and ``time`` default to the field's own labels.  Raises
-    ValueError if a label holds a line break, which the file could not carry
-    as one header line.
-    """
-    depth = field.depth if depth is None else depth
-    time = field.time if time is None else time
-    for key, label in (("depth", depth), ("time", time)):
+def save_field(path, field: VectorField) -> None:
+    """Write a workspace + field, with its labels, as a field file (the
+    inverse of load_field).  Raises ValueError if a label holds a line
+    break, which the file could not carry as one header line."""
+    for key, label in (("depth", field.depth), ("time", field.time)):
         if "".join(label.splitlines()) != label:
             raise ValueError(f"{key} label {label!r} holds a line break")
     w = field.workspace
@@ -87,8 +80,8 @@ def save_field(
         f"cols {w.cols}",
         f"origin {float(w.origin[0])!r} {float(w.origin[1])!r}",
         f"cell_size {float(w.cell_size[0])!r} {float(w.cell_size[1])!r}",
-        f"depth {depth}".rstrip(),
-        f"time {time}".rstrip(),
+        f"depth {field.depth}".rstrip(),
+        f"time {field.time}".rstrip(),
         "cells",
     ]
     for row, (land_row, u_row, v_row) in enumerate(zip(w.land_mask, field.u, field.v)):

@@ -15,6 +15,16 @@ import numpy as np
 from driftloc import Workspace
 
 
+def adjacency(P) -> list[list[int]]:
+    """Successor state lists of the chain P (its support graph), one list per
+    state, read from the live entries of ``P.targets``."""
+    targets = P.targets[:-1]
+    live = targets < P.n_states
+    flat = targets[live].tolist()  # row by row, ascending
+    ends = np.cumsum(live.sum(axis=1)).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def _tarjan(succ: list[np.ndarray]) -> list[list[int]]:
     """Iterative Tarjan SCC.  Components are emitted in reverse topological
     order of the condensation (every component before any that reaches it)."""
@@ -68,7 +78,7 @@ def _tarjan(succ: list[np.ndarray]) -> list[list[int]]:
 
 def strongly_connected_components(P) -> list[np.ndarray]:
     """Maximal SCCs of the support graph, ordered by smallest member state."""
-    comps = _tarjan(P.adjacency())
+    comps = _tarjan(adjacency(P))
     comps = [np.array(sorted(c), dtype=np.int64) for c in comps]
     comps.sort(key=lambda c: int(c[0]))
     return comps
@@ -80,7 +90,7 @@ def reachability(P) -> np.ndarray:
     Computed on the condensation DAG with bitset accumulation; semantically
     equal to the transitive closure of the support graph.
     """
-    succ = P.adjacency()
+    succ = adjacency(P)
     n = len(succ)
     comps = _tarjan(succ)  # reverse topological order
     comp_of = np.empty(n, dtype=np.int64)

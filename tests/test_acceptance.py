@@ -22,7 +22,7 @@ from driftloc import (
 )
 from driftloc.cli import main as cli_main
 from driftloc.sim import error_reports
-from closure_reference import reachability
+from closure_reference import adjacency, reachability
 from conftest import (
     CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, SCHEMA_DIR, emission_matrix, make_field,
     oracle_model, random_field, sample_run, slot_layout,
@@ -147,7 +147,7 @@ class TestCriterion3StochasticityAndPartition:
                 assert sorted(cells) == list(w.free_cells), f"{name}: not a partition"
 
                 C = reachability(P)
-                adj = P.adjacency()
+                adj = adjacency(P)
                 for g in dec.persistent_groups:
                     states = {w.state_of(int(z)) for z in g}
                     for s in states:

@@ -10,13 +10,16 @@ import pytest
 from driftloc import (
     build_cell_map,
     build_stochastic_map,
+    decompose,
     initial_distribution,
+    resolve_field,
     save_field,
     synthesize_field,
     SyntheticFieldSpec,
 )
 from driftloc.cli import build_parser, main
 from driftloc.gridworld import format_histories
+from driftloc.report import report_json
 from conftest import (
     CONFIG_DIR, FIXTURE_FIELD, GOLDEN_DIR, REPO_ROOT, SCHEMA_DIR, gyre_with_land, sample_run,
 )
@@ -113,6 +116,30 @@ class TestClassify:
         out = tmp_path / "dec.json"
         assert run_cli("classify", "--field", str(FIXTURE_FIELD), "--out", str(out)) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "classify_fixture.json").read_bytes()
+
+    def test_synthetic_flags_are_a_config_field_source(self, tmp_path):
+        out = tmp_path / "dec.json"
+        assert run_cli("classify", "--synthetic", "double_gyre", "--rows", "21", "--cols", "29",
+                       "--decay", "2.0", "--out", str(out)) == 0
+        source = {"synthetic": {"kind": "double_gyre", "rows": 21, "cols": 29, "decay": 2.0}}
+        _, field = resolve_field(source)
+        dec = decompose(build_stochastic_map(build_cell_map(field), 0.9))  # the CLI's default r
+        assert out.read_text() == report_json(dec.to_dict()) + "\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["double_gyre", "--rows", "3", "--cols", "3"],
+         "rows and cols must be at least 4 for double_gyre, got 3x3"),
+        (["uniform", "--rows", "1"], "rows and cols must be at least 2 for uniform, got 1x29"),
+        (["double_gyre", "--decay", "-1"], "decay must be >= 0"),
+        (["single_gyre", "--amplitude", "0"], "amplitude must be nonzero for single_gyre"),
+        (["uniform", "--u", "inf"], "u must be finite"),
+        (["saddle", "--amplitude", "nan"], "amplitude must be finite"),
+    ])
+    def test_bad_synthetic_flags_fail_with_diagnostics(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "d.json"
+        assert run_cli("classify", "--synthetic", *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_schema_valid(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

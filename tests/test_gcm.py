@@ -16,7 +16,7 @@ from driftloc import (
     viterbi,
     viterbi_runs,
 )
-from closure_reference import reachability
+from closure_reference import adjacency, reachability
 from conftest import (
     colliding,
     components,
@@ -460,7 +460,7 @@ class TestDecompositionInvariants:
         )
         assert sorted(all_cells) == list(w.free_cells)
 
-        adj = P.adjacency()
+        adj = adjacency(P)
         for g in dec.persistent_groups:
             states = {w.state_of(int(z)) for z in g}
             for s in states:

@@ -48,27 +48,31 @@ def log_tables(model):
         return logP, np.log(model.Q), np.log(model.pi)
 
 
-def brute_force_best(model, obs):
-    """Oracle: exhaustive enumeration of every feasible state sequence of an
-    ``oracle_model``."""
+def feasible_paths(model, obs):
+    """Oracle: every feasible state sequence of an ``oracle_model``, with its
+    log score, in lexicographic order of the states."""
     logP, logQ, logpi = log_tables(model)
     T = len(obs)
-    best = -math.inf
 
-    def walk(t, s, acc):
-        nonlocal best
+    def walk(t, path, acc):
         if t == T:
-            best = max(best, acc)
+            yield path, acc
             return
+        s = path[-1]
         e = logQ[s, obs[t]]
         if not np.isfinite(e):
             return
-        for s2, lp in logP[s].items():
-            walk(t + 1, s2, acc + e + lp)
+        for s2, lp in sorted(logP[s].items()):
+            yield from walk(t + 1, path + [s2], acc + e + lp)
 
     for s0 in np.flatnonzero(np.isfinite(logpi)):
-        walk(0, int(s0), float(logpi[s0]))
-    return best
+        yield from walk(0, [int(s0)], float(logpi[s0]))
+
+
+def brute_force_best(model, obs):
+    """Oracle: the best log score over every feasible state sequence of an
+    ``oracle_model``, -inf if there is none."""
+    return max((acc for _, acc in feasible_paths(model, obs)), default=-math.inf)
 
 
 def path_logprob(model, cells, obs):
@@ -190,6 +194,24 @@ class TestViterbi:
         assert decoded == true_path
         # east run of 3, then pinned at the east edge
         assert decoded[-1] == w.index(1, 5)
+
+    def test_tied_starts_decode_from_the_smallest(self):
+        # A probabilistic prior on a uniform current: every start in its
+        # support reads the same chain rows, so all nine attain the best
+        # score, and the first optimal trajectory in lexicographic order
+        # starts at the smallest of them.  Each run of a group does the same.
+        w, f = make_field(8, 8, u=0.4, v=0.9)
+        P = build_stochastic_map(build_cell_map(f, dt=1.0), 0.9)
+        priors = [initial_distribution(w, w.index(*rc), "probabilistic") for rc in ((2, 2), (3, 4))]
+        histories = [sample_run(P, pi, 3, seed)[1] for seed, pi in enumerate(priors)]
+        cells, log_probs = viterbi_runs(P, priors, histories)
+        for pi, obs, got, logp in zip(priors, histories, cells, log_probs):
+            paths = list(feasible_paths(oracle_model(P, pi), obs))
+            best = max(acc for _, acc in paths)
+            assert len({path[0] for path, acc in paths if acc == best}) == 9
+            first = next(path for path, acc in paths if acc == best)
+            assert got.tolist() == w.free_cells[first].tolist()
+            assert logp == pytest.approx(best, abs=1e-9)
 
     def test_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(31)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,14 +176,14 @@ class TestRoundTrip:
         rng = np.random.default_rng(21)
         w, f = random_field(rng, 6, 5, land_prob=0.25)
         p = tmp_path / "rt.field"
-        save_field(p, f, depth="10 m", time="forecast 3")
+        save_field(p, replace(f, depth="10 m", time="forecast 3"))
         w2, f2 = load_field(p)
         assert (w2.land_mask == w.land_mask).all()
         assert (f2.u == f.u).all()
         assert (f2.v == f.v).all()
         assert w2.origin == w.origin and w2.cell_size == w.cell_size
         assert (f2.depth, f2.time) == ("10 m", "forecast 3")
-        save_field(p, f2, time="forecast 4")  # an explicit label wins
+        save_field(p, replace(f2, time="forecast 4"))  # an explicit label wins
         _, f3 = load_field(p)
         assert (f3.depth, f3.time) == ("10 m", "forecast 4")
 
@@ -206,9 +207,9 @@ class TestRoundTrip:
         u, v = (np.array(values[k::2][:rows * cols]).reshape(shape) for k in (0, 1))
         w = Workspace(rows=rows, cols=cols, origin=origin, cell_size=cell_size,
                       land_mask=land)
-        f = VectorField(workspace=w, u=u, v=v)
+        f = VectorField(workspace=w, u=u, v=v, depth=labels[0], time=labels[1])
         p = tmp_path_factory.mktemp("rt") / "rt.field"
-        save_field(p, f, depth=labels[0], time=labels[1])
+        save_field(p, f)
         w2, f2 = load_field(p)
         assert (w2.rows, w2.cols, w2.origin, w2.cell_size) == (rows, cols, origin, cell_size)
         assert w2.land_mask.tobytes() == land.tobytes()
@@ -216,7 +217,7 @@ class TestRoundTrip:
         # a header line is stripped, so the labels come back stripped
         assert (f2.depth, f2.time) == tuple(label.strip() for label in labels)
         text = p.read_text()
-        save_field(p, f2)  # the field's own labels by default
+        save_field(p, f2)  # the labels as loaded
         _, f3 = load_field(p)
         assert (f3.depth, f3.time) == (f2.depth, f2.time)
         if labels == (f2.depth, f2.time):
@@ -229,9 +230,9 @@ class TestRoundTrip:
         _, f = synthesize_field(SyntheticFieldSpec(kind="uniform", u=0.5), 3, 3)
         p = tmp_path / "l.field"
         with pytest.raises(ValueError, match=f"{key} label"):
-            save_field(p, f, **{key: f"layer{brk}2"})
+            save_field(p, replace(f, **{key: f"layer{brk}2"}))
         with pytest.raises(ValueError, match=f"{key} label"):
-            save_field(p, f, **{key: f"layer 2{brk}"})
+            save_field(p, replace(f, **{key: f"layer 2{brk}"}))
         assert not p.exists()
 
     def test_shipped_fixture_matches_generator(self, tmp_path):
@@ -239,7 +240,7 @@ class TestRoundTrip:
             SyntheticFieldSpec(kind="double_gyre", amplitude=1.0, decay=2.0), 21, 29
         )
         p = tmp_path / "regen.field"
-        save_field(p, f, depth="synthetic mid-layer", time="static")
+        save_field(p, replace(f, depth="synthetic mid-layer", time="static"))
         assert p.read_text() == FIXTURE_FIELD.read_text()
 
 

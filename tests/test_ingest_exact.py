@@ -9,6 +9,7 @@ pieces are covered.
 """
 
 import tempfile
+from dataclasses import replace
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -27,11 +28,11 @@ ROWS, COLS = 46, 50  # 2 300 records, several pieces
 HEADER_LINES = 8  # save_field's header, "cells" included
 
 
-def saved_lines(field, **labels):
+def saved_lines(field):
     """The lines of the field file that save_field writes for ``field``."""
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "base.field"
-        save_field(p, field, **labels)
+        save_field(p, field)
         return p.read_text().splitlines()
 
 
@@ -40,7 +41,7 @@ def first_cut(lines, eol):
     return len(next(_pieces(eol.join(lines) + eol))[1])
 
 
-BASE_LINES = saved_lines(gyre_with_land(ROWS, COLS, 0), depth="10 m", time="t0")
+BASE_LINES = saved_lines(replace(gyre_with_land(ROWS, COLS, 0), depth="10 m", time="t0"))
 CUTS = {eol: first_cut(BASE_LINES, eol) for eol in ("\n", "\r\n")}
 BOUNDARY = CUTS["\n"]  # the first cut of the base file as save_field writes it
 
