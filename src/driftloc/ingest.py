@@ -20,17 +20,20 @@ Lines break wherever ``str.splitlines`` breaks them, so a label holds none of
 those characters.
 
 row, col and land accept what ``int`` accepts, u and v what ``float``
-accepts, with the same values.  The file is decoded once, and the body is
-read in pieces of about 24 KiB of text, each cut just after a newline so
-that its lines are the file's own.  numpy's reader parses each piece, or a
-loop over its records parses a piece that numpy refuses (a comment, say).
-The joined columns are then checked once, as arrays.  Parsing costs
-O(rows * cols) time.  Beside the decoded text it holds one piece's lines and
-the parsed columns, 40 bytes a record, until the grids are filled: a load
-peaks (tracemalloc) at 1.56 MiB for a 0.58 MB 100x130 file, 14.6 MiB at
-300x400 (5.6 MB) and 122 MiB at 1000x1000 (47.7 MB).  A rejected file raises
-FieldParseError for its first failing record and check, found by the record
-loop over the whole body.
+accepts, with the same values.  The file is decoded once and cut into pieces
+of about 24 KiB of text, each just after a newline, so that its lines are the
+file's own.  numpy's reader parses the whole body in one call over the
+pieces' lines, with the comment lines dropped from each piece whose text
+holds a "#", and the columns are checked once, as arrays.  A body that numpy
+refuses (a spelling such as ``1_0``, a malformed record) or that fails a
+check is read once more by a loop over its records.  The loop raises
+FieldParseError for the first failing record and check in file order, or for
+the record count, or else fills the grids itself.  Parsing costs
+O(rows * cols) time.  Beside the decoded text numpy's path holds the parsed
+records, 40 bytes each, until the grids are filled: a load peaks
+(tracemalloc) at 1.46 MiB for a 0.58 MB 100x130 file, 13.0 MiB at 300x400
+(5.6 MB) and 109 MiB at 1000x1000 (47.7 MB).  The loop holds each accepted
+record as Python objects: a bad last record at 300x400 peaks at 26.9 MiB.
 
 Synthetic kinds stand in for externally produced current slices:
 
@@ -49,6 +52,7 @@ have exactly zero velocity.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import warnings
@@ -101,10 +105,9 @@ def _parse_floats(parts, count, lineno, what):
         raise FieldParseError(lineno, f"{what}: {parts!r} is not numeric") from None
 
 
-# Body text parsed per pass, in characters.  Each piece ends just after a
-# "\n", where str.splitlines always breaks, so a piece's lines are the whole
-# text's lines from its first one on.  A piece that numpy refuses goes through
-# the record loop, which holds Python objects for each of its records.
+# Body text cut per pass, in characters.  Each piece ends just after a "\n",
+# where str.splitlines always breaks, so a piece's lines are the whole text's
+# lines from its first one on.
 _PIECE_CHARS = 24 * 1024
 _RECORD = np.dtype([("row", "i8"), ("col", "i8"), ("land", "i8"), ("u", "f8"), ("v", "f8")])
 
@@ -138,101 +141,81 @@ def _body(text, body_start):
             yield lineno + skip, lines[skip:]
 
 
-def _check_records(lines, first, rows, cols, seen):
-    """The (row, col, land, u, v) records of ``lines``, from line ``first``,
-    checked.
+def _check_records(text, body_start, rows, cols):
+    """The land mask and the u, v grids from the cell records of ``text``
+    after line ``body_start``, read one record at a time with int and float.
 
-    Checks one record at a time, in the order the file gives them, and raises
-    the FieldParseError of the first failing record and its first failing
-    check.  A duplicate is found among the cells in ``seen``, which gains
-    those of the records accepted.
+    Raises the FieldParseError of the first failing record, in file order, and
+    its first failing check, or else the record count error.
     """
-    records = []
-    for lineno, line in enumerate(lines, start=first):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 5:
-            raise FieldParseError(lineno, "cell record needs 'row col land u v'")
-        try:
-            r, c, land = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FieldParseError(lineno, f"bad cell record {stripped!r}") from None
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise FieldParseError(lineno, f"cell ({r}, {c}) outside grid")
-        if land not in (0, 1):
-            raise FieldParseError(lineno, f"land flag must be 0 or 1, got {land}")
-        u, v = _parse_floats(parts[3:], 2, lineno, "velocity")
-        if (r, c) in seen:
-            raise FieldParseError(lineno, f"duplicate record for cell ({r}, {c})")
-        if land:
-            if u != 0.0 or v != 0.0:
-                raise FieldParseError(lineno, "land cell must have u = v = 0")
-        elif not (math.isfinite(u) and math.isfinite(v)):
-            raise FieldParseError(
-                lineno, f"non-finite velocity ({u}, {v}) on water cell ({r}, {c})"
-            )
-        seen.add((r, c))
-        records.append((r, c, land, u, v))
-    return records
-
-
-def _parse_piece(lines, first, rows, cols):
-    """The records of ``lines``, from line ``first``, as a _RECORD array.
-
-    numpy's reader takes a piece that it accepts, and checks no value; the
-    record loop takes any other piece, and raises for its first bad record.
-    Raises OverflowError for an integer beyond int64.
-    """
-    try:
-        # numpy accepts a subset of int() and float(); the filter makes it refuse
-        # a piece without records and, before numpy 2, a float in an int column.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(lines, _RECORD, comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return np.array(_check_records(lines, first, rows, cols, set()), _RECORD)
+    n, seen = rows * cols, {}  # flat cell index -> (land, u, v)
+    for first, lines in _body(text, body_start):
+        for lineno, line in enumerate(lines, start=first):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split()
+            if len(parts) != 5:
+                raise FieldParseError(lineno, "cell record needs 'row col land u v'")
+            try:
+                r, c, land = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise FieldParseError(lineno, f"bad cell record {stripped!r}") from None
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise FieldParseError(lineno, f"cell ({r}, {c}) outside grid")
+            if land not in (0, 1):
+                raise FieldParseError(lineno, f"land flag must be 0 or 1, got {land}")
+            u, v = _parse_floats(parts[3:], 2, lineno, "velocity")
+            if (cell := r * cols + c) in seen:
+                raise FieldParseError(lineno, f"duplicate record for cell ({r}, {c})")
+            if land:
+                if u != 0.0 or v != 0.0:
+                    raise FieldParseError(lineno, "land cell must have u = v = 0")
+            elif not (math.isfinite(u) and math.isfinite(v)):
+                raise FieldParseError(
+                    lineno, f"non-finite velocity ({u}, {v}) on water cell ({r}, {c})"
+                )
+            seen[cell] = land, u, v
+    if len(seen) != n:
+        raise FieldParseError(first + len(lines) - 1,
+                              f"expected {n} cell records, found {len(seen)}")
+    land, u, v = zip(*(seen[cell] for cell in range(n)))  # in cell order
+    return tuple(np.array(column, dtype).reshape(rows, cols)
+                 for column, dtype in ((land, bool), (u, float), (v, float)))
 
 
 def _load_cells(text, body_start, rows, cols):
-    """The land mask, the u, v grids and the number of lines of ``text``,
-    from the cell records after line ``body_start``, checked once as arrays.
-
-    Raises the FieldParseError of the first failing record, or the record
-    count error; the grids are allocated only once the records fill them.
+    """The land mask and the u, v grids from the cell records of ``text``
+    after line ``body_start``, parsed by numpy's reader in one call and
+    checked once, as arrays, or None if numpy refuses the body or a check
+    fails.  The grids are allocated only once the records fill them.
     """
     n = rows * cols
+    # Comment lines are dropped only from a piece whose text holds a "#".
+    body = itertools.chain.from_iterable(
+        [line for line in lines if not line.lstrip().startswith("#")]
+        if "#" in "".join(lines) else lines for _, lines in _body(text, body_start))
     try:
-        pieces = []
-        for lineno, lines in _body(text, body_start):
-            pieces.append(_parse_piece(lines, lineno, rows, cols))
-        last = lineno + len(lines) - 1
-        del lines  # the last piece's strings, freed before the joins
-        # Joined one field at a time: np.concatenate takes ten times as long on
-        # the structured pieces.
-        r, c, land, u, v = (np.concatenate([p[name] for p in pieces]) for name in _RECORD.names)
-        del pieces  # freed before the grids are allocated
-        ok = (0 <= r) & (r < rows) & (0 <= c) & (c < cols) & np.where(
-            land == 0, np.isfinite(u) & np.isfinite(v), (land == 1) & (u == 0.0) & (v == 0.0))
-        if len(r) == n and ok.all():
-            cell = r * cols + c
-            filled = np.zeros(n, bool)
-            filled[cell] = True
-            if filled.all():  # no two records for one cell
-                grids = np.empty(n, bool), np.empty(n), np.empty(n)
-                for grid, column in zip(grids, (land, u, v)):
-                    grid[cell] = column
-                return *(grid.reshape(rows, cols) for grid in grids), last
-    except (FieldParseError, OverflowError):
-        pass
-    # Some record fails a check, two share a cell, or the count is wrong: the
-    # record loop over the whole body raises the first error in file order.
-    found, seen = 0, set()
-    for lineno, lines in _body(text, body_start):
-        found += len(_check_records(lines, lineno, rows, cols, seen))
-    raise FieldParseError(lineno + len(lines) - 1,
-                          f"expected {n} cell records, found {found}")
+        # numpy accepts a subset of int() and float(); the filter makes it refuse
+        # a body without records and, before numpy 2, a float in an int column.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(body, _RECORD, comments=None, ndmin=1)
+    except (ValueError, Warning, OverflowError):  # OverflowError: beyond int64
+        return None
+    r, c, land, u, v = (records[name] for name in _RECORD.names)
+    ok = (0 <= r) & (r < rows) & (0 <= c) & (c < cols) & np.where(
+        land == 0, np.isfinite(u) & np.isfinite(v), (land == 1) & (u == 0.0) & (v == 0.0))
+    if len(records) == n and ok.all():
+        cell = r * cols + c
+        filled = np.zeros(n, bool)
+        filled[cell] = True
+        if filled.all():  # no two records for one cell
+            grids = np.empty(n, bool), np.empty(n), np.empty(n)
+            for grid, column in zip(grids, (land, u, v)):
+                grid[cell] = column
+            return tuple(grid.reshape(rows, cols) for grid in grids)
+    return None
 
 
 def load_field(path) -> tuple[Workspace, VectorField]:
@@ -293,9 +276,13 @@ def load_field(path) -> tuple[Workspace, VectorField]:
     if rows < 2 or cols < 2:
         raise FieldParseError(body_start, f"grid {rows}x{cols} is smaller than 2x2")
 
-    land, u, v, n_lines = _load_cells(text, body_start, rows, cols)
-    if land.all():
-        raise FieldParseError(n_lines, "every cell is land")
+    # numpy refused a spelling, a record fails a check, two share a cell, or the
+    # count is wrong: the record loop reads the body again, and raises the first
+    # error in file order or fills the grids itself.
+    land, u, v = _load_cells(text, body_start, rows, cols) or _check_records(
+        text, body_start, rows, cols)
+    if land.all():  # named by the file's last line
+        raise FieldParseError(sum(len(lines) for _, lines in _pieces(text)), "every cell is land")
 
     w = Workspace(
         rows=rows, cols=cols, origin=header["origin"],

@@ -130,6 +130,9 @@ class TestLoadField:
         text = MINIMAL.replace(" 0 0.0 0.0", " 1 0.0 0.0")
         with pytest.raises(FieldParseError, match="line 8: every cell is land"):
             load_field(write(tmp_path, text))
+        # The error names the file's last line, a comment or a blank one too.
+        with pytest.raises(FieldParseError, match="line 11: every cell is land"):
+            load_field(write(tmp_path, text + "# the end\n\n  \n"))
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode)))

@@ -1,11 +1,13 @@
 """The bulk field-file parser against the frozen record loop.
 
 ``ingest_reference.load_field`` checks and stores one record at a time;
-``driftloc.load_field`` parses the text in pieces of lines with array checks.
-On an accepted file both must give the same header values and the same array
-bytes; on a rejected one, the same error type, line and message.  The files
-here span several pieces, so that errors on either side of a cut between two
-pieces are covered.
+``driftloc.load_field`` parses the whole body with one call to numpy's reader
+and checks the columns as arrays, and only a body that numpy refuses or that
+fails a check goes through its record loop.  On an accepted file both must
+give the same header values and the same array bytes; on a rejected one, the
+same error type, line and message.  The text is cut into pieces of lines for
+the comment filter and the record loop, and the files here span several
+pieces, so that errors on either side of a cut between two pieces are covered.
 """
 
 import tempfile
@@ -80,7 +82,7 @@ def base_lines():
 
 # -- mutations ---------------------------------------------------------------
 
-# The bulk parse converts a piece with numpy's reader and falls back to the
+# The bulk parse converts the body with numpy's reader and falls back to the
 # record loop's int() and float() when numpy refuses it, so the alphabets hold
 # spellings where the two could differ: forms numpy refuses, and forms both
 # accept.
@@ -195,31 +197,42 @@ class TestValidFiles:
 
 
 class TestValidFilesStayOnTheBulkPath(TestValidFiles):
-    """The same valid files, with the record loop made to fail the test: numpy
-    and the array checks alone accept every piece that holds no comment and no
-    blank line."""
+    """The same valid files, with the record loop made to fail the test: one
+    call to numpy's reader and the array checks accept each of them, comment
+    and blank lines included."""
 
     @pytest.fixture(autouse=True)
     def no_record_loop(self, monkeypatch):
         def fail(*args):
-            pytest.fail("a valid piece fell to the record loop")
+            pytest.fail("a valid file fell to the record loop")
 
         monkeypatch.setattr(ingest, "_check_records", fail)
 
-    def test_crlf_comments_blanks_and_shuffled_records(self, tmp_path, base_lines, monkeypatch):
-        """Here the loop reads some pieces, and each of them holds a comment
-        or a blank line."""
-        pieces = []
 
-        def spy(lines, first, rows, cols, seen):
-            pieces.append(lines)
-            return _check_records(lines, first, rows, cols, seen)
+class TestValidFilesOnlyTheRecordLoopReads:
+    """Valid files with a spelling that int() or float() accepts and numpy's
+    reader refuses: the record loop reads the whole body, once."""
+
+    @pytest.mark.parametrize("row, field, token", [
+        (30, 3, "1_0"),      # u = 10.0
+        (1, 0, "\u0661"),    # the row 1 in an Arabic-Indic digit
+        (30, 2, "\uff10"),   # the land flag 0 in a fullwidth digit
+    ])
+    def test_spelling_only_int_or_float_reads(
+        self, tmp_path, base_lines, monkeypatch, row, field, token
+    ):
+        calls = []
+
+        def spy(text, body_start, rows, cols):
+            calls.append((text, body_start))
+            return _check_records(text, body_start, rows, cols)
 
         monkeypatch.setattr(ingest, "_check_records", spy)
-        super().test_crlf_comments_blanks_and_shuffled_records(tmp_path, base_lines)
-        assert pieces
-        for piece in pieces:
-            assert any(not line.strip() or line.lstrip().startswith("#") for line in piece)
+        first = HEADER_LINES + row * COLS
+        water = next(i for i in range(first, first + COLS) if base_lines[i].split(" ")[2] == "0")
+        p = write(tmp_path, mutate(base_lines, [("token", water, field, token)]))
+        assert assert_same(p)[0] == "ok"
+        assert calls == [(p.read_text("utf-8"), HEADER_LINES)]
 
 
 class TestFirstError:
@@ -257,8 +270,9 @@ class TestFirstError:
         assert got[2] == HEADER_LINES + 31 and "duplicate" in got[3]
 
     def test_repeat_of_a_record_the_loop_accepted(self, tmp_path, base_lines):
-        # The comment sends the first piece to the record loop, which accepts
-        # it; the repeat of its record sits in a later piece that numpy takes.
+        # The comment is dropped before numpy's reader and the array checks
+        # find the repeat; the record loop accepts the first piece, comment
+        # included, and reports the repeat in a later piece.
         lines = mutate(base_lines, [("insert", BOUNDARY + 40, base_lines[HEADER_LINES + 2]),
                                     ("insert", HEADER_LINES + 10, "# comment")])
         got = assert_same(write(tmp_path, lines))
@@ -379,6 +393,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert w.land_mask.any()
-        # The whole text and one piece's lines: about 1.6 MiB.  Splitting
-        # the whole text into lines at once peaked at 2.37 MiB.
+        # The whole text, one piece's lines and the parsed records: about
+        # 1.5 MiB.  Splitting the whole text into lines at once peaked at
+        # 2.37 MiB.
         assert peak < 2.0 * 2**20, f"load_field peaked at {peak / 2**20:.2f} MiB"
