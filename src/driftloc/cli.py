@@ -4,8 +4,7 @@
     driftloc localize   --field F --x0 Z --obs FILE  -> trajectory JSON
     driftloc experiment --config CFG --out-dir DIR   -> summary CSV + runs JSON
 
-Every command is deterministic given its inputs and seed.  The log level is
-the level name in DRIFTLOC_LOG_LEVEL, in any case (default WARNING).
+Every command is deterministic given its inputs and seed.
 
 ``main`` may be called repeatedly in one process: the parser is built once,
 on the first call, and each call parses its own arguments into a fresh
@@ -17,17 +16,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DriftlocError, FieldParseError, ZeroProbabilityError
+from .errors import ConfigError, DriftlocError, ZeroProbabilityError
 from .flowfield import build_cell_map
 from .gcm import build_stochastic_map, decompose
 from .gridworld import parse_directions
 from .hmm import initial_distribution, viterbi
-from .ingest import SyntheticFieldSpec, load_field, resolve_field
+from .ingest import SyntheticFieldSpec, resolve_field
 from .report import report_json
 from .sim import ExperimentConfig, run_experiment
 
@@ -63,11 +60,10 @@ def _build_chain(args):
     else:
         keys = ("rows", "cols", "amplitude", "decay", "u", "v")
         source = {"synthetic": {"kind": args.synthetic, **{k: getattr(args, k) for k in keys}}}
-    w, field = resolve_field(source)
+    _, field = resolve_field(source)
     cm = build_cell_map(field, dt=args.dt)
     del field  # the cell map holds what the chain reads
-    smap = build_stochastic_map(cm, args.r)
-    return w, smap
+    return build_stochastic_map(cm, args.r)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -79,9 +75,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_classify(args) -> int:
-    w, smap = _build_chain(args)
-    dec = decompose(smap)
-    del smap  # freed before the report is encoded
+    dec = decompose(_build_chain(args))
     payload = dec.to_dict()
     print(
         f"{payload['n_persistent_groups']} persistent group(s), "
@@ -97,12 +91,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    w, smap = _build_chain(args)
+    smap = _build_chain(args)
     obs = parse_directions(Path(args.obs).read_text())
     if not obs:
         raise DriftlocError(f"observation file {args.obs} is empty")
     mode = {"det": "deterministic", "prob": "probabilistic"}[args.pi]
-    pi = initial_distribution(w, args.x0, mode)
+    pi = initial_distribution(smap.workspace, args.x0, mode)
     cells, logp = viterbi(smap, pi, obs)
     payload = {"path": cells, "final": cells[-1], "log_prob": logp}
     print(f"decoded {len(obs)} observations; final cell {cells[-1]}, "
@@ -122,10 +116,7 @@ def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_dict(raw)
 
     # A field path is relative to the config file; the report keeps it as given.
-    field = cfg.field
-    result = run_experiment(
-        cfg, load_field(cfg_path.parent / field["path"]) if "path" in field else None
-    )
+    result = run_experiment(cfg, cfg_path.parent)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,16 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        name = os.environ.get("DRIFTLOC_LOG_LEVEL", "WARNING")
-        level = logging.getLevelName(name.upper())
-        if not isinstance(level, int):
-            raise DriftlocError(f"DRIFTLOC_LOG_LEVEL: unknown log level {name!r}")
-        logging.basicConfig(level=level)
         return args.func(args)
     except ZeroProbabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DriftlocError, FieldParseError, OSError, ValueError) as exc:
+    except (DriftlocError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:  # numpy's names the allocation that failed

@@ -35,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CellIndexError, LandCellError
 from .flowfield import CellMap
 from .gridworld import N_DIRECTIONS, SLOT_DIRECTIONS, Workspace
 
@@ -79,7 +78,6 @@ class StochasticCellMap:
 
     workspace: Workspace
     r: float
-    dt: float
     targets: np.ndarray  # (n_free + 1, W) int64 state indices, n_free off A(z)
     mask: np.ndarray  # (n_free,) uint16, bit k for slot k in A(z)
     image: np.ndarray  # (n_free,) int8 image slot, MAX_MAPPED in a uniform row
@@ -198,9 +196,7 @@ def build_stochastic_map(cm: CellMap, r: float) -> StochasticCellMap:
 
     for a in (targets, member, image):
         a.setflags(write=False)
-    return StochasticCellMap(
-        workspace=w, r=float(r), dt=cm.dt, targets=targets, mask=member, image=image
-    )
+    return StochasticCellMap(workspace=w, r=float(r), targets=targets, mask=member, image=image)
 
 
 def _stencil_slots(cm: CellMap, rows, cols, r: float):
@@ -379,12 +375,6 @@ class FlowDecomposition:
         if label not in self._labels:
             raise KeyError(f"unknown region label {label!r}")
         return self._groups[self._labels.index(label)]
-
-    def region_of(self, z: int) -> str:
-        try:
-            return self._labels[self.region[self.workspace.state_of(z)]]
-        except (CellIndexError, LandCellError):
-            raise KeyError(f"cell {z} is not a water cell of this decomposition") from None
 
     def to_dict(self) -> dict:
         g = self.n_groups

@@ -57,6 +57,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -402,10 +403,12 @@ def synthesize_field(
     return w, VectorField(workspace=w, u=u, v=v)
 
 
-def resolve_field(source: dict) -> tuple[Workspace, VectorField]:
-    """Build (Workspace, VectorField) from a config field source."""
+def resolve_field(source: dict, base=None) -> tuple[Workspace, VectorField]:
+    """Build (Workspace, VectorField) from a config field source.  A relative
+    ``path`` is read relative to the directory ``base`` when one is given."""
     if "path" in source:
-        return load_field(source["path"])
+        path = source["path"]
+        return load_field(path if base is None else Path(base) / path)
     synth = dict(source["synthetic"])
     rows = synth.pop("rows")
     cols = synth.pop("cols")

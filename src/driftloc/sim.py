@@ -278,20 +278,16 @@ def _summarize(a: np.ndarray) -> tuple[float, float, float, float, float]:
     return tuple(float(x) for x in (a.mean(), median, a.std(), a.min(), a.max()))
 
 
-def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, base=None) -> ExperimentResult:
     """Execute every (T, mode[, region]) condition of a config.
 
-    ``field_pair`` may pass a prebuilt (Workspace, VectorField) to skip the
-    field source in the config (the CLI loads a field path relative to the
-    config file and passes the result).
+    A relative field path is read relative to the directory ``base`` when one
+    is given (the CLI passes the config file's directory).
     """
-    if field_pair is None:
-        field_pair = resolve_field(cfg.field)
-    w, vfield = field_pair
-
+    w, vfield = resolve_field(cfg.field, base)
     cm = build_cell_map(vfield, dt=cfg.dt)
     smap = build_stochastic_map(cm, cfg.r)
-    del field_pair, vfield, cm  # only the chain is read from here on
+    del vfield, cm  # only the chain is read from here on
     dec = decompose(smap)
 
     if isinstance(cfg.initial, int) and w.is_land(cfg.initial):
@@ -323,8 +319,7 @@ def run_experiment(cfg: ExperimentConfig, field_pair=None) -> ExperimentResult:
                 for i in range(cfg.runs)]
         starts = [cfg.initial if isinstance(cfg.initial, int)
                   else int(pool[rng.integers(len(pool))]) for rng in rngs]
-        run_regions = ([region] * cfg.runs if region is not None else
-                       [labels[i] for i in dec.region[w.free_cells.searchsorted(starts)].tolist()])
+        run_regions = [labels[i] for i in dec.region[w.free_cells.searchsorted(starts)].tolist()]
         groups = []
         for lo in range(0, cfg.runs, group):
             hi = min(lo + group, cfg.runs)

@@ -78,12 +78,12 @@ def slot_layout(P, packed=False):
         targets = np.take_along_axis(targets, cols, axis=1)
         probs = np.take_along_axis(probs, cols, axis=1)
     return SimpleNamespace(
-        workspace=P.workspace, r=P.r, dt=P.dt, n_states=n,
+        workspace=P.workspace, r=P.r, n_states=n,
         targets=targets[:, :MAX_MAPPED], probs=probs[:, :MAX_MAPPED],
     )
 
 
-def from_slots(workspace, targets, r=1.0, dt=1.0):
+def from_slots(workspace, targets, r=1.0):
     """A chain from (n, 9) slot rows, -1 off A(z), each row moving uniformly:
     the targets of ``slot_layout``, inverted.  Slot k reads as the heading
     ``SLOT_DIRECTIONS[k]``."""
@@ -96,7 +96,7 @@ def from_slots(workspace, targets, r=1.0, dt=1.0):
     out[s, c] = targets[s, k]
     mask = (live << np.arange(MAX_MAPPED)).sum(axis=1).astype(np.uint16)
     image = np.full(n, MAX_MAPPED, dtype=np.int8)
-    return StochasticCellMap(workspace=workspace, r=r, dt=dt, targets=out, mask=mask, image=image)
+    return StochasticCellMap(workspace=workspace, r=r, targets=out, mask=mask, image=image)
 
 
 def colliding(cm, r):

@@ -29,10 +29,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_cli_process(*argv, **env):
+def run_cli_process(*argv):
     """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
     path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
         [sys.executable, "-m", "driftloc.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
@@ -307,6 +307,45 @@ class TestExperiment:
             assert resolved.exists(), f"{name} points at a missing fixture"
 
 
+class TestFieldPaths:
+    """A config's field path is read relative to the config file; a --field
+    path relative to the working directory."""
+
+    def test_shipped_config_from_another_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = str((CONFIG_DIR / "fig6.json").resolve())
+        assert run_cli("experiment", "--config", cfg, "--out-dir", "out") == 0
+        for name in ("fig6.summary.csv", "fig6.runs.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+    def test_absolute_field_path_ignores_the_config_directory(self, tmp_path):
+        cfg = tmp_path / "sub" / "abs.json"
+        cfg.parent.mkdir()
+        cfg.write_text(json.dumps({"field": {"path": str(FIXTURE_FIELD)}, "T_list": [5],
+                                   "runs": 2}))
+        assert run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 0
+        runs = json.loads((tmp_path / "o" / "abs.runs.json").read_text())
+        assert runs["config"]["field"] == {"path": str(FIXTURE_FIELD)}
+
+    def test_missing_field_named_as_typed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("classify", "--field", "./missing.field") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" './missing.field'\n")
+
+    def test_missing_field_named_as_joined_to_the_config_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "c.json").write_text(
+            json.dumps({"field": {"path": "./data/missing.field"}}))
+        assert run_cli("experiment", "--config", "sub/c.json", "--out-dir", "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" 'sub/data/missing.field'\n")
+        assert not (tmp_path / "o").exists()
+
+
 class TestCellIndexOutOfRange:
     def assert_clean_error(self, proc):
         assert proc.returncode == 1
@@ -553,25 +592,3 @@ class TestPackageImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
-
-class TestLogLevel:
-    # A fresh process: under pytest the root logger already has handlers, so
-    # logging.basicConfig would not apply the level in-process.
-    def _classify(self, tmp_path, level):
-        return run_cli_process(
-            "classify", "--synthetic", "uniform", "--u", "1.0", "--rows", "4",
-            "--cols", "5", "--out", str(tmp_path / "d.json"), DRIFTLOC_LOG_LEVEL=level,
-        )
-
-    def test_level_name_in_any_case(self, tmp_path):
-        proc = self._classify(tmp_path, "debug")
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "d.json").exists()
-
-    def test_unknown_level_fails_with_diagnostics(self, tmp_path):
-        proc = self._classify(tmp_path, "bogus")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "DRIFTLOC_LOG_LEVEL" in proc.stderr and "'bogus'" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "d.json").exists()

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import closure_reference as ref
 from conftest import components, gyre_with_land, make_field, random_field, slot_layout
 from driftloc import (
+    CellIndexError,
+    LandCellError,
     SyntheticFieldSpec,
     build_cell_map,
     build_stochastic_map,
@@ -48,8 +50,9 @@ def assert_matches_reference(P):
 
 
 def assert_same_regions(got, want):
-    """region_labels, region_cells and region_of give the oracle's group of
-    every water cell, twice over, and land or off-grid cells raise."""
+    """region_labels, region_cells and the region table give the oracle's
+    group of every water cell, twice over, and land or off-grid cells have no
+    state to look up."""
     w, regions = got.workspace, want.regions()
     cells = np.concatenate(list(regions.values()))
     assert np.array_equal(np.sort(cells), w.free_cells)
@@ -59,12 +62,15 @@ def assert_same_regions(got, want):
         for label, b in regions.items():
             a = got.region_cells(label)
             assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert [got.region_of(z) for z in b.tolist()] == [label] * len(b)
+            assert [labels[got.region[w.state_of(z)]] for z in b.tolist()] == [label] * len(b)
         labels.reverse()  # the caller's copy: the decomposition keeps its own
         labels.append("B_0")
-    for z in [0, *np.flatnonzero(w.land_mask.reshape(-1)) + 1, w.n_cells + 1]:
-        with pytest.raises(KeyError):
-            got.region_of(z)
+    for z in np.flatnonzero(w.land_mask.reshape(-1)) + 1:
+        with pytest.raises(LandCellError):
+            w.state_of(z)
+    for z in (0, w.n_cells + 1):
+        with pytest.raises(CellIndexError):
+            w.state_of(z)
     with pytest.raises(KeyError):
         got.region_cells("B_0")
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from driftloc import (
     SLOT_DIRECTIONS,
+    CellIndexError,
     Direction,
     LandCellError,
     Workspace,
@@ -522,10 +523,14 @@ class TestDecompositionInvariants:
                 for z in dec.region_cells(label):
                     owner[int(z)] = label
             assert sorted(owner) == list(w.free_cells)
+            labels = dec.region_labels()
             for z in range(0, w.n_cells + 2):
                 if z in owner:
-                    assert dec.region_of(z) == owner[z]
-                    assert dec.region_of(np.int64(z)) == owner[z]
-                else:  # land or off the grid
-                    with pytest.raises(KeyError):
-                        dec.region_of(z)
+                    assert labels[dec.region[w.state_of(z)]] == owner[z]
+                    assert labels[dec.region[w.state_of(np.int64(z))]] == owner[z]
+                elif 1 <= z <= w.n_cells:  # land
+                    with pytest.raises(LandCellError):
+                        w.state_of(z)
+                else:  # off the grid
+                    with pytest.raises(CellIndexError):
+                        w.state_of(z)

@@ -325,3 +325,10 @@ class TestSynthesize:
         save_field(p, f)
         w2, f2 = resolve_field({"path": str(p)})
         assert (f2.u == f.u).all()
+        # A relative path is read relative to base; an absolute one ignores it.
+        _, f3 = resolve_field({"path": "rf.field"}, tmp_path)
+        assert (f3.u == f.u).all()
+        _, f4 = resolve_field({"path": str(p)}, tmp_path / "elsewhere")
+        assert (f4.u == f.u).all()
+        with pytest.raises(FileNotFoundError, match="'elsewhere/rf.field'"):
+            resolve_field({"path": "rf.field"}, "elsewhere")

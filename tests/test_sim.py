@@ -429,10 +429,9 @@ class TestLockstepExperiment:
         raw = json.loads((CONFIG_DIR / "fig5.json").read_text())
         raw["T_list"] = [100]
         cfg = ExperimentConfig.from_dict(raw)
-        field_pair = load_field(CONFIG_DIR / raw["field"]["path"])
         tracemalloc.start()
         try:
-            res = run_experiment(cfg, field_pair)
+            res = run_experiment(cfg, CONFIG_DIR)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
