@@ -398,20 +398,18 @@ class FlowDecomposition:
 def decompose(P: StochasticCellMap) -> FlowDecomposition:
     """Full long-term decomposition of the chain's support graph.
 
-    Attractors are the cyclic components that no edge leaves, numbered
-    B_1..B_g by smallest member state.  Every other state is grouped by the
-    set of attractors it reaches; groups are ordered single domiciles first,
-    then by domicile tuple, with states ascending in each.  Costs O(n * 9)
-    time and memory, plus the unions of domicile sets formed.  Raises
-    RuntimeError for the smallest transient state that reaches no attractor
-    (a dead-end row).
+    Attractors are the components that no edge leaves and whose states
+    move, numbered B_1..B_g by smallest member state.  Every other state is
+    grouped by the set of attractors it reaches; groups are ordered single
+    domiciles first, then by domicile tuple, with states ascending in each.
+    Costs O(n * 9) time and memory, plus the unions of domicile sets formed.
+    Raises RuntimeError for the smallest transient state that reaches no
+    attractor (a dead-end row).
     """
     w = P.workspace
     counts, succ = _successors(P)
     labels, n_comps = _component_labels(counts, succ)
     src, dst = np.repeat(labels, counts), labels[succ]
-    # A state with more live moves than successors other than itself loops.
-    looped = _RANKS[MAX_MAPPED].take(P.mask) > counts
     del counts, succ
     out = src != dst
     # Cross edges keyed source-major: each component's run of keys lists the
@@ -422,12 +420,10 @@ def decompose(P: StochasticCellMap) -> FlowDecomposition:
     bounds = np.searchsorted(edges, np.arange(n_comps + 1) * n_comps)
     exits = bounds[1:] > bounds[:-1]
 
-    # Each component's smallest state and size; every label occurs.
-    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
-    cyclic = sizes > 1
-    cyclic[labels[looped]] = True
-    del looped
-    is_attractor = cyclic & ~exits
+    # Each component's smallest state; every label occurs.  A closed component
+    # is an attractor unless it is one state with no move (a dead-end row).
+    _, first = np.unique(labels, return_index=True)
+    is_attractor = ~exits & (P.mask.take(first) != 0)
     attractors = np.flatnonzero(is_attractor)
     attractors = attractors[np.argsort(first[attractors])]  # B_1..B_g
 

@@ -32,8 +32,8 @@ the record count, or else fills the grids itself.  Parsing costs
 O(rows * cols) time.  Beside the decoded text numpy's path holds the parsed
 records, 40 bytes each, until the grids are filled: a load peaks
 (tracemalloc) at 1.46 MiB for a 0.58 MB 100x130 file, 13.0 MiB at 300x400
-(5.6 MB) and 109 MiB at 1000x1000 (47.7 MB).  The loop holds each accepted
-record as Python objects: a bad last record at 300x400 peaks at 26.9 MiB.
+(5.6 MB) and 109 MiB at 1000x1000 (47.7 MB).  The loop keeps a set of the
+accepted cells: a bad last record at 300x400 peaks at 15.8 MiB.
 
 Synthetic kinds stand in for externally produced current slices:
 
@@ -149,7 +149,9 @@ def _check_records(text, body_start, rows, cols):
     Raises the FieldParseError of the first failing record, in file order, and
     its first failing check, or else the record count error.
     """
-    n, seen = rows * cols, {}  # flat cell index -> (land, u, v)
+    n, seen = rows * cols, set()  # flat cell indices of the accepted records
+    size = n if 9 * n <= len(text) else 0  # n records take at least 9 * n characters
+    lands, us, vs = grids = [memoryview(np.empty(size, t)) for t in (bool, float, float)]
     for first, lines in _body(text, body_start):
         for lineno, line in enumerate(lines, start=first):
             stripped = line.strip()
@@ -176,13 +178,13 @@ def _check_records(text, body_start, rows, cols):
                 raise FieldParseError(
                     lineno, f"non-finite velocity ({u}, {v}) on water cell ({r}, {c})"
                 )
-            seen[cell] = land, u, v
+            seen.add(cell)
+            if size:
+                lands[cell], us[cell], vs[cell] = land, u, v
     if len(seen) != n:
         raise FieldParseError(first + len(lines) - 1,
                               f"expected {n} cell records, found {len(seen)}")
-    land, u, v = zip(*(seen[cell] for cell in range(n)))  # in cell order
-    return tuple(np.array(column, dtype).reshape(rows, cols)
-                 for column, dtype in ((land, bool), (u, float), (v, float)))
+    return tuple(grid.obj.reshape(rows, cols) for grid in grids)
 
 
 def _load_cells(text, body_start, rows, cols):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import closure_reference as ref
@@ -126,6 +126,12 @@ class TestMatchesClosureReference:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(graph=graphs())
+    # The closed components that the attractor rule separates: a state whose
+    # only move goes to itself (in slot NW, not IDLE), a pair, and a dead end
+    # below a smaller state, which the error names.
+    @example(graph=(2, [(0, 0), (1, 0)], set()))
+    @example(graph=(3, [(0, 1), (1, 0), (2, 1)], set()))
+    @example(graph=(3, [(0, 2), (1, 1)], {2}))
     def test_random_graphs(self, graph):
         n, edges, dead = graph
         P = chain_from_edges(n, edges, dead_ends=dead)

@@ -17,6 +17,7 @@ from driftloc import (
     viterbi,
     viterbi_runs,
 )
+import closure_reference as ref
 from closure_reference import adjacency, reachability
 from conftest import (
     colliding,
@@ -396,17 +397,24 @@ class TestReachability:
             assert (reachability(P) == bool_power_closure(adj)).all()
 
 
+def persistent_states(P):
+    """The attractors' states, checked against the closure-based oracle."""
+    dec = decompose(P)
+    assert dec.to_dict() == ref.decompose(P).to_dict()
+    return [states_of(P, g) for g in dec.persistent_groups]
+
+
 class TestPersistentGroups:
     def test_single_absorbing_cell(self):
+        # state 2 moves only to itself, in slot NW: not the IDLE slot
         P = chain_from_edges(3, [(0, 1), (1, 2), (2, 2)])
-        groups = decompose(P).persistent_groups
-        assert [states_of(P, g) for g in groups] == [[2]]
+        assert slot_layout(P).targets[2].tolist() == [2] + [-1] * 8
+        assert persistent_states(P) == [[2]]
 
     def test_cycle_plus_transient(self):
         # A <-> B cycle fed by transient c
         P = chain_from_edges(3, [(0, 1), (1, 0), (2, 0)])
-        groups = decompose(P).persistent_groups
-        assert [states_of(P, g) for g in groups] == [[0, 1]]
+        assert persistent_states(P) == [[0, 1]]
 
     def test_dead_end_state_is_not_an_attractor(self):
         # an all-padding row has no edge out, yet never cycles back: it is
@@ -415,11 +423,16 @@ class TestPersistentGroups:
         targets = slot_layout(P).targets.copy()
         targets[2] = -1
         P = from_slots(P.workspace, targets)
-        with pytest.raises(RuntimeError, match="transient state 2"):
-            decompose(P)
+        for decomposition in (decompose, ref.decompose):
+            with pytest.raises(RuntimeError, match="transient state 2 "):
+                decomposition(P)
+        # a dead end below a smaller state: the error names the upstream one
+        upstream = chain_from_edges(3, [(0, 0), (1, 2)], dead_ends={2})
+        for decomposition in (decompose, ref.decompose):
+            with pytest.raises(RuntimeError, match="transient state 1 "):
+                decomposition(upstream)
         targets[2] = targets[1]  # restored, 2 feeds [0] like 1
-        groups = decompose(from_slots(P.workspace, targets)).persistent_groups
-        assert [states_of(P, g) for g in groups] == [[0]]
+        assert persistent_states(from_slots(P.workspace, targets)) == [[0]]
 
     def test_double_gyre_two_attractors(self, gyre):
         dec = gyre["decomposition"]

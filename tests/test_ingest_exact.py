@@ -397,3 +397,39 @@ class TestMemory:
         # 1.5 MiB.  Splitting the whole text into lines at once peaked at
         # 2.37 MiB.
         assert peak < 2.0 * 2**20, f"load_field peaked at {peak / 2**20:.2f} MiB"
+
+    def test_bad_last_record_peak(self, tmp_path):
+        # The record loop reads all 13 000 records before the last one fails.
+        # Keeping each accepted record as a tuple of Python objects peaked at
+        # 2.83 MiB; a set of cells, with the grids written in place, at 1.77.
+        p = tmp_path / "bad.field"
+        save_field(p, gyre_with_land(100, 130, 0))
+        lines = p.read_text().splitlines()
+        row, col, land, u, _ = lines[-1].split()
+        lines[-1] = f"{row} {col} {land} {u} x"
+        write(tmp_path, lines, name="bad.field")
+        want = assert_same(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldParseError) as exc:
+                load_field(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.line, str(exc.value)) == want[2:] == (
+            len(lines), f"line {len(lines)}: velocity: [{u!r}, 'x'] is not numeric")
+        assert peak < 2.0 * 2**20, f"load_field peaked at {peak / 2**20:.2f} MiB"
+
+    def test_count_error_allocates_no_grid(self, tmp_path):
+        # Three records cannot fill a 1000x1000 header: no grid is allocated.
+        p = write(tmp_path, ["driftfield 1", "rows 1000", "cols 1000", "cells",
+                             "0 0 0 0.0 0.0", "0 1 0 0.0 0.0", "0 2 1 0.0 0.0"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldParseError) as exc:
+                load_field(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "line 7: expected 1000000 cell records, found 3"
+        assert peak < 2**20, f"load_field peaked at {peak / 2**20:.2f} MiB"
